@@ -45,6 +45,7 @@ def main() -> int:
                     "status": res.status,
                     "best_objective": res.details.get("best_objective"),
                     "proposals": res.nodes_explored,
+                    "accepted": res.details.get("accepted"),
                     "wall_time": round(time.monotonic() - t0, 3),
                 }
                 if res.witness is not None:

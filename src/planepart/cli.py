@@ -234,6 +234,7 @@ def _search_anneal(pl: Plane, g: Graph, args) -> int:
     print(f"status: {res.status}  (seed {params.seed}, t = {args.t})")
     print(f"flip proposals: {res.nodes_explored}")
     print(f"best objective: {res.details.get('best_objective')}")
+    print(f"accepted flips: {res.details.get('accepted')}")
     print(f"wall time: {res.wall_time:.2f} s")
     if res.witness is not None:
         _print_margins(margins(g, res.witness))

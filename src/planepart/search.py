@@ -268,7 +268,9 @@ def exhaustive_exists(
         return result(EXHAUSTED)
     presets = [(0, 0)]
     if workers <= 1:
-        sys.setrecursionlimit(max(10_000, 4 * g.n + 100))
+        # search() recurses once per branching level; the caller's limit is restored
+        caller_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(caller_limit, 10_000, 4 * g.n + 100))
         deadline = None if max_seconds is None else start + max_seconds
         solver = _Solver(adj, t, max_nodes=max_nodes, deadline=deadline)
         try:
@@ -279,6 +281,8 @@ def exhaustive_exists(
             return result(EXHAUSTED, nodes=solver.nodes)
         except _Stop:
             return result(TIMEOUT, nodes=solver.nodes)
+        finally:
+            sys.setrecursionlimit(caller_limit)
 
     status, side, jobs = _frontier_jobs(adj, t, presets)
     if status == FOUND:
@@ -395,17 +399,45 @@ def anneal_search(
     objective zero is a verified witness.  Flips never empty a class.  A
     failure to find reports status ``timeout``: it never claims
     nonexistence.  Identical (graph, t, params, init) reruns are identical.
+
+    Each vertex keeps its raw shortfall ``short[v] = d(v) + 2t - 2 d_own(v)``
+    (its penalty is ``max(0, short[v])``, and flipping v turns it into
+    ``4t - short[v]``) and the change in its penalty if it loses
+    (``lose[v]``) or gains (``gain[v]``) one neighbour on its own side.  The
+    invariant is that ``delta[v]`` is the exact change in the objective if v
+    alone flips::
+
+        delta[v] = max(0, 4t - short[v]) - max(0, short[v])
+                   + sum(lose[u] for own-side u in N(v))
+                   + sum(gain[u] for other-side u in N(v))
+
+    A proposal reads ``delta[v]`` in O(1).  An accepted flip updates
+    ``short`` and ``delta`` on N(v), and ``delta`` on N(u) for each
+    neighbour u whose ``lose``/``gain`` moved: O(d * changed).  Flipping v
+    back would undo the flip, so v's own delta becomes ``-delta[v]``.  The
+    random stream and the acceptance rule are those of a plain loop that
+    rescans N(v) on every proposal, so statuses, proposal counts, best
+    objectives and witnesses are the same as that loop's.
+    ``details["accepted"]`` counts accepted flips.
     """
     params = params or AnnealParams()
     if g.n < 2:
         raise ValueError("need at least two vertices to partition")
     start = time.monotonic()
     rng = random.Random(params.seed)
+    randrange = rng.randrange
+    uniform = rng.random
     n = g.n
     adj = [tuple(a) for a in g.adjacency_lists]
     deg = [len(a) for a in adj]
-    target = [deg[v] + 2 * t for v in range(n)]
+    t4 = 4 * t
+    # penalty changes keyed by raw shortfall x, over every x a vertex can reach
+    xs = range(2 * t - max(deg), max(deg) + 2 * t + 1)
+    flip_of = {x: max(0, t4 - x) - max(0, x) for x in xs}
+    lose_of = {x: max(0, x + 2) - max(0, x) for x in xs}
+    gain_of = {x: max(0, x - 2) - max(0, x) for x in xs}
     proposals = 0
+    accepted = 0
     best_obj = None
 
     def finish(status, side=None, detail=None):
@@ -414,7 +446,9 @@ def anneal_search(
             witness = _wrap_witness(
                 g, side, t, "anneal", {"seed": params.seed}
             )
-        details = {"seed": params.seed, "t": t, "best_objective": best_obj}
+        details = {
+            "seed": params.seed, "t": t, "best_objective": best_obj, "accepted": accepted
+        }
         details.update(detail or {})
         return SearchResult(
             status=status,
@@ -437,44 +471,74 @@ def anneal_search(
         elif ones == n:
             side[rng.randrange(n)] = 0
         counts = [n - sum(side), sum(side)]
-        own = [sum(1 for u in adj[v] if side[u] == side[v]) for v in range(n)]
-        obj = sum(max(0, target[v] - 2 * own[v]) for v in range(n))
+        short = [
+            deg[v] + 2 * t - 2 * sum(1 for u in adj[v] if side[u] == side[v])
+            for v in range(n)
+        ]
+        obj = sum(max(0, x) for x in short)
         best_obj = obj if best_obj is None else min(best_obj, obj)
         if obj == 0:
             return finish(FOUND, side=side, detail={"restart": restart, "sweep": 0})
+        lose = [lose_of[x] for x in short]
+        gain = [gain_of[x] for x in short]
+        delta = [
+            flip_of[short[v]]
+            + sum(lose[u] if side[u] == side[v] else gain[u] for u in adj[v])
+            for v in range(n)
+        ]
         temp = params.start_temp
         for sweep in range(params.sweeps):
-            for _ in range(n):
-                proposals += 1
-                v = rng.randrange(n)
+            # temp is fixed within a sweep, so exp depends on the delta alone
+            boltzmann = {}
+            for i in range(n):
+                v = randrange(n)
                 s = side[v]
                 if counts[s] == 1:
                     continue
-                d = deg[v]
-                new_own_v = d - own[v]
-                pen_old = target[v] - 2 * own[v]
-                pen_new = target[v] - 2 * new_own_v
-                delta = max(0, pen_new) - max(0, pen_old)
+                dv = delta[v]
+                if dv > 0:
+                    p = boltzmann.get(dv)
+                    if p is None:
+                        p = boltzmann[dv] = math.exp(-dv / temp)
+                    if not uniform() < p:
+                        continue
+                accepted += 1
+                side[v] = s ^ 1
+                counts[s] -= 1
+                counts[s ^ 1] += 1
+                lose_v, gain_v = lose[v], gain[v]
+                xv = short[v] = t4 - short[v]
+                new_lose_v = lose[v] = lose_of[xv]
+                new_gain_v = gain[v] = gain_of[xv]
                 for u in adj[v]:
-                    ou = own[u]
-                    nu = ou - 1 if side[u] == s else ou + 1
-                    tu = target[u]
-                    po = tu - 2 * ou
-                    pn = tu - 2 * nu
-                    delta += max(0, pn) - max(0, po)
-                if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                    for u in adj[v]:
-                        own[u] += -1 if side[u] == s else 1
-                    own[v] = new_own_v
-                    counts[s] -= 1
-                    counts[s ^ 1] += 1
-                    side[v] ^= 1
-                    obj += delta
-                    if obj < best_obj:
-                        best_obj = obj
-                    if obj == 0:
-                        return finish(
-                            FOUND, side=side, detail={"restart": restart, "sweep": sweep}
-                        )
+                    # u's term for v switches between lose[v] and gain[v]
+                    xu = short[u]
+                    if side[u] == s:
+                        x = xu + 2
+                        change = new_gain_v - lose_v
+                    else:
+                        x = xu - 2
+                        change = new_lose_v - gain_v
+                    short[u] = x
+                    delta[u] += change + flip_of[x] - flip_of[xu]
+                    d_lose = lose_of[x] - lose[u]
+                    d_gain = gain_of[x] - gain[u]
+                    if d_lose or d_gain:
+                        lose[u] += d_lose
+                        gain[u] += d_gain
+                        su = side[u]
+                        for w in adj[u]:
+                            delta[w] += d_lose if side[w] == su else d_gain
+                # overwrites what the loop above added to delta[v]
+                delta[v] = -dv
+                obj += dv
+                if obj < best_obj:
+                    best_obj = obj
+                if obj == 0:
+                    proposals += i + 1
+                    return finish(
+                        FOUND, side=side, detail={"restart": restart, "sweep": sweep}
+                    )
+            proposals += n
             temp *= params.cooling
     return finish(TIMEOUT)

@@ -163,6 +163,7 @@ def test_search_anneal_deterministic(tmp_path, capsys):
     code, out1, _ = run(capsys, *argv, "--out", str(tmp_path / "a.json"))
     assert code == 0
     assert "status: found" in out1
+    assert "accepted flips: " in out1
     code, out2, _ = run(capsys, *argv, "--out", str(tmp_path / "b.json"))
     assert code == 0
     d1 = json.loads((tmp_path / "a.json").read_text())

@@ -2,10 +2,11 @@
 
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import planepart as pp
@@ -20,7 +21,7 @@ from planepart.search import (
 )
 from planepart.verify import margins
 
-from oracles import get_graph, get_plane, random_bipartite
+from oracles import get_graph, get_plane, random_bipartite, reference_anneal
 
 
 def complete_graph(n):
@@ -78,6 +79,24 @@ def test_node_budget_times_out():
     res = exhaustive_exists(get_graph(4), 0, max_nodes=1)
     assert res.status == "timeout"
     assert res.witness is None
+
+
+def test_recursion_limit_restored():
+    before = sys.getrecursionlimit()
+    assert exhaustive_exists(get_graph(3), 1).status == "exhausted_none"
+    assert sys.getrecursionlimit() == before
+    assert exhaustive_exists(get_graph(4), 0, max_nodes=1).status == "timeout"
+    assert sys.getrecursionlimit() == before
+
+
+def test_recursion_limit_never_lowered():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(50_000)
+    try:
+        exhaustive_exists(get_graph(3), 0)
+        assert sys.getrecursionlimit() == 50_000
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_infeasible_t_short_circuits():
@@ -201,3 +220,80 @@ def test_witness_provenance_labels():
     if res2.witness is not None:
         assert res2.witness.provenance["construction"] == "anneal"
         assert res2.witness.provenance["parameters"]["seed"] == 3
+
+
+def _assert_same_run(res, ref):
+    assert res.status == ref.status
+    assert res.nodes_explored == ref.nodes_explored
+    assert res.details == ref.details
+    if ref.witness is None:
+        assert res.witness is None
+    else:
+        assert res.witness.side.tolist() == ref.witness.side.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("t", [-1, 0, 1])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_anneal_matches_reference(q, t, seed):
+    g = get_graph(q)
+    params = AnnealParams(seed=seed, restarts=2, sweeps=150)
+    _assert_same_run(anneal_search(g, t, params), reference_anneal(g, t, params))
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_anneal_matches_reference_baer_seeded(t):
+    g = get_graph(9)
+    init = pp.construct_baer_partition(get_plane(9))
+    params = AnnealParams(seed=0, restarts=2, sweeps=20)
+    _assert_same_run(
+        anneal_search(g, t, params, init=init),
+        reference_anneal(g, t, params, init=init),
+    )
+
+
+def test_anneal_default_budget_pg2_7():
+    # criterion-9's run: these counts were recorded with the rescanning loop
+    res = anneal_search(get_graph(7), 1, AnnealParams(seed=0))
+    assert res.status == "timeout"
+    assert res.details["best_objective"] == 4
+    assert res.nodes_explored == 1_368_000
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs with isolated and degree-1 vertices, not necessarily bipartite."""
+    n = draw(st.integers(2, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_anneal_gain_cache_matches_reference(data):
+    g = data.draw(small_graphs())
+    t = data.draw(st.integers(-2, 2))
+    params = AnnealParams(
+        seed=data.draw(st.integers(0, 10**6)),
+        restarts=data.draw(st.integers(1, 3)),
+        sweeps=data.draw(st.integers(1, 30)),
+        start_temp=data.draw(st.sampled_from([0.3, 1.0, 2.5])),
+        cooling=data.draw(st.sampled_from([0.9, 0.995])),
+    )
+    init = None
+    kind = data.draw(st.sampled_from(["cold", "single", "given"]))
+    if kind == "single":
+        # one class holds one vertex, so flipping that vertex is skipped
+        lone = data.draw(st.integers(0, 1))
+        side = np.full(g.n, 1 - lone, dtype=np.uint8)
+        side[data.draw(st.integers(0, g.n - 1))] = lone
+        init = pp.Partition(side=side)
+    elif kind == "given":
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
+        assume(0 < sum(bits) < g.n)
+        init = pp.Partition(side=np.array(bits, dtype=np.uint8))
+    _assert_same_run(
+        anneal_search(g, t, params, init=init),
+        reference_anneal(g, t, params, init=init),
+    )
