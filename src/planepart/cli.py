@@ -130,13 +130,32 @@ def cmd_construct(args) -> int:
     return 0 if report.partition_intimacy >= 0 else 1
 
 
+def _load_partition(path: str, pl: Plane, g: Graph) -> Partition:
+    """A partition file, or the witness of a search result, for PG(2,q).
+
+    Raises ValueError (exit code 2) on a document without an ``assignment``
+    object and on a provenance field modulus other than the plane's.
+    """
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if isinstance(doc, dict) and "assignment" not in doc:
+        doc = doc.get("witness")
+    if not isinstance(doc, dict) or not isinstance(doc.get("assignment"), dict):
+        raise ValueError(f"{path}: no partition 'assignment' object, nor a search witness")
+    provenance = doc.get("provenance")
+    modulus = provenance.get("field_modulus") if isinstance(provenance, dict) else None
+    if modulus is not None and modulus != list(pl.field.modulus):
+        raise ValueError(
+            f"{path}: field modulus {modulus} is not that of GF({pl.q}), "
+            f"{list(pl.field.modulus)}"
+        )
+    return Partition.from_json(doc, g.label_ids, g.n)
+
+
 def cmd_verify(args) -> int:
     pl = plane_of_order(args.q)
     g = incidence_graph(pl)
-    with open(args.partition, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    label_to_id = {label: v for v, label in enumerate(g.labels)}
-    part = Partition.from_json(doc, label_to_id, g.n)
+    part = _load_partition(args.partition, pl, g)
     report = margins(g, part)
     _print_margins(report)
     if report.partition_intimacy >= args.t:
@@ -224,12 +243,7 @@ def _search_anneal(pl: Plane, g: Graph, args) -> int:
         start_temp=args.start_temp,
         cooling=args.cooling,
     )
-    init = None
-    if args.init:
-        with open(args.init, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        label_to_id = {label: v for v, label in enumerate(g.labels)}
-        init = Partition.from_json(doc, label_to_id, g.n)
+    init = _load_partition(args.init, pl, g) if args.init else None
     res = anneal_search(g, args.t, params=params, init=init)
     print(f"status: {res.status}  (seed {params.seed}, t = {args.t})")
     print(f"flip proposals: {res.nodes_explored}")

@@ -73,6 +73,11 @@ class Graph:
             return self.labels[v]
         return f"v{v}"
 
+    @cached_property
+    def label_ids(self) -> dict[str, int]:
+        """The vertex id of each label: the inverse of ``label``."""
+        return {self.label(v): v for v in range(self.n)}
+
     def to_dimacs(self) -> str:
         """DIMACS-like text: ``p edge n m`` then one ``e u v`` per edge, 1-based."""
         out = [f"p edge {self.n} {self.edge_count}"]

@@ -187,9 +187,15 @@ class _Solver:
         return False
 
 
-def _run_job(args):
-    adj, t, presets, max_nodes, remaining = args
-    deadline = None if remaining is None else time.monotonic() + remaining
+def _solve(adj, t, presets, max_nodes, deadline):
+    """One solver run from ``presets``: ``(status, witness side, nodes)``.
+
+    ``search()`` recurses once per branching level, so the recursion limit
+    is raised (never lowered) for the length of the run and the caller's
+    limit is restored.  Pool workers run this too.
+    """
+    caller_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(caller_limit, 10_000, 4 * len(adj) + 100))
     solver = _Solver(adj, t, max_nodes=max_nodes, deadline=deadline)
     try:
         if not solver.assign_presets(presets):
@@ -199,6 +205,12 @@ def _run_job(args):
         return (EXHAUSTED, None, solver.nodes)
     except _Stop:
         return (TIMEOUT, None, solver.nodes)
+    finally:
+        sys.setrecursionlimit(caller_limit)
+
+
+def _run_job(args):
+    return _solve(*args)
 
 
 def _frontier_jobs(adj, t, presets):
@@ -247,7 +259,9 @@ def exhaustive_exists(
     """Decide whether a t-internal partition exists, with optional budgets.
 
     With ``workers > 1`` the top two branching levels fan out to a process
-    pool; each job carries the full budget.
+    pool.  ``max_seconds`` is one deadline for the whole call, shared by
+    every job (``time.monotonic`` is system-wide, so pool workers read the
+    same clock); ``max_nodes`` still applies to each job separately.
     """
     start = time.monotonic()
     adj = g.adjacency_lists
@@ -267,30 +281,17 @@ def exhaustive_exists(
     if g.n < 2 or any(max(0, (len(a) + 2 * t + 1) // 2) > len(a) for a in adj):
         return result(EXHAUSTED)
     presets = [(0, 0)]
+    deadline = None if max_seconds is None else start + max_seconds
     if workers <= 1:
-        # search() recurses once per branching level; the caller's limit is restored
-        caller_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(caller_limit, 10_000, 4 * g.n + 100))
-        deadline = None if max_seconds is None else start + max_seconds
-        solver = _Solver(adj, t, max_nodes=max_nodes, deadline=deadline)
-        try:
-            if not solver.assign_presets(presets):
-                return result(EXHAUSTED, nodes=solver.nodes)
-            if solver.search():
-                return result(FOUND, side=solver.witness, nodes=solver.nodes)
-            return result(EXHAUSTED, nodes=solver.nodes)
-        except _Stop:
-            return result(TIMEOUT, nodes=solver.nodes)
-        finally:
-            sys.setrecursionlimit(caller_limit)
+        status, side, nodes = _solve(adj, t, presets, max_nodes, deadline)
+        return result(status, side=side, nodes=nodes)
 
     status, side, jobs = _frontier_jobs(adj, t, presets)
     if status == FOUND:
         return result(FOUND, side=side)
     if status == EXHAUSTED and not jobs:
         return result(EXHAUSTED)
-    remaining = None if max_seconds is None else max(0.0, max_seconds)
-    args = [(adj, t, job, max_nodes, remaining) for job in jobs]
+    args = [(adj, t, job, max_nodes, deadline) for job in jobs]
     nodes = 0
     timed_out = False
     found_side = None

@@ -4,28 +4,14 @@ import math
 import random
 import time
 from collections import deque
-from functools import lru_cache
 
 import numpy as np
 
-import planepart as pp
 from planepart.graphs import Graph
+# the package's one cache of planes, graphs and Baer decompositions
+from planepart.reproduce import _baer as get_baer, _graph as get_graph, _plane as get_plane
+from planepart.reproduce import _random_bipartite as random_bipartite
 from planepart.search import FOUND, TIMEOUT, AnnealParams, SearchResult, _wrap_witness
-
-
-@lru_cache(maxsize=None)
-def get_plane(q):
-    return pp.plane_of_order(q)
-
-
-@lru_cache(maxsize=None)
-def get_graph(q):
-    return pp.incidence_graph(get_plane(q))
-
-
-@lru_cache(maxsize=None)
-def get_baer(q):
-    return pp.baer_decomposition(get_plane(q))
 
 
 def naive_margins(g: Graph, side) -> list[int]:
@@ -96,13 +82,6 @@ def is_irreducible_bruteforce(p, f) -> bool:
             if poly_divides(p, d, f):
                 return False
     return True
-
-
-def random_bipartite(rng, nl, nr, p=0.5) -> Graph:
-    edges = [
-        (i, nl + j) for i in range(nl) for j in range(nr) if rng.random() < p
-    ]
-    return Graph.from_edges(nl + nr, edges, n_left=nl)
 
 
 def random_partition(rng, n) -> np.ndarray:

@@ -5,6 +5,10 @@ import json
 import pytest
 
 from planepart.cli import main
+from planepart.constructions import Partition
+from planepart.verify import margins
+
+from oracles import get_graph
 
 
 def run(capsys, *argv):
@@ -92,6 +96,55 @@ def test_verify_at_unreachable_t(tmp_path, capsys):
     )
     assert code == 1
     assert "needs at least 2" in out
+
+
+def test_verify_and_init_accept_a_search_result(tmp_path, capsys):
+    path = tmp_path / "found3.json"
+    run(capsys, "search", "exhaustive", "--q", "3", "--t", "0", "--out", str(path))
+    code, out, _ = run(capsys, "verify", "--q", "3", "--partition", str(path), "--t", "0")
+    assert code == 0
+    assert "OK: partition is 0-internal" in out
+    code, out, _ = run(
+        capsys,
+        "search", "anneal", "--q", "3", "--t", "0",
+        "--restarts", "1", "--sweeps", "1", "--init", str(path),
+    )
+    assert code == 0
+    assert "status: found" in out
+    # the loader keeps the Partition.from_json(doc, label_to_id, n) signature
+    g = get_graph(3)
+    witness = json.loads(path.read_text())["witness"]
+    part = Partition.from_json(witness, g.label_ids, g.n)
+    assert margins(g, part).partition_intimacy >= 0
+
+
+@pytest.mark.parametrize("doc", ["search-none", [1, 2], {"assignment": ["A", "B"]}])
+def test_non_partition_documents_are_usage_errors(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    if doc == "search-none":
+        run(capsys, "search", "exhaustive", "--q", "3", "--t", "1", "--out", str(path))
+        assert json.loads(path.read_text())["witness"] is None
+    else:
+        path.write_text(json.dumps(doc))
+    for argv in (
+        ["verify", "--q", "3", "--partition", str(path)],
+        ["search", "anneal", "--q", "3", "--sweeps", "1", "--init", str(path)],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "no partition 'assignment' object" in err
+
+
+def test_verify_rejects_another_field_modulus(tmp_path, capsys):
+    path = tmp_path / "baer9.json"
+    run(capsys, "construct", "baer", "--q", "9", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["provenance"]["field_modulus"] = [9, 9, 9]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--q", "9", "--partition", str(path), "--t", "1")
+    assert code == 2
+    assert "field modulus [9, 9, 9]" in err
+    assert "OK" not in out
 
 
 def test_spectrum_q5(tmp_path, capsys):

@@ -345,6 +345,7 @@ def test_partition_json_round_trip():
     part = construct_combinatorial(pl)
     doc = part.to_json(g.labels)
     label_to_id = {lab: i for i, lab in enumerate(g.labels)}
+    assert g.label_ids == label_to_id
     back = Partition.from_json(doc, label_to_id, g.n)
     assert (back.side == part.side).all()
     assert back.provenance["construction"] == "combinatorial"

@@ -99,6 +99,25 @@ def test_recursion_limit_never_lowered():
         sys.setrecursionlimit(before)
 
 
+def test_pool_workers_raise_the_recursion_limit_too():
+    # a path branches once per vertex, deeper than the default limit of 1000
+    n = 1200
+    path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    before = sys.getrecursionlimit()
+    for workers in (1, 2):
+        res = exhaustive_exists(path, -1, workers=workers)
+        assert res.status == "found"
+        assert margins(path, res.witness).partition_intimacy >= -1
+    assert sys.getrecursionlimit() == before
+
+
+def test_max_seconds_is_one_budget_across_workers():
+    # four jobs on two workers: a full budget per job would run for about 2 s
+    res = exhaustive_exists(get_graph(7), 1, workers=2, max_seconds=1.0)
+    assert res.status == "timeout"
+    assert res.wall_time < 1.6
+
+
 def test_infeasible_t_short_circuits():
     g = get_graph(2)  # 3-regular: margin caps at 3, so t=2 needs d_own > d
     res = exhaustive_exists(g, 2)
