@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on a verification failure (a partition below
 the requested t, or a search that ran out of budget without an answer),
-2 on usage errors including violated construction preconditions.
+2 on usage errors, including violated construction preconditions and
+files that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

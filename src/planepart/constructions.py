@@ -298,12 +298,10 @@ def classify_conic(pl: Plane) -> OvalData:
     oval_triples = [(t, f.mul(t, t), 1) for t in f.elements()]
     oval_triples.append((0, 1, 0))
     oval = np.array(sorted(pl.index_of[t] for t in oval_triples), dtype=np.int64)
-    hits = pl.incidence[oval, :].sum(axis=0)
-    if hits.max() > 2:
+    line_class = pl.hits(oval)
+    if line_class.max() > 2:
         raise RuntimeError("conic has three collinear points")
-    line_class = hits.astype(np.int64)
-    tangents = np.flatnonzero(line_class == LINE_TANGENT)
-    tangent_count = pl.incidence[:, tangents].sum(axis=1).astype(np.int64)
+    tangent_count = pl.hits(np.flatnonzero(line_class == LINE_TANGENT))
     od = OvalData(
         plane=pl, oval=oval, tangent_count=tangent_count, line_class=line_class
     )
@@ -385,7 +383,7 @@ def construct_denniston(pl: Plane) -> ArcData:
             if val in kernel:
                 ids.append(pl.index_of[(x, y, 1)])
     arc = np.array(sorted(ids), dtype=np.int64)
-    profile = pl.incidence[arc, :].sum(axis=0).astype(np.int64)
+    profile = pl.hits(arc)
     data = ArcData(arc=arc, degree=q // 2, secant_profile=profile)
     if not verify_maximal_arc(pl, arc, q // 2):
         raise RuntimeError("Denniston point set is not a maximal arc")
@@ -397,8 +395,7 @@ def verify_maximal_arc(pl: Plane, arc_points, degree: int) -> bool:
     arc = np.asarray(sorted(set(int(x) for x in arc_points)), dtype=np.int64)
     if arc.size != (degree - 1) * (pl.q + 1) + 1:
         return False
-    hits = pl.incidence[arc, :].sum(axis=0)
-    return bool(np.isin(hits, (0, degree)).all())
+    return bool(np.isin(pl.hits(arc), (0, degree)).all())
 
 
 def construct_even(

@@ -281,6 +281,13 @@ class Field:
             table[1:, 1:] = ex[(lg[:, None] + lg[None, :]) % (q - 1)]
         return table
 
+    @cached_property
+    def inv_table(self) -> np.ndarray:
+        """Multiplicative inverses by element; entry 0, which has none, is 0."""
+        table = np.zeros(self.q, dtype=np.int32)
+        table[1:] = [self.inv(a) for a in self.units()]
+        return table
+
     def __repr__(self) -> str:
         return f"Field(p={self.p}, h={self.h}, q={self.q})"
 

@@ -6,6 +6,8 @@ from functools import cached_property
 
 import numpy as np
 
+_DIMACS_BLOCK = 1 << 14
+
 
 class Graph:
     """Simple undirected graph.
@@ -80,9 +82,15 @@ class Graph:
 
     def to_dimacs(self) -> str:
         """DIMACS-like text: ``p edge n m`` then one ``e u v`` per edge, 1-based."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        keep = self.indices > src
+        heads = src[keep] + 1
+        tails = self.indices[keep].astype(np.int64) + 1
         out = [f"p edge {self.n} {self.edge_count}"]
-        for v in range(self.n):
-            for u in self.neighbors(v):
-                if u > v:
-                    out.append(f"e {v + 1} {u + 1}")
+        # formatted a block at a time, so the Python ints and line strings of
+        # one block, not of the whole graph, are alive at once
+        for lo in range(0, heads.size, _DIMACS_BLOCK):
+            hs = heads[lo : lo + _DIMACS_BLOCK].tolist()
+            ts = tails[lo : lo + _DIMACS_BLOCK].tolist()
+            out.append("\n".join(f"e {v} {u}" for v, u in zip(hs, ts)))
         return "\n".join(out) + "\n"

@@ -18,10 +18,8 @@ import numpy as np
 from .fields import Field, factor_prime_power, make_field, prime_factors
 from .graphs import Graph
 
-# the dense n*n incidence matrix (n = q^2+q+1) stays small through this order
+# the benchmark and the tests cover planes only through this order
 MAX_PLANE_ORDER = 64
-
-_CHUNK = 1024
 
 
 def canonical_triples(q: int) -> list[tuple[int, int, int]]:
@@ -32,8 +30,63 @@ def canonical_triples(q: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def _triple_indices(f: Field, t: np.ndarray) -> np.ndarray:
+    """Indices in ``canonical_triples`` order of a batch of nonzero triples.
+
+    ``t`` has shape ``(..., 3)``; each triple is scaled by the inverse of its
+    last nonzero coordinate before its index is read off.
+    """
+    a, b, c = t[..., 0], t[..., 1], t[..., 2]
+    lead = np.where(c != 0, c, np.where(b != 0, b, a))
+    if not lead.all():
+        raise ValueError("zero triple has no projective class")
+    s = f.inv_table[lead]
+    x = f.mul_table[s, a].astype(np.int64)
+    y = f.mul_table[s, b].astype(np.int64)
+    q = f.q
+    return np.where(c != 0, 1 + q + q * y + x, np.where(b != 0, 1 + x, 0))
+
+
+def _dot(f: Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u . v`` over GF(q) along the last axis, with broadcasting."""
+    add, mul = f.add_table, f.mul_table
+    s = add[mul[u[..., 0], v[..., 0]], mul[u[..., 1], v[..., 1]]]
+    return add[s, mul[u[..., 2], v[..., 2]]]
+
+
+def _pencils(f: Field, lines: np.ndarray) -> np.ndarray:
+    """Sorted ids of the q+1 points on each line, one row per line.
+
+    For a line L with last nonzero coordinate L[k] = 1 and i < j the other
+    two positions, u = e_i - L[i] e_k and w = e_j - L[j] e_k are independent
+    points of L, so its points are u + lam*w for lam in GF(q), and w.
+    """
+    q, n = f.q, len(lines)
+    rows = np.arange(n)
+    k = np.where(lines[:, 2] != 0, 2, np.where(lines[:, 1] != 0, 1, 0))
+    i = np.where(k == 0, 1, 0)
+    j = np.where(k == 2, 1, 2)
+    minus = f.mul_table[f.p - 1]  # p - 1 encodes -1
+    u = np.zeros((n, 3), dtype=np.int32)
+    w = np.zeros((n, 3), dtype=np.int32)
+    u[rows, i] = 1
+    u[rows, k] = minus[lines[rows, i]]
+    w[rows, j] = 1
+    w[rows, k] = minus[lines[rows, j]]
+    lam = np.arange(q)[None, :, None]
+    pts = f.add_table[u[:, None, :], f.mul_table[lam, w[:, None, :]]]
+    pts = np.concatenate([pts, w[:, None, :]], axis=1)
+    return np.sort(_triple_indices(f, pts), axis=1)
+
+
 class Plane:
-    """PG(2,q) with exact incidence and index lookups."""
+    """PG(2,q) with exact incidence and index lookups.
+
+    The one stored incidence is ``pencils``: row j lists, ascending, the
+    q+1 points on line j.  Point and line triples coincide and the pairing
+    is symmetric, so the same rows also list the lines through each point;
+    ``points_on`` and ``lines_through`` are that one array.
+    """
 
     def __init__(self, field: Field):
         q = field.q
@@ -45,26 +98,25 @@ class Plane:
         self.q = q
         self.n = q * q + q + 1
         self.triples = canonical_triples(q)
-        self.incidence = self._build_incidence()
-        rows = [np.flatnonzero(self.incidence[i]) for i in range(self.n)]
-        if any(r.size != q + 1 for r in rows):
-            raise RuntimeError("incidence row of wrong size; field tables corrupt")
-        # the pairing is symmetric in the two triples, so pencils equal ranges
-        self.lines_through = rows
-        self.points_on = rows
+        self.pencils = _pencils(field, self.coords)
+        on_line = _dot(field, self.coords[self.pencils], self.coords[:, None, :])
+        if on_line.any() or (np.diff(self.pencils, axis=1) == 0).any():
+            raise RuntimeError("pencil point off its line; field tables corrupt")
+        if (np.bincount(self.pencils.ravel(), minlength=self.n) != q + 1).any():
+            raise RuntimeError("point on a wrong number of lines; field tables corrupt")
+        self.points_on = self.pencils
+        self.lines_through = self.pencils
 
-    def _build_incidence(self) -> np.ndarray:
-        f = self.field
-        t = np.array(self.triples, dtype=np.int32)
-        mul, add = f.mul_table, f.add_table
-        inc = np.empty((self.n, self.n), dtype=bool)
-        for lo in range(0, self.n, _CHUNK):
-            hi = min(lo + _CHUNK, self.n)
-            a = t[lo:hi]
-            s = mul[a[:, 0][:, None], t[:, 0][None, :]]
-            s = add[s, mul[a[:, 1][:, None], t[:, 1][None, :]]]
-            s = add[s, mul[a[:, 2][:, None], t[:, 2][None, :]]]
-            inc[lo:hi] = s == 0
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The triples as an ``(n, 3)`` array."""
+        return np.array(self.triples, dtype=np.int32)
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Dense boolean point-by-line matrix, built from the pencils on first use."""
+        inc = np.zeros((self.n, self.n), dtype=bool)
+        inc[self.points_on, np.arange(self.n)[:, None]] = True
         return inc
 
     @cached_property
@@ -81,7 +133,16 @@ class Plane:
         raise ValueError("zero triple has no projective class")
 
     def is_incident(self, point: int, line: int) -> bool:
-        return bool(self.incidence[point, line])
+        return bool((self.points_on[line] == point).any())
+
+    def hits(self, ids) -> np.ndarray:
+        """Per line, how many of the given points lie on it (repeats count).
+
+        Points and lines share the pencils, so given line ids this counts,
+        per point, the given lines through it.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        return np.bincount(self.lines_through[ids].ravel(), minlength=self.n)
 
     def point_label(self, i: int) -> str:
         a, b, c = self.triples[i]
@@ -108,15 +169,11 @@ class Plane:
             },
             "points": [self.point_label(i) for i in range(self.n)],
             "lines": [self.line_label(j) for j in range(self.n)],
-            "lines_points": [self.points_on[j].tolist() for j in range(self.n)],
+            "lines_points": self.points_on.tolist(),
         }
 
     def __repr__(self) -> str:
         return f"Plane(q={self.q}, n={self.n})"
-
-
-def build_plane(field: Field) -> Plane:
-    return Plane(field)
 
 
 def plane_of_order(q: int) -> Plane:
@@ -128,9 +185,9 @@ def plane_of_order(q: int) -> Plane:
 def incidence_graph(pl: Plane) -> Graph:
     """Bipartite point/line graph: points are vertices 0..n-1, lines follow."""
     n = pl.n
-    nbrs = [pl.lines_through[i] + n for i in range(n)]
-    nbrs += [pl.points_on[j] for j in range(n)]
-    return Graph.from_neighbor_lists(nbrs, n_left=n, labels=pl.labels)
+    indptr = np.arange(2 * n + 1, dtype=np.int64) * (pl.q + 1)
+    indices = np.concatenate([pl.lines_through + n, pl.points_on]).ravel()
+    return Graph(indptr, indices, n_left=n, labels=pl.labels)
 
 
 # -- Singer cycle -----------------------------------------------------------
@@ -204,13 +261,6 @@ def least_primitive_cubic(f: Field) -> tuple[int, int, int]:
     raise RuntimeError(f"no primitive cubic over GF({f.q})")
 
 
-def _mat_vec(f: Field, m, v):
-    return tuple(
-        f.add(f.add(f.mul(m[i][0], v[0]), f.mul(m[i][1], v[1])), f.mul(m[i][2], v[2]))
-        for i in range(3)
-    )
-
-
 def _mat_inv(f: Field, m):
     def det2(a, b, c, d):
         return f.sub(f.mul(a, d), f.mul(b, c))
@@ -233,11 +283,12 @@ def _mat_inv(f: Field, m):
     )
 
 
-def _perm_from_action(pl: Plane, act) -> np.ndarray:
-    perm = np.empty(pl.n, dtype=np.int64)
-    for i, t in enumerate(pl.triples):
-        perm[i] = pl.index_of[pl.normalize(act(t))]
-    return perm
+def _perm_from_action(pl: Plane, mat) -> np.ndarray:
+    """Index permutation induced by the 3x3 matrix ``mat`` on the triples."""
+    t = pl.coords
+    rows = np.array(mat, dtype=np.int32)
+    image = np.stack([_dot(pl.field, r, t) for r in rows], axis=-1)
+    return _triple_indices(pl.field, image)
 
 
 def _require_single_cycle(perm: np.ndarray, what: str):
@@ -267,8 +318,8 @@ def singer_cycle(pl: Plane) -> SingerCycle:
         (0, 1, f.neg(c2)),
     )
     inv_t = tuple(zip(*_mat_inv(f, mat)))
-    point_perm = _perm_from_action(pl, lambda t: _mat_vec(f, mat, t))
-    line_perm = _perm_from_action(pl, lambda t: _mat_vec(f, inv_t, t))
+    point_perm = _perm_from_action(pl, mat)
+    line_perm = _perm_from_action(pl, inv_t)
     _require_single_cycle(point_perm, "point action")
     _require_single_cycle(line_perm, "line action")
     return SingerCycle(
@@ -294,14 +345,17 @@ def verify_subplane(pl: Plane, pts, lns, m: int) -> bool:
     k = m * m + m + 1
     if pts.size != k or lns.size != k:
         return False
-    sub = pl.incidence[np.ix_(pts, lns)].astype(np.int64)
-    if not (sub.sum(axis=0) == m + 1).all():
+    if not (pl.hits(pts)[lns] == m + 1).all() or not (pl.hits(lns)[pts] == m + 1).all():
         return False
-    if not (sub.sum(axis=1) == m + 1).all():
-        return False
-    common = sub @ sub.T
-    off = common[~np.eye(k, dtype=bool)]
-    return bool((off >= 1).all())
+    # every two points of pts share a line of lns: the lines' point pairs
+    # cover all k(k-1)/2 pairs
+    in_pts = np.zeros(pl.n, dtype=bool)
+    in_pts[pts] = True
+    on = pl.points_on[lns]
+    sub = on[in_pts[on]].reshape(k, m + 1)
+    a, b = np.triu_indices(m + 1, 1)
+    pairs = sub[:, a] * pl.n + sub[:, b]
+    return bool(np.unique(pairs).size == k * (k - 1) // 2)
 
 
 def baer_decomposition(pl: Plane, sc: SingerCycle | None = None) -> BaerDecomposition:
@@ -331,8 +385,7 @@ def baer_decomposition(pl: Plane, sc: SingerCycle | None = None) -> BaerDecompos
     rich = r + 1
     subplanes: list[tuple[np.ndarray, np.ndarray]] = []
     for pts in orbits:
-        counts = pl.incidence[pts, :].sum(axis=0)
-        lns = np.flatnonzero(counts == rich)
+        lns = np.flatnonzero(pl.hits(pts) == rich)
         if lns.size != size or not verify_subplane(pl, pts, lns, r):
             raise RuntimeError("Singer power orbit is not a Baer subplane")
         subplanes.append((pts, lns))

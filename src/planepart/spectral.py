@@ -112,7 +112,7 @@ def edges_between(pl: Plane, point_set, line_set) -> int:
         raise ValueError("line set must hold line vertices (ids n..2n-1)")
     if pts.size == 0 or lns.size == 0:
         return 0
-    return int(pl.incidence[np.ix_(pts, lns - n)].sum())
+    return int(pl.hits(pts)[lns - n].sum())
 
 
 def check_mixing(pl: Plane, point_set, line_set) -> bool:

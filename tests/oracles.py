@@ -30,6 +30,48 @@ def naive_intimacy(g: Graph, side) -> int:
     return min(m // 2 if m >= 0 or m % 2 == 0 else (m - 1) // 2 for m in ms)
 
 
+def dense_incidence(pl) -> np.ndarray:
+    """Point-by-line boolean matrix by testing every point against every line."""
+    f = pl.field
+    t = np.array(pl.triples, dtype=np.int32)
+    mul, add = f.mul_table, f.add_table
+    inc = np.empty((pl.n, pl.n), dtype=bool)
+    for lo in range(0, pl.n, 1024):
+        hi = min(lo + 1024, pl.n)
+        a = t[lo:hi]
+        s = mul[a[:, 0][:, None], t[:, 0][None, :]]
+        s = add[s, mul[a[:, 1][:, None], t[:, 1][None, :]]]
+        s = add[s, mul[a[:, 2][:, None], t[:, 2][None, :]]]
+        inc[lo:hi] = s == 0
+    return inc
+
+
+def reference_perm_from_action(pl, mat) -> np.ndarray:
+    """Permutation of triple indices under a 3x3 matrix, one triple at a time."""
+    f = pl.field
+
+    def mat_vec(v):
+        return tuple(
+            f.add(f.add(f.mul(mat[i][0], v[0]), f.mul(mat[i][1], v[1])), f.mul(mat[i][2], v[2]))
+            for i in range(3)
+        )
+
+    perm = np.empty(pl.n, dtype=np.int64)
+    for i, t in enumerate(pl.triples):
+        perm[i] = pl.index_of[pl.normalize(mat_vec(t))]
+    return perm
+
+
+def reference_dimacs(g: Graph) -> str:
+    """DIMACS text by a per-vertex scan of the neighbor lists."""
+    out = [f"p edge {g.n} {g.edge_count}"]
+    for v in range(g.n):
+        for u in g.neighbors(v):
+            if u > v:
+                out.append(f"e {v + 1} {u + 1}")
+    return "\n".join(out) + "\n"
+
+
 def girth(g: Graph) -> int:
     """Shortest cycle length by BFS from every vertex."""
     best = None

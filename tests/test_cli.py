@@ -88,6 +88,18 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     assert "violation: vertex " in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--q", "3", "--partition"),
+    ("search", "anneal", "--q", "3", "--restarts", "1", "--sweeps", "1", "--init"),
+])
+def test_missing_partition_file_is_usage_error(tmp_path, capsys, argv):
+    missing = tmp_path / "nonexistent.json"
+    code, _, err = run(capsys, *argv, str(missing))
+    assert code == 2
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_verify_at_unreachable_t(tmp_path, capsys):
     part_path = tmp_path / "baer4.json"
     run(capsys, "construct", "baer", "--q", "4", "--out", str(part_path))

@@ -14,8 +14,9 @@ from planepart import (
     verify_maximal_arc,
 )
 from planepart.constructions import LINE_SKEW, LINE_TANGENT, OVAL_VARIANTS, Partition
+from planepart.spectral import check_mixing, edges_between
 from planepart.verify import is_internal, is_strict, margins
-from oracles import get_graph, get_plane
+from oracles import dense_incidence, get_graph, get_plane
 
 
 def induced_degrees(q, side, side_val):
@@ -282,6 +283,12 @@ def test_verify_maximal_arc_rejects_line():
     pl = get_plane(4)
     line_pts = pl.points_on[0].tolist()
     assert not verify_maximal_arc(pl, line_pts, 2)
+    # at q=16: the Denniston arc with one point swapped for a point off it
+    pl = get_plane(16)
+    arc = construct_denniston(pl).arc
+    off = np.setdiff1d(np.arange(pl.n), arc)
+    assert not verify_maximal_arc(pl, np.append(arc[1:], off[0]), 8)
+    assert not verify_maximal_arc(pl, arc, 4)
 
 
 def test_verify_maximal_arc_single_point():
@@ -379,3 +386,28 @@ def test_all_partitions_respect_spectral_bound():
         if q in (4, 9, 25):
             rep = margins(g, construct_baer_partition(pl).side)
             assert rep.partition_intimacy == bound
+
+
+@pytest.mark.parametrize("q", [16, 25])
+def test_hot_paths_never_build_the_dense_matrix(q):
+    pl = pp.plane_of_order(q)  # not the shared cache, which tests may have filled
+    g = pp.incidence_graph(pl)
+    dec = pp.baer_decomposition(pl)
+    parts = [construct_baer_partition(pl, dec)]
+    if q % 2:
+        od = classify_conic(pl)
+        parts += [construct_oval(pl, od, variant) for variant in OVAL_VARIANTS]
+        parts += [construct_combinatorial(pl, drop_variant=d) for d in (False, True)]
+        parts += [construct_algebraic_1mod4(pl, erase_units=e) for e in (False, True)]
+    else:
+        parts.append(construct_even(pl, construct_denniston(pl)))
+    inc = dense_incidence(pl)
+    for part in parts:
+        assert is_internal(g, part)
+        a = part.class_a()
+        pts, lns = a[a < pl.n], a[a >= pl.n]
+        assert check_mixing(pl, pts, lns)
+        assert edges_between(pl, pts, lns) == inc[np.ix_(pts, lns - pl.n)].sum()
+    g.to_dimacs()
+    pl.to_json()
+    assert "incidence" not in pl.__dict__

@@ -5,7 +5,23 @@ import pytest
 
 import planepart as pp
 from planepart import incidence_graph, plane_of_order, singer_cycle, verify_subplane
-from oracles import get_baer, get_graph, get_plane, girth
+from planepart.fields import prime_factors
+from planepart.graphs import Graph
+from planepart.plane import _mat_inv
+from oracles import (
+    dense_incidence,
+    get_baer,
+    get_graph,
+    get_plane,
+    girth,
+    random_bipartite,
+    reference_dimacs,
+    reference_perm_from_action,
+)
+
+
+def _prime_powers(lo, hi):
+    return [q for q in range(lo, hi + 1) if len(prime_factors(q)) == 1]
 
 
 def test_fano_counts():
@@ -108,6 +124,37 @@ def test_dimacs_export_shape():
         assert 1 <= int(u) < int(v) <= 14
 
 
+@pytest.mark.parametrize("q", _prime_powers(2, 64))
+def test_pencils_match_dense_oracle(q):
+    pl = get_plane(q)
+    inc = dense_incidence(pl)
+    expect = np.array([np.flatnonzero(inc[:, j]) for j in range(pl.n)])
+    assert pl.pencils.shape == (pl.n, q + 1)
+    assert (pl.pencils == expect).all()
+
+
+def test_corrupt_tables_rejected():
+    f = pp.make_field(2, 2)
+    f.mul_table = f.mul_table.copy()
+    f.mul_table[2, 3] = f.mul_table[3, 2] = 2
+    with pytest.raises(RuntimeError):
+        pp.Plane(f)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 32])  # q=32 spans several blocks
+def test_dimacs_matches_reference_on_planes(q):
+    g = get_graph(q)
+    assert g.to_dimacs() == reference_dimacs(g)
+
+
+def test_dimacs_matches_reference_on_other_graphs():
+    rng = random.Random(11)
+    graphs = [random_bipartite(rng, a, a, 0.5) for a in (1, 3, 6, 10)]
+    graphs.append(Graph.from_edges(5, [(0, 1), (1, 2), (3, 1)]))  # vertex 4 isolated
+    for g in graphs:
+        assert g.to_dimacs() == reference_dimacs(g)
+
+
 def test_plane_of_order_rejects_bad_orders():
     with pytest.raises(ValueError):
         plane_of_order(6)
@@ -127,6 +174,15 @@ def test_singer_single_orbit(q, orbit):
         seen.add(v)
         v = int(sc.point_perm[v])
     assert v == 0 and len(seen) == orbit
+
+
+@pytest.mark.parametrize("q", _prime_powers(2, 32))
+def test_singer_perms_match_reference(q):
+    pl = get_plane(q)
+    sc = singer_cycle(pl)
+    inv_t = tuple(zip(*_mat_inv(pl.field, sc.matrix)))
+    assert (sc.point_perm == reference_perm_from_action(pl, sc.matrix)).all()
+    assert (sc.line_perm == reference_perm_from_action(pl, inv_t)).all()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -207,6 +263,14 @@ def test_verify_subplane_rejects_random_pointset():
     pts = rng.sample(range(pl.n), 7)
     lns = rng.sample(range(pl.n), 7)
     assert not verify_subplane(pl, pts, lns, 2)
+    # at q=16: a Baer subplane with one point swapped out, and with the
+    # lines of another subplane
+    pl = get_plane(16)
+    (pts, lns), (_, other_lns) = get_baer(16).subplanes[:2]
+    outside = np.setdiff1d(np.arange(pl.n), pts)
+    assert verify_subplane(pl, pts, lns, 4)
+    assert not verify_subplane(pl, np.append(pts[1:], outside[0]), lns, 4)
+    assert not verify_subplane(pl, pts, other_lns, 4)
 
 
 def test_baer_requires_square_order():
