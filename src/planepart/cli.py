@@ -197,6 +197,13 @@ def cmd_search(args) -> int:
     return _search_anneal(pl, g, args)
 
 
+def _print_solver_counts(res) -> None:
+    print(f"nodes explored: {res.nodes_explored}")
+    print(f"conflicts: {res.details['conflicts']}")
+    print(f"max depth: {res.details['max_depth']}")
+    print(f"wall time: {res.wall_time:.2f} s")
+
+
 def _search_exhaustive(pl: Plane, g: Graph, args) -> int:
     if args.max_intimacy:
         t_hi = min(int(g.degrees.min()) // 2, intimacy_upper_bound(pl.q))
@@ -207,8 +214,7 @@ def _search_exhaustive(pl: Plane, g: Graph, args) -> int:
             max_seconds=args.max_seconds,
             workers=args.workers,
         )
-        print(f"nodes explored: {res.nodes_explored}")
-        print(f"wall time: {res.wall_time:.2f} s")
+        _print_solver_counts(res)
         if best is None:
             print("max intimacy: unresolved (budget exhausted)")
             return 1
@@ -226,8 +232,7 @@ def _search_exhaustive(pl: Plane, g: Graph, args) -> int:
         workers=args.workers,
     )
     print(f"status: {res.status}")
-    print(f"nodes explored: {res.nodes_explored}")
-    print(f"wall time: {res.wall_time:.2f} s")
+    _print_solver_counts(res)
     if res.witness is not None:
         _print_margins(margins(g, res.witness))
     if args.out:

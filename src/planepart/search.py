@@ -1,12 +1,24 @@
 """Exact and stochastic search for t-internal partitions.
 
 The exhaustive solver is a sound and complete branch and bound over A/B
-assignments with unit propagation: a vertex on side X stays feasible only
-while ``assigned_X + unassigned >= ceil((d + 2t)/2)``, and when that holds
-with equality all its unassigned neighbors are forced to X.  The first
-vertex is pinned to A to quotient out the swap symmetry.  ``found`` /
-``exhausted_none`` answers are deterministic for any worker count; which
-witness is returned first is deterministic only with one worker.
+assignments with unit propagation on one threshold per vertex: with
+``cap[v] = d(v) - ceil((d(v) + 2t)/2)``, a vertex on side X is feasible
+exactly while at most ``cap[v]`` of its neighbours are on the other side.
+Each vertex keeps one counter of assigned neighbours per side.  When w is
+put on side X, only its neighbours not on X are checked, each by one
+comparison of its X counter with its cap: above the cap is a conflict for
+a vertex on the other side and forces an unassigned vertex onto X; at the
+cap, the other-side vertex forces all its unassigned neighbours onto its
+own side.  Propagation runs to a fixpoint, which does not depend on the
+order of the forced assignments.  The search is a loop over an explicit
+stack of (vertex, next side, trail mark) frames, so its depth is not
+bounded by the interpreter's recursion limit; undoing to a trail mark
+restores sides and counters.  The branching vertex minimises
+``(cap - max(a, b), 2 cap - a - b, v)`` over the unassigned vertices, a
+and b its neighbours on A and on B.  The first vertex is pinned to A to
+quotient out the swap symmetry.  ``found`` / ``exhausted_none`` answers
+are deterministic for any worker count; which witness is returned first
+is deterministic only with one worker.
 """
 
 from __future__ import annotations
@@ -14,7 +26,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import random
-import sys
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -54,108 +65,111 @@ class SearchResult:
         return doc
 
 
-class _Stop(Exception):
-    """Raised when the node or time budget runs out."""
-
-
 class _Solver:
+    """Sides, per-side neighbour counters and the trail of one branch and bound."""
+
     def __init__(self, adj, t, max_nodes=None, deadline=None):
         self.adj = adj
-        self.n = len(adj)
-        self.deg = [len(a) for a in adj]
-        # per-vertex own-degree requirement: ceil((d + 2t)/2), clamped at 0
-        self.req = [max(0, (d + 2 * t + 1) // 2) for d in self.deg]
-        self.side = [-1] * self.n
-        self.cnt = ([0] * self.n, [0] * self.n)  # assigned neighbors on A, on B
+        self.n = n = len(adj)
+        deg = [len(a) for a in adj]
+        # the most neighbours a vertex may have on the other side: d - ceil((d + 2t)/2)
+        self.cap = cap = [d - max(0, (d + 2 * t + 1) // 2) for d in deg]
+        # _select's key (cap - max(a, b), 2 cap - a - b, v) as one integer:
+        # base - scale * max(a, b) - (a + b), with scale wider than the range
+        # of the second component, and ties left to the scan order of v
+        spread = max(cap, default=0) - min(cap, default=0)
+        self.scale = scale = 2 * spread + max(deg, default=0) + 1
+        self.base = [(scale + 2) * c for c in cap]
+        self.side = [-1] * n
+        self.cnt = ([0] * n, [0] * n)  # assigned neighbours on A, on B
         self.trail: list[int] = []
         self.nodes = 0
+        self.conflicts = 0
+        self.max_depth = 0
         self.max_nodes = max_nodes
         self.deadline = deadline
         self.witness: list[int] | None = None
 
-    def _bump(self):
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _Stop
-        if (
-            self.deadline is not None
-            and (self.nodes & _BUDGET_CHECK_MASK) == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise _Stop
-
-    def _check(self, u, queue) -> bool:
-        d = self.deg[u]
-        a = self.cnt[0][u]
-        b = self.cnt[1][u]
-        un = d - a - b
-        r = self.req[u]
-        su = self.side[u]
-        if su == 0:
-            if a + un < r:
-                return False
-            if a + un == r and un:
-                for w in self.adj[u]:
-                    if self.side[w] == -1:
-                        queue.append((w, 0))
-        elif su == 1:
-            if b + un < r:
-                return False
-            if b + un == r and un:
-                for w in self.adj[u]:
-                    if self.side[w] == -1:
-                        queue.append((w, 1))
-        else:
-            ok_a = a + un >= r
-            ok_b = b + un >= r
-            if not ok_a and not ok_b:
-                return False
-            if ok_a != ok_b:
-                queue.append((u, 0 if ok_a else 1))
-        return True
-
     def _assign(self, v, s) -> bool:
-        queue = [(v, s)]
-        while queue:
-            w, sw = queue.pop()
-            cur = self.side[w]
+        """Put v on side s and propagate to a fixpoint; False on a conflict.
+
+        On False the state is part-way: the caller undoes to its trail mark.
+        """
+        adj = self.adj
+        cap = self.cap
+        side = self.side
+        cnt = self.cnt
+        trail = self.trail
+        waiting = ([], [])  # vertices forced onto A, onto B
+        waiting[s].append(v)
+        to_a, to_b = waiting
+        while to_a or to_b:
+            if to_a:
+                w, sw = to_a.pop(), 0
+            else:
+                w, sw = to_b.pop(), 1
+            cur = side[w]
             if cur == sw:
                 continue
-            if cur != -1:
+            other_w = cnt[sw ^ 1][w]
+            cap_w = cap[w]
+            if cur != -1 or other_w > cap_w:
                 return False
-            self.side[w] = sw
-            self.trail.append(w)
-            cw = self.cnt[sw]
-            for u in self.adj[w]:
-                cw[u] += 1
-            if not self._check(w, queue):
+            side[w] = sw
+            trail.append(w)
+            nbrs = adj[w]
+            mine = cnt[sw]
+            ours = waiting[sw]
+            if other_w == cap_w:
+                ours.extend([u for u in nbrs if side[u] == -1])
+            # only a neighbour not on w's side can reach its threshold here;
+            # a conflict still counts every neighbour, as _undo decrements them all
+            conflict = False
+            for u in nbrs:
+                c = mine[u] + 1
+                mine[u] = c
+                cap_u = cap[u]
+                if c < cap_u:
+                    continue
+                su = side[u]
+                if su == -1:
+                    if c > cap_u:
+                        ours.append(u)
+                elif su != sw:
+                    if c > cap_u:
+                        conflict = True
+                    else:
+                        waiting[su].extend([x for x in adj[u] if side[x] == -1])
+            if conflict:
                 return False
-            for u in self.adj[w]:
-                if not self._check(u, queue):
-                    return False
         return True
 
     def _undo(self, mark):
-        while len(self.trail) > mark:
-            v = self.trail.pop()
-            s = self.side[v]
-            self.side[v] = -1
-            cs = self.cnt[s]
-            for u in self.adj[v]:
+        trail = self.trail
+        side = self.side
+        adj = self.adj
+        cnt = self.cnt
+        for v in trail[mark:]:
+            cs = cnt[side[v]]
+            side[v] = -1
+            for u in adj[v]:
                 cs[u] -= 1
+        del trail[mark:]
 
     def _select(self):
+        side = self.side
+        a_cnt, b_cnt = self.cnt
+        base = self.base
+        scale = self.scale
         best = None
-        best_key = None
+        best_key = math.inf
         for v in range(self.n):
-            if self.side[v] != -1:
+            if side[v] != -1:
                 continue
-            a = self.cnt[0][v]
-            b = self.cnt[1][v]
-            un = self.deg[v] - a - b
-            r = self.req[v]
-            key = (min(a, b) + un - r, a + b + 2 * un - 2 * r, v)
-            if best_key is None or key < best_key:
+            a = a_cnt[v]
+            b = b_cnt[v]
+            key = base[v] - scale * (a if a > b else b) - a - b
+            if key < best_key:
                 best, best_key = v, key
         return best
 
@@ -174,39 +188,71 @@ class _Solver:
             return True
         return False
 
-    def search(self) -> bool:
+    def search(self) -> str:
+        """Depth first over an explicit stack of (vertex, next side, trail mark).
+
+        Tries side 0 then side 1 of each branching vertex, one node per try,
+        and returns FOUND, EXHAUSTED or TIMEOUT.
+        """
         v = self._select()
         if v is None:
-            return self._complete()
-        for s in (0, 1):
-            self._bump()
-            mark = len(self.trail)
-            if self._assign(v, s) and self.search():
-                return True
-            self._undo(mark)
-        return False
+            return FOUND if self._complete() else EXHAUSTED
+        assign = self._assign
+        select = self._select
+        undo = self._undo
+        trail = self.trail
+        max_nodes = math.inf if self.max_nodes is None else self.max_nodes
+        deadline = self.deadline
+        nodes = self.nodes
+        conflicts = 0
+        max_depth = 1
+        status = EXHAUSTED
+        stack = [(v, 0, len(trail))]
+        while stack:
+            v, s, mark = stack[-1]
+            if len(trail) > mark:
+                undo(mark)
+            if s == 2:
+                stack.pop()
+                continue
+            stack[-1] = (v, s + 1, mark)
+            nodes += 1
+            if nodes > max_nodes or (
+                deadline is not None
+                and (nodes & _BUDGET_CHECK_MASK) == 0
+                and time.monotonic() > deadline
+            ):
+                status = TIMEOUT
+                break
+            if not assign(v, s):
+                conflicts += 1
+                continue
+            w = select()
+            if w is None:
+                if self._complete():
+                    status = FOUND
+                    break
+                continue
+            stack.append((w, 0, len(trail)))
+            if len(stack) > max_depth:
+                max_depth = len(stack)
+        self.nodes = nodes
+        self.conflicts = conflicts
+        self.max_depth = max_depth
+        return status
 
 
 def _solve(adj, t, presets, max_nodes, deadline):
-    """One solver run from ``presets``: ``(status, witness side, nodes)``.
+    """One solver run from ``presets``.
 
-    ``search()`` recurses once per branching level, so the recursion limit
-    is raised (never lowered) for the length of the run and the caller's
-    limit is restored.  Pool workers run this too.
+    Returns ``(status, witness side, nodes, conflicts, max_depth)``.  Pool
+    workers run this too.
     """
-    caller_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(caller_limit, 10_000, 4 * len(adj) + 100))
     solver = _Solver(adj, t, max_nodes=max_nodes, deadline=deadline)
-    try:
-        if not solver.assign_presets(presets):
-            return (EXHAUSTED, None, solver.nodes)
-        if solver.search():
-            return (FOUND, solver.witness, solver.nodes)
-        return (EXHAUSTED, None, solver.nodes)
-    except _Stop:
-        return (TIMEOUT, None, solver.nodes)
-    finally:
-        sys.setrecursionlimit(caller_limit)
+    if not solver.assign_presets(presets):
+        return (EXHAUSTED, None, 0, 0, 0)
+    status = solver.search()
+    return (status, solver.witness, solver.nodes, solver.conflicts, solver.max_depth)
 
 
 def _run_job(args):
@@ -261,12 +307,25 @@ def exhaustive_exists(
     With ``workers > 1`` the top two branching levels fan out to a process
     pool.  ``max_seconds`` is one deadline for the whole call, shared by
     every job (``time.monotonic`` is system-wide, so pool workers read the
-    same clock); ``max_nodes`` still applies to each job separately.
+    same clock).  ``max_nodes`` is one budget too: each of the k jobs gets
+    ``max_nodes // k`` nodes and, like a single worker, stops at its share
+    plus one.  ``details`` carries ``conflicts`` (branches whose propagation
+    failed) and ``max_depth`` (the most branching levels on one path,
+    counting the two fanned-out levels above each pool job).
+
+    Raises ValueError when ``max_nodes < 1``, ``max_seconds <= 0`` or
+    ``workers < 1``.
     """
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
+    if max_seconds is not None and not max_seconds > 0:
+        raise ValueError(f"max_seconds must be positive, got {max_seconds}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.monotonic()
     adj = g.adjacency_lists
 
-    def result(status, side=None, nodes=0, details=None):
+    def result(status, side=None, nodes=0, conflicts=0, max_depth=0):
         witness = None
         if side is not None:
             witness = _wrap_witness(g, side, t, "exhaustive")
@@ -275,29 +334,35 @@ def exhaustive_exists(
             witness=witness,
             nodes_explored=nodes,
             wall_time=time.monotonic() - start,
-            details=details or {"t": t, "workers": workers},
+            details={
+                "t": t, "workers": workers, "conflicts": conflicts, "max_depth": max_depth
+            },
         )
 
     if g.n < 2 or any(max(0, (len(a) + 2 * t + 1) // 2) > len(a) for a in adj):
         return result(EXHAUSTED)
     presets = [(0, 0)]
     deadline = None if max_seconds is None else start + max_seconds
-    if workers <= 1:
-        status, side, nodes = _solve(adj, t, presets, max_nodes, deadline)
-        return result(status, side=side, nodes=nodes)
+    if workers == 1:
+        return result(*_solve(adj, t, presets, max_nodes, deadline))
 
     status, side, jobs = _frontier_jobs(adj, t, presets)
     if status == FOUND:
         return result(FOUND, side=side)
     if status == EXHAUSTED and not jobs:
         return result(EXHAUSTED)
-    args = [(adj, t, job, max_nodes, deadline) for job in jobs]
-    nodes = 0
+    share = None if max_nodes is None else max_nodes // len(jobs)
+    args = [(adj, t, job, share, deadline) for job in jobs]
+    nodes = conflicts = max_depth = 0
     timed_out = False
     found_side = None
     with multiprocessing.get_context().Pool(processes=workers) as pool:
-        for status, side, job_nodes in pool.imap_unordered(_run_job, args):
+        for status, side, job_nodes, job_conflicts, job_depth in pool.imap_unordered(
+            _run_job, args
+        ):
             nodes += job_nodes
+            conflicts += job_conflicts
+            max_depth = max(max_depth, 2 + job_depth)
             if status == FOUND:
                 found_side = side
                 pool.terminate()
@@ -305,10 +370,12 @@ def exhaustive_exists(
             if status == TIMEOUT:
                 timed_out = True
     if found_side is not None:
-        return result(FOUND, side=found_side, nodes=nodes)
-    if timed_out:
-        return result(TIMEOUT, nodes=nodes)
-    return result(EXHAUSTED, nodes=nodes)
+        status = FOUND
+    elif timed_out:
+        status = TIMEOUT
+    else:
+        status = EXHAUSTED
+    return result(status, found_side, nodes, conflicts, max_depth)
 
 
 def exhaustive_max_intimacy(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from collections import deque
 
@@ -11,7 +12,7 @@ from planepart.graphs import Graph
 # the package's one cache of planes, graphs and Baer decompositions
 from planepart.reproduce import _baer as get_baer, _graph as get_graph, _plane as get_plane
 from planepart.reproduce import _random_bipartite as random_bipartite
-from planepart.search import FOUND, TIMEOUT, AnnealParams, SearchResult, _wrap_witness
+from planepart.search import EXHAUSTED, FOUND, TIMEOUT, AnnealParams, SearchResult, _wrap_witness
 
 
 def naive_margins(g: Graph, side) -> list[int]:
@@ -225,3 +226,165 @@ def reference_anneal(g: Graph, t: int, params=None, init=None) -> SearchResult:
                         )
             temp *= params.cooling
     return finish(TIMEOUT)
+
+
+# -- the recursive branch and bound --------------------------------------------------
+# ``planepart.search._solve`` must visit the same tree: the same status, node
+# count and witness from every start.
+
+_BUDGET_CHECK_MASK = 0x3FF
+
+
+class _Stop(Exception):
+    """Raised when the node or time budget runs out."""
+
+
+class _Solver:
+    def __init__(self, adj, t, max_nodes=None, deadline=None):
+        self.adj = adj
+        self.n = len(adj)
+        self.deg = [len(a) for a in adj]
+        # per-vertex own-degree requirement: ceil((d + 2t)/2), clamped at 0
+        self.req = [max(0, (d + 2 * t + 1) // 2) for d in self.deg]
+        self.side = [-1] * self.n
+        self.cnt = ([0] * self.n, [0] * self.n)  # assigned neighbors on A, on B
+        self.trail: list[int] = []
+        self.nodes = 0
+        self.max_nodes = max_nodes
+        self.deadline = deadline
+        self.witness: list[int] | None = None
+
+    def _bump(self):
+        self.nodes += 1
+        if self.max_nodes is not None and self.nodes > self.max_nodes:
+            raise _Stop
+        if (
+            self.deadline is not None
+            and (self.nodes & _BUDGET_CHECK_MASK) == 0
+            and time.monotonic() > self.deadline
+        ):
+            raise _Stop
+
+    def _check(self, u, queue) -> bool:
+        d = self.deg[u]
+        a = self.cnt[0][u]
+        b = self.cnt[1][u]
+        un = d - a - b
+        r = self.req[u]
+        su = self.side[u]
+        if su == 0:
+            if a + un < r:
+                return False
+            if a + un == r and un:
+                for w in self.adj[u]:
+                    if self.side[w] == -1:
+                        queue.append((w, 0))
+        elif su == 1:
+            if b + un < r:
+                return False
+            if b + un == r and un:
+                for w in self.adj[u]:
+                    if self.side[w] == -1:
+                        queue.append((w, 1))
+        else:
+            ok_a = a + un >= r
+            ok_b = b + un >= r
+            if not ok_a and not ok_b:
+                return False
+            if ok_a != ok_b:
+                queue.append((u, 0 if ok_a else 1))
+        return True
+
+    def _assign(self, v, s) -> bool:
+        queue = [(v, s)]
+        while queue:
+            w, sw = queue.pop()
+            cur = self.side[w]
+            if cur == sw:
+                continue
+            if cur != -1:
+                return False
+            self.side[w] = sw
+            self.trail.append(w)
+            cw = self.cnt[sw]
+            for u in self.adj[w]:
+                cw[u] += 1
+            if not self._check(w, queue):
+                return False
+            for u in self.adj[w]:
+                if not self._check(u, queue):
+                    return False
+        return True
+
+    def _undo(self, mark):
+        while len(self.trail) > mark:
+            v = self.trail.pop()
+            s = self.side[v]
+            self.side[v] = -1
+            cs = self.cnt[s]
+            for u in self.adj[v]:
+                cs[u] -= 1
+
+    def _select(self):
+        best = None
+        best_key = None
+        for v in range(self.n):
+            if self.side[v] != -1:
+                continue
+            a = self.cnt[0][v]
+            b = self.cnt[1][v]
+            un = self.deg[v] - a - b
+            r = self.req[v]
+            key = (min(a, b) + un - r, a + b + 2 * un - 2 * r, v)
+            if best_key is None or key < best_key:
+                best, best_key = v, key
+        return best
+
+    def assign_presets(self, presets) -> bool:
+        for v, s in presets:
+            if self.side[v] == s:
+                continue
+            if not self._assign(v, s):
+                return False
+        return True
+
+    def _complete(self) -> bool:
+        side = self.side
+        if 0 in side and 1 in side:
+            self.witness = list(side)
+            return True
+        return False
+
+    def search(self) -> bool:
+        v = self._select()
+        if v is None:
+            return self._complete()
+        for s in (0, 1):
+            self._bump()
+            mark = len(self.trail)
+            if self._assign(v, s) and self.search():
+                return True
+            self._undo(mark)
+        return False
+
+
+def reference_solve(adj, t, presets, max_nodes, deadline):
+    """The recursive solver's run from ``presets``: ``(status, witness side, nodes)``.
+
+    ``search()`` recurses once per branching level, so the recursion limit
+    is raised (never lowered) for the length of the run and the caller's
+    limit is restored.
+    """
+    caller_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(caller_limit, 10_000, 4 * len(adj) + 100))
+    solver = _Solver(adj, t, max_nodes=max_nodes, deadline=deadline)
+    try:
+        if not solver.assign_presets(presets):
+            return (EXHAUSTED, None, solver.nodes)
+        if solver.search():
+            return (FOUND, solver.witness, solver.nodes)
+        return (EXHAUSTED, None, solver.nodes)
+    except _Stop:
+        return (TIMEOUT, None, solver.nodes)
+    finally:
+        sys.setrecursionlimit(caller_limit)

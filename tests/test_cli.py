@@ -186,6 +186,25 @@ def test_search_exhaustive_negative(capsys):
     code, out, _ = run(capsys, "search", "exhaustive", "--q", "3", "--t", "1")
     assert code == 0  # a completed nonexistence proof is a success
     assert "status: exhausted_none" in out
+    assert "nodes explored: 48\nconflicts: 24\nmax depth: 7\n" in out
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        ["--workers", "0"],
+        ["--workers", "-3"],
+        ["--max-seconds", "-1"],
+        ["--max-seconds", "0"],
+        ["--max-nodes", "0"],
+    ],
+)
+def test_search_exhaustive_rejects_meaningless_budgets(capsys, budget):
+    for mode in (["--t", "1"], ["--max-intimacy"]):
+        code, out, err = run(capsys, "search", "exhaustive", "--q", "3", *mode, *budget)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_search_exhaustive_witness_out(tmp_path, capsys):

@@ -14,6 +14,8 @@ from planepart.graphs import Graph
 from planepart.search import (
     AnnealParams,
     SearchResult,
+    _frontier_jobs,
+    _solve,
     anneal_search,
     brute_force_exists,
     exhaustive_exists,
@@ -21,7 +23,7 @@ from planepart.search import (
 )
 from planepart.verify import margins
 
-from oracles import get_graph, get_plane, random_bipartite, reference_anneal
+from oracles import get_graph, get_plane, random_bipartite, reference_anneal, reference_solve
 
 
 def complete_graph(n):
@@ -111,11 +113,104 @@ def test_pool_workers_raise_the_recursion_limit_too():
     assert sys.getrecursionlimit() == before
 
 
+def test_search_needs_no_recursion():
+    # the search is a loop over an explicit stack, also in pool workers
+    n = 1200
+    path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        for workers in (1, 2):
+            res = exhaustive_exists(path, -1, workers=workers)
+            assert res.status == "found"
+            assert margins(path, res.witness).partition_intimacy >= -1
+    finally:
+        sys.setrecursionlimit(before)
+    # nothing is forced at t=-1: one level per vertex but the pinned one, and
+    # the all-A leaf fails without a conflict before the last vertex flips
+    solo = exhaustive_exists(path, -1)
+    assert (solo.nodes_explored, solo.details["conflicts"], solo.details["max_depth"]) == (
+        n, 0, n - 1
+    )
+
+
 def test_max_seconds_is_one_budget_across_workers():
     # four jobs on two workers: a full budget per job would run for about 2 s
     res = exhaustive_exists(get_graph(7), 1, workers=2, max_seconds=1.0)
     assert res.status == "timeout"
     assert res.wall_time < 1.6
+
+
+def test_max_nodes_is_one_budget_across_workers():
+    # four jobs on two workers, 5,000 nodes each: each stops at its share + 1
+    res = exhaustive_exists(get_graph(7), 1, workers=2, max_nodes=20_000)
+    assert res.status == "timeout"
+    assert res.nodes_explored <= 20_004
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        {"max_nodes": 0},
+        {"max_nodes": -5},
+        {"max_seconds": 0},
+        {"max_seconds": -1.0},
+        {"max_seconds": float("nan")},
+        {"workers": 0},
+        {"workers": -3},
+    ],
+)
+def test_meaningless_budgets_are_rejected(budget):
+    with pytest.raises(ValueError):
+        exhaustive_exists(get_graph(2), 0, **budget)
+    with pytest.raises(ValueError):
+        exhaustive_max_intimacy(get_graph(2), **budget)
+
+
+def test_solver_counters():
+    # 24 frames of two tries each: 23 tries open the other frames, one reaches
+    # the all-A leaf, which is no witness, and the other 24 fail to propagate
+    res = exhaustive_exists(get_graph(3), 1)
+    assert res.status == "exhausted_none"
+    assert res.nodes_explored == 48
+    assert res.details["conflicts"] == 24
+    assert res.details["max_depth"] == 7
+    pooled = exhaustive_exists(get_graph(3), 1, workers=2)
+    assert pooled.status == "exhausted_none"
+    assert 0 < pooled.details["conflicts"] <= pooled.nodes_explored
+    assert 2 < pooled.details["max_depth"] <= get_graph(3).n
+
+
+def _assert_same_solve(adj, t, presets, max_nodes):
+    got = _solve(adj, t, presets, max_nodes, None)
+    assert got[:3] == reference_solve(adj, t, presets, max_nodes, None)
+
+
+@pytest.mark.parametrize("t", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_solver_matches_reference_on_planes(q, t):
+    _assert_same_solve(get_graph(q).adjacency_lists, t, [(0, 0)], 50_000)
+
+
+@pytest.mark.parametrize("q,max_nodes", [(5, None), (7, 5_000)])
+def test_solver_matches_reference_on_frontier_jobs(q, max_nodes):
+    # PG(2,5)'s four jobs are searched to the end, PG(2,7)'s time out
+    adj = get_graph(q).adjacency_lists
+    status, _, jobs = _frontier_jobs(adj, 1, [(0, 0)])
+    assert status is None and len(jobs) == 4
+    for job in jobs:
+        _assert_same_solve(adj, 1, job, max_nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solver_matches_reference_on_small_graphs(data):
+    g = data.draw(small_graphs())
+    t = data.draw(st.integers(-2, 2))
+    vertex = st.integers(0, g.n - 1)
+    presets = [(0, 0)] + data.draw(st.lists(st.tuples(vertex, st.integers(0, 1)), max_size=3))
+    max_nodes = data.draw(st.one_of(st.none(), st.integers(1, 40)))
+    _assert_same_solve(g.adjacency_lists, t, presets, max_nodes)
 
 
 def test_infeasible_t_short_circuits():
