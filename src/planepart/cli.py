@@ -58,10 +58,7 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
 
 
 def _triple_index(pl: Plane, text: str) -> int:
-    t = pl.normalize(_parse_triple(text))
-    if t not in pl.index_of:
-        raise ValueError(f"triple {text!r} has a coordinate outside GF({pl.q})")
-    return pl.index_of[t]
+    return int(pl.index(_parse_triple(text)))
 
 
 def _print_margins(report: MarginReport):

@@ -118,8 +118,8 @@ def construct_combinatorial(
     q = pl.q
     if q % 2 == 0:
         raise ValueError(f"combinatorial construction requires odd q, got q={q}")
-    point = pl.index_of[(0, 0, 1)] if point is None else point
-    line = pl.index_of[(0, 0, 1)] if line is None else line
+    point = int(pl.index((0, 0, 1))) if point is None else point
+    line = int(pl.index((0, 0, 1))) if line is None else line
     if pl.is_incident(point, line):
         raise ValueError("combinatorial construction requires a point off the line")
     half = (q + 1) // 2
@@ -171,26 +171,23 @@ def _coordinate_class(
     xaxis_sq: bool,
     ideal_sq: bool,
     units: bool,
-) -> list[int]:
+) -> np.ndarray:
     """Vertex ids picked by square tests on the four coordinate families."""
     f = pl.field
-    sq = f.square_set
-
-    def keep(v: int, want_sq: bool) -> bool:
-        return (v in sq) == want_sq
-
-    fam = {
-        (x, y, 1)
-        for x in f.units()
-        for y in f.units()
-        if keep(f.div(y, x), slope_sq)
-    }
-    fam.update((0, y, 1) for y in f.units() if keep(y, yaxis_sq))
-    fam.update((x, 0, 1) for x in f.units() if keep(x, xaxis_sq))
-    fam.update((x, 1, 0) for x in f.units() if keep(x, ideal_sq))
+    sq = f.square_mask
+    u = np.arange(1, pl.q)
+    one, zero = np.ones_like(u), np.zeros_like(u)
+    x, y = (a.ravel() for a in np.meshgrid(u, u, indexing="ij"))
+    slope = f.mul_table[y, f.inv_table[x]]
+    fam = [
+        np.stack([x, y, np.ones_like(x)], axis=1)[sq[slope] == slope_sq],
+        np.stack([zero, u, one], axis=1)[sq[u] == yaxis_sq],
+        np.stack([u, zero, one], axis=1)[sq[u] == xaxis_sq],
+        np.stack([u, one, zero], axis=1)[sq[u] == ideal_sq],
+    ]
     if units:
-        fam.update(_UNIT_TRIPLES)
-    return [pl.index_of[t] for t in fam]
+        fam.append(np.array(_UNIT_TRIPLES))
+    return pl.index(np.concatenate(fam))
 
 
 def construct_algebraic_1mod4(pl: Plane, erase_units: bool = False) -> Partition:
@@ -294,10 +291,9 @@ def classify_conic(pl: Plane) -> OvalData:
     q = pl.q
     if q % 2 == 0:
         raise ValueError(f"conic classification requires odd q, got q={q}")
-    f = pl.field
-    oval_triples = [(t, f.mul(t, t), 1) for t in f.elements()]
-    oval_triples.append((0, 1, 0))
-    oval = np.array(sorted(pl.index_of[t] for t in oval_triples), dtype=np.int64)
+    t = np.arange(q)
+    oval_triples = np.stack([t, np.diagonal(pl.field.mul_table), np.ones_like(t)], axis=1)
+    oval = np.sort(pl.index(np.vstack([oval_triples, [(0, 1, 0)]])))
     line_class = pl.hits(oval)
     if line_class.max() > 2:
         raise RuntimeError("conic has three collinear points")
@@ -372,17 +368,12 @@ def construct_denniston(pl: Plane) -> ArcData:
         raise ValueError(
             f"Denniston arc requires q = 2^h with h > 1, got q={q}"
         )
-    lam = next(x for x in f.units() if f.trace(f.inv(x)) == 1)
-    kernel = {x for x in f.elements() if f.trace(x) == 0}
-    ids = []
-    for x in f.elements():
-        xx = f.mul(x, x)
-        lx = f.mul(lam, x)
-        for y in f.elements():
-            val = f.add(f.add(xx, f.mul(lx, y)), f.mul(y, y))
-            if val in kernel:
-                ids.append(pl.index_of[(x, y, 1)])
-    arc = np.array(sorted(ids), dtype=np.int64)
+    add, mul, tr = f.add_table, f.mul_table, f.trace_table
+    lam = next(x for x in range(1, q) if tr[f.inv_table[x]] == 1)
+    x, y = (a.ravel() for a in np.meshgrid(np.arange(q), np.arange(q), indexing="ij"))
+    val = add[add[mul[x, x], mul[mul[lam, x], y]], mul[y, y]]
+    keep = tr[val] == 0
+    arc = np.sort(pl.index(np.stack([x[keep], y[keep], np.ones_like(x[keep])], axis=1)))
     profile = pl.hits(arc)
     data = ArcData(arc=arc, degree=q // 2, secant_profile=profile)
     if not verify_maximal_arc(pl, arc, q // 2):

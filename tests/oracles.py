@@ -8,7 +8,9 @@ from collections import deque
 
 import numpy as np
 
+from planepart.fields import least_irreducible, prime_factors
 from planepart.graphs import Graph
+from planepart.plane import canonical_triples
 # the package's one cache of planes, graphs and Baer decompositions
 from planepart.reproduce import _baer as get_baer, _graph as get_graph, _plane as get_plane
 from planepart.reproduce import _random_bipartite as random_bipartite
@@ -49,7 +51,7 @@ def dense_incidence(pl) -> np.ndarray:
 
 def reference_perm_from_action(pl, mat) -> np.ndarray:
     """Permutation of triple indices under a 3x3 matrix, one triple at a time."""
-    f = pl.field
+    f = ReferenceField(pl.field.p, pl.field.h)
 
     def mat_vec(v):
         return tuple(
@@ -57,9 +59,14 @@ def reference_perm_from_action(pl, mat) -> np.ndarray:
             for i in range(3)
         )
 
+    def normalize(triple):
+        s = f.inv(next(c for c in reversed(triple) if c))
+        return tuple(f.mul(s, c) for c in triple)
+
+    index_of = {t: i for i, t in enumerate(canonical_triples(pl.q))}
     perm = np.empty(pl.n, dtype=np.int64)
     for i, t in enumerate(pl.triples):
-        perm[i] = pl.index_of[pl.normalize(mat_vec(t))]
+        perm[i] = index_of[normalize(mat_vec(t))]
     return perm
 
 
@@ -125,6 +132,176 @@ def is_irreducible_bruteforce(p, f) -> bool:
             if poly_divides(p, d, f):
                 return False
     return True
+
+
+# -- scalar GF(q) arithmetic, the reference for the package's tables ----------
+
+
+def _poly_mul_mod(a, b, modulus, p):
+    """Product of little-endian digit tuples, reduced mod a monic modulus."""
+    h = len(modulus) - 1
+    prod = [0] * (2 * h - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    for k in range(len(prod) - 1, h - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for i in range(h):
+                prod[k - h + i] = (prod[k - h + i] - c * modulus[i]) % p
+    return tuple(prod[:h])
+
+
+class ReferenceField:
+    """GF(p**h) one element at a time: digit-wise sums, polynomial products.
+
+    Elements are encoded as in ``planepart.fields``: the integer whose
+    base-p digits are the coefficient vector, constant term first.
+    """
+
+    def __init__(self, p: int, h: int = 1):
+        self.p = p
+        self.h = h
+        self.q = p**h
+        self.modulus = least_irreducible(p, h)
+        self._digits = [
+            tuple((v // p**i) % p for i in range(h)) for v in range(self.q)
+        ]
+        self._pow_p = [p**i for i in range(h)]
+
+    def _encode(self, digits) -> int:
+        return sum(d * w for d, w in zip(digits, self._pow_p))
+
+    def elements(self) -> range:
+        return range(self.q)
+
+    def units(self) -> range:
+        return range(1, self.q)
+
+    def add(self, a: int, b: int) -> int:
+        if self.h == 1:
+            return (a + b) % self.p
+        da, db = self._digits[a], self._digits[b]
+        p = self.p
+        return self._encode(tuple((x + y) % p for x, y in zip(da, db)))
+
+    def neg(self, a: int) -> int:
+        if self.h == 1:
+            return (-a) % self.p
+        p = self.p
+        return self._encode(tuple((-x) % p for x in self._digits[a]))
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        return self._encode(_poly_mul_mod(self._digits[a], self._digits[b], self.modulus, self.p))
+
+    def pow(self, a: int, k: int) -> int:
+        result = 1
+        while k:
+            if k & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            k >>= 1
+        return result
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self.pow(a, self.q - 2)
+
+    def trace(self, a: int) -> int:
+        """Trace onto the prime subfield: a + a^p + ... + a^(p^(h-1))."""
+        acc = a
+        cur = a
+        for _ in range(self.h - 1):
+            cur = self.pow(cur, self.p)
+            acc = self.add(acc, cur)
+        return acc
+
+
+def _mulmod_cubic(f, a, b, m):
+    # a, b: little-endian length-3 digit tuples; m = (c0, c1, c2), monic cubic
+    prod = [0] * 5
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = f.add(prod[i + j], f.mul(ai, bj))
+    for k in (4, 3):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for i, mi in enumerate(m):
+                prod[k - 3 + i] = f.sub(prod[k - 3 + i], f.mul(c, mi))
+    return (prod[0], prod[1], prod[2])
+
+
+def _pow_x_mod_cubic(f, m, e: int):
+    result = (1, 0, 0)
+    base = (0, 1, 0)
+    while e:
+        if e & 1:
+            result = _mulmod_cubic(f, result, base, m)
+        base = _mulmod_cubic(f, base, base, m)
+        e >>= 1
+    return result
+
+
+def _has_root(f, c0: int, c1: int, c2: int) -> bool:
+    for x in f.elements():
+        v = f.add(f.mul(f.add(f.mul(f.add(x, c2), x), c1), x), c0)
+        if v == 0:
+            return True
+    return False
+
+
+def reference_least_primitive_cubic(f) -> tuple[int, int, int]:
+    """Least monic primitive degree-3 polynomial over GF(q), by scalar arithmetic.
+
+    Primitive means the companion matrix has multiplicative order q^3 - 1,
+    checked by exponentiation at the cofactors of each prime divisor.
+    """
+    group = f.q**3 - 1
+    primes = prime_factors(group)
+    for c2 in f.elements():
+        for c1 in f.elements():
+            for c0 in f.units():  # c0 = 0 gives a root at 0
+                if _has_root(f, c0, c1, c2):
+                    continue
+                m = (c0, c1, c2)
+                if all(
+                    _pow_x_mod_cubic(f, m, group // r) != (1, 0, 0) for r in primes
+                ):
+                    if _pow_x_mod_cubic(f, m, group) != (1, 0, 0):
+                        raise RuntimeError("irreducible cubic with wrong order")
+                    return m
+    raise RuntimeError(f"no primitive cubic over GF({f.q})")
+
+
+def reference_mat_inv(f, m):
+    """Inverse of a 3x3 matrix over GF(q): adjugate over determinant."""
+    def det2(a, b, c, d):
+        return f.sub(f.mul(a, d), f.mul(b, c))
+
+    cof = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            r = [k for k in range(3) if k != i]
+            c = [k for k in range(3) if k != j]
+            minor = det2(m[r[0]][c[0]], m[r[0]][c[1]], m[r[1]][c[0]], m[r[1]][c[1]])
+            cof[i][j] = minor if (i + j) % 2 == 0 else f.neg(minor)
+    det = f.add(
+        f.add(f.mul(m[0][0], cof[0][0]), f.mul(m[0][1], cof[0][1])),
+        f.mul(m[0][2], cof[0][2]),
+    )
+    dinv = f.inv(det)
+    # inverse = adjugate / det; adjugate = transpose of cofactors
+    return tuple(
+        tuple(f.mul(dinv, cof[j][i]) for j in range(3)) for i in range(3)
+    )
 
 
 def random_partition(rng, n) -> np.ndarray:

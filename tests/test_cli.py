@@ -54,6 +54,18 @@ def test_construct_wrong_residue_class_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,triple", [
+    ("--point", "7:0:1"),
+    ("--line", "1:-4:1"),
+    ("--point", "5:0:1"),
+])
+def test_coordinates_outside_the_field_are_usage_errors(capsys, flag, triple):
+    code, _, err = run(capsys, "construct", "combinatorial", "--q", "5", flag, triple)
+    assert code == 2
+    assert err.startswith("error:") and "outside GF(5)" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_construct_even_odd_order_rejected(capsys):
     code, _, err = run(capsys, "construct", "even", "--q", "5")
     assert code == 2

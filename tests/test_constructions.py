@@ -102,7 +102,7 @@ def test_combinatorial_rejects_incident_point_line():
 
 def test_combinatorial_rejects_bad_pencil():
     pl = get_plane(3)
-    point = pl.index_of[(0, 0, 1)]
+    point = int(pl.index((0, 0, 1)))
     off = [ln for ln in range(pl.n) if not pl.is_incident(point, ln)]
     with pytest.raises(ValueError):
         construct_combinatorial(pl, pencil=off[:2])  # not through the point
@@ -146,8 +146,7 @@ def test_algebraic_erase_moves_six_vertices():
     base = construct_algebraic_1mod4(pl)
     er = construct_algebraic_1mod4(pl, erase_units=True)
     assert len(base.class_a()) - len(er.class_a()) == 6
-    units = [pl.index_of[t] for t in ((0, 0, 1), (1, 0, 0), (0, 1, 0))]
-    for u in units:
+    for u in pl.index([(0, 0, 1), (1, 0, 0), (0, 1, 0)]):
         assert base.side[u] == 0 and er.side[u] == 1
         assert base.side[pl.n + u] == 0 and er.side[pl.n + u] == 1
 
@@ -158,7 +157,7 @@ def test_algebraic_1mod4_slope_classes():
     pl = get_plane(q)
     part = construct_algebraic_1mod4(pl)
     side = part.side
-    origin = pl.index_of[(0, 0, 1)]
+    origin = int(pl.index((0, 0, 1)))
     count = 0
     for ln in pl.lines_through[origin]:
         if side[pl.n + ln] != 0:

@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from planepart import field_of_order, least_irreducible, make_field
-from oracles import is_irreducible_bruteforce, monic_polys
+from planepart.fields import MAX_FIELD_ORDER, prime_factors
+from oracles import ReferenceField, is_irreducible_bruteforce, monic_polys
 
 SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
+ALL_FIELDS = [q for q in range(2, MAX_FIELD_ORDER + 1) if len(prime_factors(q)) == 1]
 
 
 @pytest.mark.parametrize("p,h,expected", [
@@ -29,85 +32,85 @@ def test_least_irreducible_is_least_and_irreducible(p, h):
             assert not is_irreducible_bruteforce(p, cand)
 
 
+def _power(f, a, k):
+    """a**k by repeated lookups in the multiplication table."""
+    out = 1
+    for _ in range(k):
+        out = f.mul_table[out, a]
+    return out
+
+
 @pytest.mark.parametrize("q,expected", [
     (5, {1, 4}),
     (7, {1, 2, 4}),
 ])
 def test_square_set_odd(q, expected):
-    assert set(field_of_order(q).square_set) == expected
+    assert set(np.flatnonzero(field_of_order(q).square_mask)) == expected
 
 
 def test_square_set_even_is_all_units():
     f = field_of_order(4)
-    assert set(f.square_set) == set(f.units())
+    assert set(np.flatnonzero(f.square_mask)) == set(range(1, 4))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
 def test_square_set_euler_criterion(q):
     f = field_of_order(q)
     half = (q - 1) // 2
-    for x in f.units():
-        assert (x in f.square_set) == (f.pow(x, half) == 1)
+    for x in range(1, q):
+        assert f.square_mask[x] == (_power(f, x, half) == 1)
+    assert not f.square_mask[0]
 
 
 @pytest.mark.parametrize("q", SMALL_FIELDS)
 def test_unit_group_order(q):
     f = field_of_order(q)
-    for a in f.units():
-        assert f.pow(a, q - 1) == 1
+    for a in range(1, q):
+        assert _power(f, a, q - 1) == 1
 
 
 @pytest.mark.parametrize("q", SMALL_FIELDS)
 def test_field_axioms_exhaustive(q):
     f = field_of_order(q)
-    els = list(f.elements())
-    for a in els:
-        assert f.add(a, 0) == a
-        assert f.mul(a, 1) == a
-        assert f.add(a, f.neg(a)) == 0
-        if a != 0:
-            assert f.mul(a, f.inv(a)) == 1
-    # spot-check associativity and distributivity on a fixed grid
-    grid = els[: min(len(els), 6)]
-    for a in grid:
-        for b in grid:
-            for c in grid:
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-                assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    add, mul = f.add_table, f.mul_table
+    els = np.arange(q)
+    assert (add[els, 0] == els).all()
+    assert (mul[els, 1] == els).all()
+    assert (add[els, f.neg_table] == 0).all()
+    assert (mul[els[1:], f.inv_table[1:]] == 1).all()
+    assert f.inv_table[0] == 0
+    a, b, c = np.meshgrid(els, els, els, indexing="ij")
+    assert (add == add.T).all() and (mul == mul.T).all()
+    assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
+    assert (add[add[a, b], c] == add[a, add[b, c]]).all()
+    assert (mul[mul[a, b], c] == mul[a, mul[b, c]]).all()
 
 
 @given(st.integers(0, 8), st.integers(0, 8))
 def test_gf9_commutativity(a, b):
     f = field_of_order(9)
-    assert f.add(a, b) == f.add(b, a)
-    assert f.mul(a, b) == f.mul(b, a)
+    assert f.add_table[a, b] == f.add_table[b, a]
+    assert f.mul_table[a, b] == f.mul_table[b, a]
 
 
 def test_trace_gf4():
     f = field_of_order(4)
-    assert f.trace(0) == 0
-    # the modulus root x satisfies x^2 = x + 1, so Tr(x) = x + x^2 = 1
-    root = f.from_coeffs((0, 1))
-    assert f.trace(root) == 1
+    assert f.trace_table[0] == 0
+    # the modulus root x, encoded 2, satisfies x^2 = x + 1, so Tr(x) = x + x^2 = 1
+    assert f.trace_table[2] == 1
 
 
 def test_trace_fibers_gf8():
     f = field_of_order(8)
-    fibers = {}
-    for a in f.elements():
-        fibers.setdefault(f.trace(a), 0)
-        fibers[f.trace(a)] += 1
-    assert fibers == {0: 4, 1: 4}
+    assert np.bincount(f.trace_table).tolist() == [4, 4]
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 64])
 def test_trace_additive_and_into_prime_field(q):
     f = field_of_order(q)
-    for a in f.elements():
-        assert 0 <= f.trace(a) < f.p
-        for b in f.elements():
-            assert f.trace(f.add(a, b)) == (f.trace(a) + f.trace(b)) % f.p
+    tr = f.trace_table
+    assert ((0 <= tr) & (tr < f.p)).all()
+    assert (tr[f.add_table] == (tr[:, None] + tr[None, :]) % f.p).all()
 
 
 def test_field_of_order_rejects_non_prime_powers():
@@ -117,21 +120,21 @@ def test_field_of_order_rejects_non_prime_powers():
 
 
 def test_make_field_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        make_field(2, 15)  # q = 2^15 beyond the table cap
+    for p, h in ((2, 7), (67, 1), (2, 15)):
+        with pytest.raises(ValueError, match=f"supported maximum {MAX_FIELD_ORDER}"):
+            make_field(p, h)
 
 
-def test_coeff_round_trip():
-    f = field_of_order(27)
-    for a in f.elements():
-        assert f.from_coeffs(f.coeffs(a)) == a
-
-
-@pytest.mark.parametrize("q", [4, 9, 8])
+@pytest.mark.parametrize("q", ALL_FIELDS)
 def test_tables_match_scalar_ops(q):
     f = field_of_order(q)
-    add, mul = f.add_table, f.mul_table
-    for a in f.elements():
-        for b in f.elements():
-            assert add[a, b] == f.add(a, b)
-            assert mul[a, b] == f.mul(a, b)
+    ref = ReferenceField(f.p, f.h)
+    assert f.modulus == ref.modulus
+    els = range(q)
+    assert f.add_table.tolist() == [[ref.add(a, b) for b in els] for a in els]
+    assert f.mul_table.tolist() == [[ref.mul(a, b) for b in els] for a in els]
+    assert f.neg_table.tolist() == [ref.neg(a) for a in els]
+    assert f.inv_table.tolist() == [0] + [ref.inv(a) for a in range(1, q)]
+    assert f.trace_table.tolist() == [ref.trace(a) for a in els]
+    squares = {ref.mul(a, a) for a in range(1, q)}
+    assert f.square_mask.tolist() == [a in squares for a in els]

@@ -5,10 +5,11 @@ import pytest
 
 import planepart as pp
 from planepart import incidence_graph, plane_of_order, singer_cycle, verify_subplane
-from planepart.fields import prime_factors
+from planepart.fields import MAX_FIELD_ORDER, prime_factors
 from planepart.graphs import Graph
-from planepart.plane import _mat_inv
+from planepart.plane import least_primitive_cubic
 from oracles import (
+    ReferenceField,
     dense_incidence,
     get_baer,
     get_graph,
@@ -16,6 +17,8 @@ from oracles import (
     girth,
     random_bipartite,
     reference_dimacs,
+    reference_least_primitive_cubic,
+    reference_mat_inv,
     reference_perm_from_action,
 )
 
@@ -85,11 +88,16 @@ def test_normalization_last_nonzero_one():
 
 def test_normalize_scaling_invariance():
     pl = get_plane(5)
-    f = pl.field
-    for t in pl.triples[:20]:
-        for s in f.units():
-            scaled = tuple(f.mul(s, c) for c in t)
-            assert pl.normalize(scaled) == t
+    t = pl.coords
+    for s in range(1, pl.q):
+        assert (pl.index(pl.field.mul_table[s, t]) == np.arange(pl.n)).all()
+    assert int(pl.index((0, 0, 3))) == int(pl.index((0, 0, 1)))
+
+
+@pytest.mark.parametrize("triple", [(5, 0, 1), (0, -1, 1), (0, 0, 0)])
+def test_index_rejects_triples_outside_the_plane(triple):
+    with pytest.raises(ValueError):
+        get_plane(5).index(triple)
 
 
 def test_labels_format():
@@ -103,7 +111,7 @@ def test_labels_format():
 def test_incidence_symmetric_roles():
     pl = get_plane(3)
     # same triple list serves points and lines; incidence via dot product
-    f = pl.field
+    f = ReferenceField(pl.field.p, pl.field.h)
     for i in (0, 5, 12):
         for j in (1, 4, 9):
             dot = 0
@@ -160,6 +168,8 @@ def test_plane_of_order_rejects_bad_orders():
         plane_of_order(6)
     with pytest.raises(ValueError):
         plane_of_order(65)
+    with pytest.raises(ValueError, match=f"supported maximum {MAX_FIELD_ORDER}"):
+        plane_of_order(81)
 
 
 # -- Singer cycle ---------------------------------------------------------------
@@ -176,11 +186,17 @@ def test_singer_single_orbit(q, orbit):
     assert v == 0 and len(seen) == orbit
 
 
-@pytest.mark.parametrize("q", _prime_powers(2, 32))
+@pytest.mark.parametrize("q", _prime_powers(2, MAX_FIELD_ORDER))
+def test_least_primitive_cubic_matches_reference(q):
+    f = get_plane(q).field
+    assert least_primitive_cubic(f) == reference_least_primitive_cubic(ReferenceField(f.p, f.h))
+
+
+@pytest.mark.parametrize("q", _prime_powers(2, MAX_FIELD_ORDER))
 def test_singer_perms_match_reference(q):
     pl = get_plane(q)
     sc = singer_cycle(pl)
-    inv_t = tuple(zip(*_mat_inv(pl.field, sc.matrix)))
+    inv_t = tuple(zip(*reference_mat_inv(ReferenceField(pl.field.p, pl.field.h), sc.matrix)))
     assert (sc.point_perm == reference_perm_from_action(pl, sc.matrix)).all()
     assert (sc.line_perm == reference_perm_from_action(pl, inv_t)).all()
 

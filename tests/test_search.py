@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import planepart as pp
+import planepart.search as search_module
 from planepart.graphs import Graph
 from planepart.search import (
     AnnealParams,
@@ -101,7 +102,7 @@ def test_recursion_limit_never_lowered():
         sys.setrecursionlimit(before)
 
 
-def test_pool_workers_raise_the_recursion_limit_too():
+def test_deep_search_leaves_the_recursion_limit_alone():
     # a path branches once per vertex, deeper than the default limit of 1000
     n = 1200
     path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
@@ -165,6 +166,31 @@ def test_meaningless_budgets_are_rejected(budget):
         exhaustive_exists(get_graph(2), 0, **budget)
     with pytest.raises(ValueError):
         exhaustive_max_intimacy(get_graph(2), **budget)
+
+
+def test_max_intimacy_scan_has_one_node_budget():
+    # PG(2,3): t = 2, 1, 0 take 0 + 48 + 18 nodes and 0 + 24 + 0 conflicts
+    g = get_graph(3)
+    best, res = exhaustive_max_intimacy(g, max_nodes=66)
+    assert (best, res.status, res.nodes_explored) == (0, "found", 66)
+    assert res.details["conflicts"] == 24
+    # one node short: t = 0 gets the 17 nodes that t = 1 left, and stops at its 18th
+    best, res = exhaustive_max_intimacy(g, max_nodes=65)
+    assert (best, res.status, res.nodes_explored) == (None, "timeout", 66)
+
+
+def test_max_intimacy_scan_has_one_deadline(monkeypatch):
+    seconds = []
+
+    def spy(g, t, **kwargs):
+        seconds.append(kwargs["max_seconds"])
+        return exhaustive_exists(g, t, **kwargs)
+
+    monkeypatch.setattr(search_module, "exhaustive_exists", spy)
+    best, res = exhaustive_max_intimacy(get_graph(3), max_seconds=30.0)
+    assert best == 0 and len(seconds) == 3
+    assert 30.0 >= seconds[0] > seconds[1] > seconds[2]
+    assert res.wall_time >= 30.0 - seconds[2]
 
 
 def test_solver_counters():
