@@ -1,9 +1,12 @@
 """Command-line front door.
 
 Exit codes: 0 on success, 1 on a verification failure (a partition below
-the requested t, or a search that ran out of budget without an answer),
-2 on usage errors, including violated construction preconditions and
-files that cannot be read or written.
+the requested t, or an exhaustive search that ran out of budget without an
+answer), 2 on usage errors, including violated construction preconditions,
+meaningless search budgets or anneal parameters, and files that cannot be
+read or written.  ``search anneal`` exits 0 on ``timeout``: finding no
+witness is not a claim that none exists, and the acceptance table's
+criterion 9 relies on that exit code.
 """
 
 from __future__ import annotations
@@ -40,9 +43,91 @@ from .verify import MarginReport, margins
 CONSTRUCTIONS = ("baer", "combinatorial", "alg1mod4", "alg3mod4", "oval", "even")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_CONTAINERS = (dict, list, tuple)
+_PIECE = 1024
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_run(keys, values, start: int, stop: int, lead: str, sep: str):
+    """``values[start:stop]``, scalars all, after ``lead`` and joined by ``sep``.
+
+    ``keys`` is None in a list.  Each piece is one ``str.join`` of at most
+    ``_PIECE`` entries, so a long run never holds all its texts at once.
+    """
+    kinds = set(map(type, values[start:stop]))
+    if kinds == {int}:
+        fmt = int.__repr__
+    elif kinds == {str}:
+        fmt = _encode_str
+    else:
+        fmt = _json_scalar
+    if keys is not None:
+        key_fmt = _encode_str if set(map(type, keys[start:stop])) == {str} else _json_key
+    for a in range(start, stop, _PIECE):
+        b = min(a + _PIECE, stop)
+        texts = map(fmt, values[a:b])
+        if keys is not None:
+            texts = map("{}: {}".format, map(key_fmt, keys[a:b]), texts)
+        yield lead + sep.join(texts)
+        lead = sep
+
+
+def _json_chunks(obj, level: int = 0):
+    """The text of ``json.dumps(obj, indent=2)``, piece by piece.
+
+    Runs of scalars go through ``_json_run``; only containers recurse.  The
+    pure-Python encoder that ``indent`` selects makes a call per token
+    instead.
+    """
+    if not isinstance(obj, _CONTAINERS):
+        yield _json_scalar(obj)
+        return
+    if not obj:
+        yield "{}" if isinstance(obj, dict) else "[]"
+        return
+    if isinstance(obj, dict):
+        keys, values, lead, close = list(obj), list(obj.values()), "{", "}"
+    else:
+        keys, values, lead, close = None, obj, "[", "]"
+    sep = ",\n" + "  " * (level + 1)
+    lead += sep[1:]
+    start = 0
+    if any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values))):
+        for i, value in enumerate(values):
+            if isinstance(value, _CONTAINERS):
+                if start < i:
+                    yield from _json_run(keys, values, start, i, lead, sep)
+                    lead = sep
+                yield lead if keys is None else lead + _json_key(keys[i]) + ": "
+                yield from _json_chunks(value, level + 1)
+                lead = sep
+                start = i + 1
+    if start < len(values):
+        yield from _json_run(keys, values, start, len(values), lead, sep)
+    yield "\n" + "  " * level + close
+
+
 def _write_json(path: str, doc: dict):
+    """Write ``json.dumps(doc, indent=2)`` and a newline, without building one string."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        for chunk in _json_chunks(doc):
+            fh.write(chunk)
         fh.write("\n")
 
 

@@ -42,7 +42,7 @@ class Partition:
     def to_json(self, labels) -> dict:
         return {
             "assignment": {
-                labels[v]: ("A" if s == 0 else "B") for v, s in enumerate(self.side)
+                labels[v]: ("A" if s == 0 else "B") for v, s in enumerate(self.side.tolist())
             },
             "provenance": self.provenance,
         }

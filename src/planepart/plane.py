@@ -161,8 +161,8 @@ class Plane:
                 "h": self.field.h,
                 "modulus": list(self.field.modulus),
             },
-            "points": [self.point_label(i) for i in range(self.n)],
-            "lines": [self.line_label(j) for j in range(self.n)],
+            "points": self.labels[: self.n],
+            "lines": self.labels[self.n :],
             "lines_points": self.points_on.tolist(),
         }
 

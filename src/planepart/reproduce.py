@@ -473,8 +473,6 @@ def run(outdir: str = "reproduce-out", only: str | None = None) -> int:
             }
         )
     path = os.path.join(outdir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    cli._write_json(path, manifest)
     print(f"manifest written to {path}")
     return 0 if manifest["all_pass"] else 1

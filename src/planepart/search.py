@@ -485,6 +485,16 @@ class AnnealParams:
     start_temp: float = 2.5
     cooling: float = 0.995
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.sweeps < 1:
+            raise ValueError(f"sweeps must be at least 1, got {self.sweeps}")
+        if not 0 < self.start_temp < math.inf:
+            raise ValueError(f"start_temp must be positive and finite, got {self.start_temp}")
+        if not 0 < self.cooling <= 1:
+            raise ValueError(f"cooling must be in (0, 1], got {self.cooling}")
+
 
 def anneal_search(
     g: Graph,
@@ -498,6 +508,9 @@ def anneal_search(
     objective zero is a verified witness.  Flips never empty a class.  A
     failure to find reports status ``timeout``: it never claims
     nonexistence.  Identical (graph, t, params, init) reruns are identical.
+    ``AnnealParams`` rejects fewer than one restart or sweep, a start
+    temperature that is not positive and finite, and a cooling factor
+    outside (0, 1] with ValueError.
 
     Each vertex keeps its raw shortfall ``short[v] = d(v) + 2t - 2 d_own(v)``
     (its penalty is ``max(0, short[v])``, and flipping v turns it into
@@ -516,7 +529,10 @@ def anneal_search(
     back would undo the flip, so v's own delta becomes ``-delta[v]``.  The
     random stream and the acceptance rule are those of a plain loop that
     rescans N(v) on every proposal, so statuses, proposal counts, best
-    objectives and witnesses are the same as that loop's.
+    objectives and witnesses are the same as that loop's.  Proposals draw
+    their vertex as ``rng.randrange(n)`` does in CPython, k-bit
+    ``getrandbits`` draws until one is below n, without the call's
+    argument checks.
     ``details["accepted"]`` counts accepted flips.
     """
     params = params or AnnealParams()
@@ -524,9 +540,10 @@ def anneal_search(
         raise ValueError("need at least two vertices to partition")
     start = time.monotonic()
     rng = random.Random(params.seed)
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     uniform = rng.random
     n = g.n
+    k = n.bit_length()
     adj = [tuple(a) for a in g.adjacency_lists]
     deg = [len(a) for a in adj]
     t4 = 4 * t
@@ -590,7 +607,11 @@ def anneal_search(
             # temp is fixed within a sweep, so exp depends on the delta alone
             boltzmann = {}
             for i in range(n):
-                v = randrange(n)
+                # rng.randrange(n) without its argument checks: the same
+                # rejection loop over k-bit draws, so the stream is unchanged
+                v = getrandbits(k)
+                while v >= n:
+                    v = getrandbits(k)
                 s = side[v]
                 if counts[s] == 1:
                     continue
@@ -598,7 +619,8 @@ def anneal_search(
                 if dv > 0:
                     p = boltzmann.get(dv)
                     if p is None:
-                        p = boltzmann[dv] = math.exp(-dv / temp)
+                        # a temperature cooled to 0.0 rejects every uphill move
+                        p = boltzmann[dv] = math.exp(-dv / temp) if temp else 0.0
                     if not uniform() < p:
                         continue
                 accepted += 1

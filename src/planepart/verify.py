@@ -28,7 +28,7 @@ class MarginReport:
         if labels is None:
             labels = [f"v{v}" for v in range(len(self.margin))]
         return {
-            "margins": {labels[v]: int(m) for v, m in enumerate(self.margin)},
+            "margins": {labels[v]: m for v, m in enumerate(self.margin.tolist())},
             "summary": {
                 "class_sizes": {"A": self.class_sizes[0], "B": self.class_sizes[1]},
                 "min_margin_A": self.min_margin_a,

@@ -1,14 +1,23 @@
 """End-to-end runs of the command line against fresh temp files."""
 
+import dataclasses
 import json
 
 import pytest
 
-from planepart.cli import main
-from planepart.constructions import Partition
+from planepart import reproduce
+from planepart.cli import _PIECE, _json_chunks, _partition_doc, _write_json, main
+from planepart.constructions import Partition, construct_baer_partition
+from planepart.search import (
+    AnnealParams,
+    anneal_search,
+    exhaustive_exists,
+    exhaustive_max_intimacy,
+)
+from planepart.spectral import singular_spectrum
 from planepart.verify import margins
 
-from oracles import get_graph
+from oracles import get_graph, get_plane
 
 
 def run(capsys, *argv):
@@ -299,3 +308,148 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+
+def _assert_written_as_json_dump(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    _write_json(str(path), doc)
+    got = path.read_bytes()
+    want = (json.dumps(doc, indent=2) + "\n").encode("ascii")
+    # a plain == would make pytest diff two large documents
+    same = got == want
+    assert same, f"first difference at byte {_first_difference(got, want)}"
+
+
+def _first_difference(a: bytes, b: bytes) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def _search_docs():
+    g = get_graph(3)
+    found = exhaustive_exists(g, 0)
+    assert found.witness is not None
+    best, scan = exhaustive_max_intimacy(g, t_hi=1)
+    annealed = anneal_search(get_graph(4), 0, AnnealParams(seed=2, restarts=3, sweeps=300))
+    assert annealed.witness is not None
+    timed_out = anneal_search(g, 1, AnnealParams(restarts=1, sweeps=3))
+    docs = [
+        found.to_json(g.labels),
+        exhaustive_exists(g, 1).to_json(g.labels),
+        {"max_intimacy": best, "result": scan.to_json(g.labels)},
+    ]
+    for res, graph in ((annealed, get_graph(4)), (timed_out, g)):
+        doc = res.to_json(graph.labels)
+        doc["params"] = dataclasses.asdict(AnnealParams())
+        docs.append(doc)
+    return docs
+
+
+def test_json_writer_matches_json_dump_on_package_documents(tmp_path):
+    g = get_graph(9)
+    baer = construct_baer_partition(get_plane(9))
+    docs = [
+        get_plane(4).to_json(),
+        get_plane(9).to_json(),
+        _partition_doc(g, baer, margins(g, baer)),
+        singular_spectrum(get_plane(5)).to_json(),
+        *_search_docs(),
+    ]
+    for doc in docs:
+        _assert_written_as_json_dump(tmp_path, doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    (),
+    {"a": [], "b": {}, "c": [[], {}, [[]]]},
+    [{}, [], ()],
+    (1, (2, 3), [4, (5,)]),
+    [0.1, 1e300, -0.0, 2.5e-300, float("nan"), float("inf"), -float("inf")],
+    [None, True, False, 0, -1, 2**70, "", "x"],
+    {"é": "ñ", "quote\"back\\slash\n": "\u2603 \U0001F600", "\x00": "\t"},
+    {1: "int key", 2.5: "float key", None: "null key", True: "bool key", "s": 1},
+    [1, "a", [2, "b"], 3, {"k": [4.5, None]}, "tail", False],
+    [True, False, 1, 0],
+    {"x": 1, "y": [2], "z": 3, "w": "4", "v": {}, "u": None},
+    {"scalars": [1, 2, 3], "mixed": [1, [2], 3], "deep": {"x": {"y": {"z": []}}}},
+    # runs longer than one str.join piece, whole and cut by a container
+    list(range(2 * _PIECE + 5)),
+    {f"k{i}": i % 3 == 0 or str(i) for i in range(_PIECE + 1)},
+    [*range(_PIECE + 7), [None], *map(str, range(_PIECE)), {}, 0.5],
+    None,
+    7,
+    "top-level string",
+])
+def test_json_writer_matches_json_dump_on_edge_cases(tmp_path, doc):
+    _assert_written_as_json_dump(tmp_path, doc)
+
+
+def test_json_writer_rejects_what_json_rejects(tmp_path):
+    with pytest.raises(TypeError):
+        _write_json(str(tmp_path / "a.json"), {(1, 2): "tuple key"})
+    with pytest.raises(TypeError):
+        _write_json(str(tmp_path / "b.json"), {"set": {1, 2}})
+
+
+def test_json_writer_streams_the_plane_document():
+    # one string per run of scalars, so no piece is close to the whole file
+    pieces = list(_json_chunks(get_plane(16).to_json()))
+    same = "".join(pieces) == json.dumps(get_plane(16).to_json(), indent=2)
+    assert same
+    assert max(map(len, pieces)) < sum(map(len, pieces)) / 4
+
+
+def test_reproduce_manifest_is_written_as_json_dump(tmp_path, capsys):
+    assert reproduce.run(outdir=str(tmp_path), only="criterion-1") == 0
+    text = (tmp_path / "manifest.json").read_text(encoding="ascii")
+    manifest = json.loads(text)
+    assert manifest["criteria"][0]["records"]
+    same = text == json.dumps(manifest, indent=2) + "\n"
+    assert same
+
+
+# -- anneal parameters -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--restarts", "0"),
+    ("--restarts", "-1"),
+    ("--sweeps", "0"),
+    ("--start-temp", "0"),
+    ("--start-temp", "-1"),
+    ("--start-temp", "inf"),
+    ("--start-temp", "nan"),
+    ("--cooling", "0"),
+    ("--cooling", "-1"),
+    ("--cooling", "1.5"),
+    ("--cooling", "nan"),
+])
+def test_search_anneal_rejects_meaningless_parameters(capsys, flag, value):
+    code, out, err = run(capsys, "search", "anneal", "--q", "3", flag, value)
+    assert code == 2
+    assert "error:" in err
+    assert "status:" not in out
+
+
+def test_search_anneal_accepts_cooling_one(capsys):
+    code, out, _ = run(
+        capsys, "search", "anneal", "--q", "2", "--t", "1",
+        "--restarts", "1", "--sweeps", "3", "--cooling", "1",
+    )
+    assert code == 0
+    assert "status: timeout" in out
+
+
+def test_search_anneal_cooled_to_zero_temperature(capsys):
+    # 2.5 * 0.5**k is 0.0 from k = 1076 on; PG(2,2) has no 1-internal partition
+    code, out, _ = run(
+        capsys, "search", "anneal", "--q", "2", "--t", "1",
+        "--restarts", "1", "--sweeps", "1200", "--cooling", "0.5",
+    )
+    assert code == 0
+    assert "status: timeout" in out
+    assert f"flip proposals: {1200 * 14}" in out

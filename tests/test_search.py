@@ -392,6 +392,38 @@ def test_anneal_matches_reference_baer_seeded(t):
     )
 
 
+@pytest.mark.parametrize("seed", [0, 4])
+def test_anneal_zero_temperature_is_the_cold_limit(seed):
+    # 5e-324 * 0.5 rounds to 0.0, so `cold` runs at temperature zero from its
+    # second sweep on; `tiny` stays at 5e-324, where exp(-dv / temp) is
+    # already 0.0, and the reference loop can run it without dividing by 0
+    g = get_graph(3)
+    cold = AnnealParams(seed=seed, restarts=2, sweeps=40, start_temp=5e-324, cooling=0.5)
+    tiny = AnnealParams(seed=seed, restarts=2, sweeps=40, start_temp=5e-324, cooling=1.0)
+    res = anneal_search(g, 1, cold)
+    assert res.status == "timeout"
+    assert res.details["accepted"] > 0
+    _assert_same_run(res, reference_anneal(g, 1, tiny))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 + 3])
+def test_inline_index_draw_is_randrange(seed):
+    # anneal_search draws its proposal vertex with this loop in place of
+    # rng.randrange(n); the trajectories, and reference_anneal as their
+    # oracle, depend on both giving the same value and the same state after
+    ns = list(range(2, 301)) + [512, 1024, 4096]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        for n in ns:
+            k = n.bit_length()
+            for _ in range(5):
+                v = ours.getrandbits(k)
+                while v >= n:
+                    v = ours.getrandbits(k)
+                assert v == theirs.randrange(n)
+                assert ours.getstate() == theirs.getstate()
+
+
 def test_anneal_default_budget_pg2_7():
     # criterion-9's run: these counts were recorded with the rescanning loop
     res = anneal_search(get_graph(7), 1, AnnealParams(seed=0))
