@@ -173,7 +173,7 @@ def cmd_plane(args) -> int:
         print(f"wrote plane JSON to {args.json}")
     if args.export_graph:
         with open(args.export_graph, "w", encoding="utf-8") as fh:
-            fh.write(g.to_dimacs())
+            g.to_dimacs(fh)
         print(f"wrote DIMACS graph to {args.export_graph}")
     return 0
 

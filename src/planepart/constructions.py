@@ -162,17 +162,15 @@ def construct_combinatorial(
 
 _UNIT_TRIPLES = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 
+# square tests on the slope, y-axis, x-axis and ideal families: the A-points
+# are the same for both residues of q mod 4, the A-lines differ
+_ALG_POINTS = (True, True, False, False)
+_ALG_LINES = {1: (False, True, False, True), 3: (True, False, True, False)}
 
-def _coordinate_class(
-    pl: Plane,
-    *,
-    slope_sq: bool,
-    yaxis_sq: bool,
-    xaxis_sq: bool,
-    ideal_sq: bool,
-    units: bool,
-) -> np.ndarray:
+
+def _coordinate_class(pl: Plane, squares, units: bool) -> np.ndarray:
     """Vertex ids picked by square tests on the four coordinate families."""
+    slope_sq, yaxis_sq, xaxis_sq, ideal_sq = squares
     f = pl.field
     sq = f.square_mask
     u = np.arange(1, pl.q)
@@ -190,6 +188,16 @@ def _coordinate_class(
     return pl.index(np.concatenate(fam))
 
 
+def _construct_algebraic(pl: Plane, residue: int, erase_units: bool) -> Partition:
+    q = pl.q
+    name = f"alg{residue}mod4"
+    if q % 4 != residue:
+        raise ValueError(f"{name} construction requires q = {residue} (mod 4), got q={q}")
+    pts = _coordinate_class(pl, _ALG_POINTS, not erase_units)
+    lns = _coordinate_class(pl, _ALG_LINES[residue], not erase_units)
+    return _partition(pl, pts, lns, name, {"q": q, "erase_units": erase_units})
+
+
 def construct_algebraic_1mod4(pl: Plane, erase_units: bool = False) -> Partition:
     """Square-slope class A for q = 1 mod 4.
 
@@ -199,21 +207,7 @@ def construct_algebraic_1mod4(pl: Plane, erase_units: bool = False) -> Partition
     with y a square, [x:0:1] with x a nonsquare, [x:1:0] with x a square,
     plus units.  The erase variant leaves out the six unit-triple vertices.
     """
-    q = pl.q
-    if q % 4 != 1:
-        raise ValueError(f"alg1mod4 construction requires q = 1 (mod 4), got q={q}")
-    keep_units = not erase_units
-    pts = _coordinate_class(
-        pl, slope_sq=True, yaxis_sq=True, xaxis_sq=False, ideal_sq=False,
-        units=keep_units,
-    )
-    lns = _coordinate_class(
-        pl, slope_sq=False, yaxis_sq=True, xaxis_sq=False, ideal_sq=True,
-        units=keep_units,
-    )
-    return _partition(
-        pl, pts, lns, "alg1mod4", {"q": q, "erase_units": erase_units}
-    )
+    return _construct_algebraic(pl, 1, erase_units)
 
 
 def construct_algebraic_3mod4(pl: Plane, erase_units: bool = False) -> Partition:
@@ -224,21 +218,7 @@ def construct_algebraic_3mod4(pl: Plane, erase_units: bool = False) -> Partition
     nonsquare, [x:0:1] with x a square, [x:1:0] with x a nonsquare, plus
     units.  The erase variant leaves out the six unit-triple vertices.
     """
-    q = pl.q
-    if q % 4 != 3:
-        raise ValueError(f"alg3mod4 construction requires q = 3 (mod 4), got q={q}")
-    keep_units = not erase_units
-    pts = _coordinate_class(
-        pl, slope_sq=True, yaxis_sq=True, xaxis_sq=False, ideal_sq=False,
-        units=keep_units,
-    )
-    lns = _coordinate_class(
-        pl, slope_sq=True, yaxis_sq=False, xaxis_sq=True, ideal_sq=False,
-        units=keep_units,
-    )
-    return _partition(
-        pl, pts, lns, "alg3mod4", {"q": q, "erase_units": erase_units}
-    )
+    return _construct_algebraic(pl, 3, erase_units)
 
 
 # -- conic classification and oval splits --------------------------------------

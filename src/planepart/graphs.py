@@ -39,6 +39,8 @@ class Graph:
         nbrs: list[list[int]] = [[] for _ in range(n)]
         seen = set()
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has a vertex outside [0, {n})")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             key = (min(u, v), max(u, v))
@@ -80,17 +82,16 @@ class Graph:
         """The vertex id of each label: the inverse of ``label``."""
         return {self.label(v): v for v in range(self.n)}
 
-    def to_dimacs(self) -> str:
-        """DIMACS-like text: ``p edge n m`` then one ``e u v`` per edge, 1-based."""
+    def to_dimacs(self, fh) -> None:
+        """Write DIMACS-like text to ``fh``: ``p edge n m``, one ``e u v`` per edge."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         keep = self.indices > src
         heads = src[keep] + 1
         tails = self.indices[keep].astype(np.int64) + 1
-        out = [f"p edge {self.n} {self.edge_count}"]
-        # formatted a block at a time, so the Python ints and line strings of
-        # one block, not of the whole graph, are alive at once
+        fh.write(f"p edge {self.n} {self.edge_count}\n")
+        # written a block at a time, so the Python ints and line strings of
+        # one block, not the text of the whole graph, are alive at once
         for lo in range(0, heads.size, _DIMACS_BLOCK):
             hs = heads[lo : lo + _DIMACS_BLOCK].tolist()
             ts = tails[lo : lo + _DIMACS_BLOCK].tolist()
-            out.append("\n".join(f"e {v} {u}" for v, u in zip(hs, ts)))
-        return "\n".join(out) + "\n"
+            fh.write("".join(f"e {v} {u}\n" for v, u in zip(hs, ts)))

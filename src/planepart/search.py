@@ -260,27 +260,56 @@ def _run_job(args):
 
 
 def _frontier_jobs(adj, t, presets):
-    """Expand the top two branching levels into independent preset lists."""
+    """Expand the top two branching levels into independent preset lists.
+
+    ``[]`` when the presets fail, nothing is left to branch on, or a leaf
+    lies within the top two levels: the caller then searches serially.
+    """
     probe = _Solver(adj, t)
-    if not probe.assign_presets(presets):
-        return EXHAUSTED, None, []
-    v1 = probe._select()
+    v1 = probe._select() if probe.assign_presets(presets) else None
     if v1 is None:
-        if probe._complete():
-            return FOUND, probe.witness, []
-        return EXHAUSTED, None, []
+        return []
     jobs = []
     for s1 in (0, 1):
         mark = len(probe.trail)
         if probe._assign(v1, s1):
             v2 = probe._select()
             if v2 is None:
-                if probe._complete():
-                    return FOUND, probe.witness, []
-            else:
-                jobs.extend(presets + [(v1, s1), (v2, s2)] for s2 in (0, 1))
+                return []
+            jobs.extend(presets + [(v1, s1), (v2, s2)] for s2 in (0, 1))
         probe._undo(mark)
-    return None, None, jobs
+    return jobs
+
+
+def _decide(adj, t, max_nodes, deadline, workers):
+    """Decide one t: ``(status, witness side, nodes, conflicts, max_depth)``.
+
+    A t that a vertex's degree rules out takes no node.  One worker, or a
+    frontier with no jobs, searches serially; otherwise each job gets its
+    share of ``max_nodes`` in a pool of at most one process per job.
+    """
+    if len(adj) < 2 or any(max(0, (len(a) + 2 * t + 1) // 2) > len(a) for a in adj):
+        return (EXHAUSTED, None, 0, 0, 0)
+    presets = [(0, 0)]
+    jobs = [] if workers == 1 else _frontier_jobs(adj, t, presets)
+    if not jobs:
+        return _solve(adj, t, presets, max_nodes, deadline)
+    share = None if max_nodes is None else max_nodes // len(jobs)
+    args = [(adj, t, job, share, deadline) for job in jobs]
+    status, side, nodes, conflicts, max_depth = EXHAUSTED, None, 0, 0, 0
+    with multiprocessing.get_context().Pool(processes=min(workers, len(jobs))) as pool:
+        for job_status, job_side, job_nodes, job_conflicts, job_depth in pool.imap_unordered(
+            _run_job, args
+        ):
+            nodes += job_nodes
+            conflicts += job_conflicts
+            max_depth = max(max_depth, 2 + job_depth)
+            if job_status == FOUND:
+                status, side = FOUND, job_side
+                break
+            if job_status == TIMEOUT:
+                status = TIMEOUT
+    return (status, side, nodes, conflicts, max_depth)
 
 
 def _wrap_witness(g: Graph, side, t: int, source: str, extra=None) -> Partition:
@@ -292,6 +321,12 @@ def _wrap_witness(g: Graph, side, t: int, source: str, extra=None) -> Partition:
     if report.partition_intimacy < t:
         raise RuntimeError("search produced a witness below the requested t")
     return part
+
+
+def _result(g: Graph, t, start, status, side, nodes, details, source="exhaustive", extra=None):
+    """The result of every search; a witness side is re-checked by ``margins``."""
+    witness = None if side is None else _wrap_witness(g, side, t, source, extra)
+    return SearchResult(status, witness, nodes, time.monotonic() - start, details)
 
 
 def _check_budgets(max_nodes, max_seconds, workers):
@@ -313,10 +348,12 @@ def exhaustive_exists(
 ) -> SearchResult:
     """Decide whether a t-internal partition exists, with optional budgets.
 
-    With ``workers > 1`` the top two branching levels fan out to a process
-    pool.  ``max_seconds`` is one deadline for the whole call, shared by
-    every job (``time.monotonic`` is system-wide, so pool workers read the
-    same clock).  ``max_nodes`` is one budget too: each of the k jobs gets
+    With ``workers > 1`` the top two branching levels fan out to a pool of
+    at most one process per job, so at most four; a top of the tree that
+    yields no jobs is searched serially, as with one worker.  ``max_seconds``
+    is one deadline for the whole call, shared by every job
+    (``time.monotonic`` is system-wide, so pool workers read the same
+    clock).  ``max_nodes`` is one budget too: each of the k jobs gets
     ``max_nodes // k`` nodes and, like a single worker, stops at its share
     plus one.  ``details`` carries ``conflicts`` (branches whose propagation
     failed) and ``max_depth`` (the most branching levels on one path,
@@ -327,59 +364,12 @@ def exhaustive_exists(
     """
     _check_budgets(max_nodes, max_seconds, workers)
     start = time.monotonic()
-    adj = g.adjacency_lists
-
-    def result(status, side=None, nodes=0, conflicts=0, max_depth=0):
-        witness = None
-        if side is not None:
-            witness = _wrap_witness(g, side, t, "exhaustive")
-        return SearchResult(
-            status=status,
-            witness=witness,
-            nodes_explored=nodes,
-            wall_time=time.monotonic() - start,
-            details={
-                "t": t, "workers": workers, "conflicts": conflicts, "max_depth": max_depth
-            },
-        )
-
-    if g.n < 2 or any(max(0, (len(a) + 2 * t + 1) // 2) > len(a) for a in adj):
-        return result(EXHAUSTED)
-    presets = [(0, 0)]
     deadline = None if max_seconds is None else start + max_seconds
-    if workers == 1:
-        return result(*_solve(adj, t, presets, max_nodes, deadline))
-
-    status, side, jobs = _frontier_jobs(adj, t, presets)
-    if status == FOUND:
-        return result(FOUND, side=side)
-    if status == EXHAUSTED and not jobs:
-        return result(EXHAUSTED)
-    share = None if max_nodes is None else max_nodes // len(jobs)
-    args = [(adj, t, job, share, deadline) for job in jobs]
-    nodes = conflicts = max_depth = 0
-    timed_out = False
-    found_side = None
-    with multiprocessing.get_context().Pool(processes=workers) as pool:
-        for status, side, job_nodes, job_conflicts, job_depth in pool.imap_unordered(
-            _run_job, args
-        ):
-            nodes += job_nodes
-            conflicts += job_conflicts
-            max_depth = max(max_depth, 2 + job_depth)
-            if status == FOUND:
-                found_side = side
-                pool.terminate()
-                break
-            if status == TIMEOUT:
-                timed_out = True
-    if found_side is not None:
-        status = FOUND
-    elif timed_out:
-        status = TIMEOUT
-    else:
-        status = EXHAUSTED
-    return result(status, found_side, nodes, conflicts, max_depth)
+    status, side, nodes, conflicts, max_depth = _decide(
+        g.adjacency_lists, t, max_nodes, deadline, workers
+    )
+    details = {"t": t, "workers": workers, "conflicts": conflicts, "max_depth": max_depth}
+    return _result(g, t, start, status, side, nodes, details)
 
 
 def exhaustive_max_intimacy(
@@ -394,11 +384,12 @@ def exhaustive_max_intimacy(
 
     Scans from ``t_hi`` (default: min_v floor(d(v)/2), the degree cap; pass
     the spectral bound for plane graphs) down to the trivial floor, where
-    any split qualifies.  Returns ``(None, result)`` on a budget timeout.
-    ``max_nodes`` and ``max_seconds`` are each one budget for the whole
-    scan: every t gets what the ones before it left.  The result's
-    ``nodes_explored`` and ``conflicts`` sum over the scan, ``max_depth`` is
-    its deepest path, and ``wall_time`` times the whole scan.
+    any split qualifies; a ``t_hi`` below it is a ValueError.  Returns
+    ``(None, result)`` on a budget timeout.  ``max_nodes`` and
+    ``max_seconds`` are each one budget for the whole scan: every t gets
+    what the ones before it left.  The result's ``nodes_explored`` and
+    ``conflicts`` sum over the scan, ``max_depth`` is its deepest path, and
+    ``wall_time`` times the whole scan.
     """
     _check_budgets(max_nodes, max_seconds, workers)
     if g.n < 2:
@@ -409,35 +400,28 @@ def exhaustive_max_intimacy(
     if t_hi is None:
         t_hi = int(degs.min()) // 2
     t_lo = -((int(degs.max()) + 1) // 2)
+    if t_hi < t_lo:
+        raise ValueError(f"t_hi={t_hi} is below the trivial floor t={t_lo}")
     nodes = conflicts = max_depth = 0
-    witness = None
     for t in range(t_hi, t_lo - 1, -1):
         nodes_left = None if max_nodes is None else max_nodes - nodes
-        seconds_left = None if deadline is None else deadline - time.monotonic()
         if (nodes_left is not None and nodes_left < 1) or (
-            seconds_left is not None and seconds_left <= 0
+            deadline is not None and time.monotonic() >= deadline
         ):
-            status = TIMEOUT
+            status, side = TIMEOUT, None
             break
-        res = exhaustive_exists(
-            g, t, max_nodes=nodes_left, max_seconds=seconds_left, workers=workers
+        status, side, t_nodes, t_conflicts, t_depth = _decide(
+            g.adjacency_lists, t, nodes_left, deadline, workers
         )
-        nodes += res.nodes_explored
-        conflicts += res.details["conflicts"]
-        max_depth = max(max_depth, res.details["max_depth"])
-        status, witness = res.status, res.witness
+        nodes += t_nodes
+        conflicts += t_conflicts
+        max_depth = max(max_depth, t_depth)
         if status != EXHAUSTED:
             break
     else:
         raise RuntimeError("scan passed the trivial floor without a witness")
-    result = SearchResult(
-        status=status,
-        witness=witness,
-        nodes_explored=nodes,
-        wall_time=time.monotonic() - start,
-        details={"t": t, "workers": workers, "conflicts": conflicts, "max_depth": max_depth},
-    )
-    return (t if status == FOUND else None), result
+    details = {"t": t, "workers": workers, "conflicts": conflicts, "max_depth": max_depth}
+    return (t if status == FOUND else None), _result(g, t, start, status, side, nodes, details)
 
 
 _BRUTE_MAX_VERTICES = 20
@@ -557,21 +541,12 @@ def anneal_search(
     best_obj = None
 
     def finish(status, side=None, detail=None):
-        witness = None
-        if side is not None:
-            witness = _wrap_witness(
-                g, side, t, "anneal", {"seed": params.seed}
-            )
         details = {
             "seed": params.seed, "t": t, "best_objective": best_obj, "accepted": accepted
         }
         details.update(detail or {})
-        return SearchResult(
-            status=status,
-            witness=witness,
-            nodes_explored=proposals,
-            wall_time=time.monotonic() - start,
-            details=details,
+        return _result(
+            g, t, start, status, side, proposals, details, "anneal", {"seed": params.seed}
         )
 
     for restart in range(params.restarts):

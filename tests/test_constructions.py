@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,6 @@ def test_hot_paths_never_build_the_dense_matrix(q):
         pts, lns = a[a < pl.n], a[a >= pl.n]
         assert check_mixing(pl, pts, lns)
         assert edges_between(pl, pts, lns) == inc[np.ix_(pts, lns - pl.n)].sum()
-    g.to_dimacs()
+    g.to_dimacs(io.StringIO())
     pl.to_json()
     assert "incidence" not in pl.__dict__

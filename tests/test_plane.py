@@ -1,3 +1,4 @@
+import io
 import random
 
 import numpy as np
@@ -25,6 +26,12 @@ from oracles import (
 
 def _prime_powers(lo, hi):
     return [q for q in range(lo, hi + 1) if len(prime_factors(q)) == 1]
+
+
+def _dimacs(g):
+    fh = io.StringIO()
+    g.to_dimacs(fh)
+    return fh.getvalue()
 
 
 def test_fano_counts():
@@ -122,7 +129,7 @@ def test_incidence_symmetric_roles():
 
 def test_dimacs_export_shape():
     g = get_graph(2)
-    text = g.to_dimacs()
+    text = _dimacs(g)
     lines = text.strip().splitlines()
     assert lines[0] == "p edge 14 21"
     assert len(lines) == 22
@@ -152,7 +159,7 @@ def test_corrupt_tables_rejected():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 32])  # q=32 spans several blocks
 def test_dimacs_matches_reference_on_planes(q):
     g = get_graph(q)
-    assert g.to_dimacs() == reference_dimacs(g)
+    assert _dimacs(g) == reference_dimacs(g)
 
 
 def test_dimacs_matches_reference_on_other_graphs():
@@ -160,7 +167,13 @@ def test_dimacs_matches_reference_on_other_graphs():
     graphs = [random_bipartite(rng, a, a, 0.5) for a in (1, 3, 6, 10)]
     graphs.append(Graph.from_edges(5, [(0, 1), (1, 2), (3, 1)]))  # vertex 4 isolated
     for g in graphs:
-        assert g.to_dimacs() == reference_dimacs(g)
+        assert _dimacs(g) == reference_dimacs(g)
+
+
+@pytest.mark.parametrize("edge", [(-1, 0), (0, 3), (5, 1)])
+def test_from_edges_rejects_vertices_outside_the_graph(edge):
+    with pytest.raises(ValueError):
+        Graph.from_edges(3, [(0, 1), edge])
 
 
 def test_plane_of_order_rejects_bad_orders():

@@ -1,8 +1,10 @@
 """Branch and bound vs unpruned ground truth, plus annealing behavior."""
 
 import itertools
+import multiprocessing
 import random
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +137,38 @@ def test_search_needs_no_recursion():
     )
 
 
+def test_degenerate_frontier_runs_the_serial_search():
+    # K3 at t=0 has no jobs at the top of the tree, so the pooled call runs
+    # the serial search with the whole node budget
+    k3 = complete_graph(3)
+    assert _frontier_jobs(k3.adjacency_lists, 0, [(0, 0)]) == []
+    solo = exhaustive_exists(k3, 0, max_nodes=10)
+    pooled = exhaustive_exists(k3, 0, workers=2, max_nodes=10)
+    assert pooled.status == solo.status == "exhausted_none"
+    assert pooled.nodes_explored == solo.nodes_explored
+
+
+def test_pool_is_sized_to_its_jobs(monkeypatch):
+    sizes = []
+    get_context = multiprocessing.get_context
+
+    class RecordingContext:
+        def __init__(self, ctx):
+            self.ctx = ctx
+
+        def Pool(self, processes):
+            sizes.append(processes)
+            return self.ctx.Pool(processes=processes)
+
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda *args: RecordingContext(get_context(*args))
+    )
+    # PG(2,3) at t=1 has four jobs: six workers start four processes
+    res = exhaustive_exists(get_graph(3), 1, workers=6)
+    assert res.status == "exhausted_none"
+    assert sizes == [4]
+
+
 def test_max_seconds_is_one_budget_across_workers():
     # four jobs on two workers: a full budget per job would run for about 2 s
     res = exhaustive_exists(get_graph(7), 1, workers=2, max_seconds=1.0)
@@ -180,17 +214,26 @@ def test_max_intimacy_scan_has_one_node_budget():
 
 
 def test_max_intimacy_scan_has_one_deadline(monkeypatch):
-    seconds = []
+    deadlines = []
+    decide = search_module._decide
 
-    def spy(g, t, **kwargs):
-        seconds.append(kwargs["max_seconds"])
-        return exhaustive_exists(g, t, **kwargs)
+    def spy(adj, t, max_nodes, deadline, workers):
+        deadlines.append(deadline)
+        return decide(adj, t, max_nodes, deadline, workers)
 
-    monkeypatch.setattr(search_module, "exhaustive_exists", spy)
+    monkeypatch.setattr(search_module, "_decide", spy)
+    before = time.monotonic()
     best, res = exhaustive_max_intimacy(get_graph(3), max_seconds=30.0)
-    assert best == 0 and len(seconds) == 3
-    assert 30.0 >= seconds[0] > seconds[1] > seconds[2]
-    assert res.wall_time >= 30.0 - seconds[2]
+    assert best == 0 and len(deadlines) == 3
+    assert len(set(deadlines)) == 1
+    assert before <= deadlines[0] - 30.0 <= before + res.wall_time
+
+
+def test_max_intimacy_rejects_t_hi_below_the_trivial_floor():
+    # PG(2,2) is 3-regular: the scan ends at t = -2, where any split qualifies
+    assert exhaustive_max_intimacy(get_graph(2), t_hi=-2)[0] == -2
+    with pytest.raises(ValueError):
+        exhaustive_max_intimacy(get_graph(2), t_hi=-5)
 
 
 def test_solver_counters():
@@ -222,8 +265,8 @@ def test_solver_matches_reference_on_planes(q, t):
 def test_solver_matches_reference_on_frontier_jobs(q, max_nodes):
     # PG(2,5)'s four jobs are searched to the end, PG(2,7)'s time out
     adj = get_graph(q).adjacency_lists
-    status, _, jobs = _frontier_jobs(adj, 1, [(0, 0)])
-    assert status is None and len(jobs) == 4
+    jobs = _frontier_jobs(adj, 1, [(0, 0)])
+    assert len(jobs) == 4
     for job in jobs:
         _assert_same_solve(adj, 1, job, max_nodes)
 
