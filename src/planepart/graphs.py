@@ -14,14 +14,18 @@ class Graph:
 
     Vertices are ``0..n-1``.  ``n_left`` marks a bipartition boundary when
     the graph is a point/line incidence graph (points first).  Labels are
-    optional; unlabeled vertices print as ``v<id>``.
+    optional; unlabeled vertices print as ``v<id>``.  ``plane_order`` is q
+    when the graph is the incidence graph of PG(2,q), as built by
+    ``plane.incidence_graph``, and None otherwise; the exhaustive search
+    uses it to cut the plane's symmetry from its tree.
     """
 
-    def __init__(self, indptr, indices, n_left=None, labels=None):
+    def __init__(self, indptr, indices, n_left=None, labels=None, plane_order=None):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int32)
         self.n_left = n_left
         self.labels = labels
+        self.plane_order = plane_order
 
     @classmethod
     def from_neighbor_lists(cls, nbrs, n_left=None, labels=None) -> "Graph":

@@ -177,11 +177,15 @@ def plane_of_order(q: int) -> Plane:
 
 
 def incidence_graph(pl: Plane) -> Graph:
-    """Bipartite point/line graph: points are vertices 0..n-1, lines follow."""
+    """Bipartite point/line graph: points are vertices 0..n-1, lines follow.
+
+    The graph carries ``plane_order = q``: it is the incidence graph of the
+    desarguesian plane, whose collineations the exhaustive search may use.
+    """
     n = pl.n
     indptr = np.arange(2 * n + 1, dtype=np.int64) * (pl.q + 1)
     indices = np.concatenate([pl.lines_through + n, pl.points_on]).ravel()
-    return Graph(indptr, indices, n_left=n, labels=pl.labels)
+    return Graph(indptr, indices, n_left=n, labels=pl.labels, plane_order=pl.q)
 
 
 # -- Singer cycle -----------------------------------------------------------

@@ -15,10 +15,15 @@ stack of (vertex, next side, trail mark) frames, so its depth is not
 bounded by the interpreter's recursion limit; undoing to a trail mark
 restores sides and counters.  The branching vertex minimises
 ``(cap - max(a, b), 2 cap - a - b, v)`` over the unassigned vertices, a
-and b its neighbours on A and on B.  The first vertex is pinned to A to
-quotient out the swap symmetry.  ``found`` / ``exhausted_none`` answers
-are deterministic for any worker count; which witness is returned first
-is deterministic only with one worker.
+and b its neighbours on A and on B.  Every search starts from presets
+that cut symmetry from the tree.  On any graph vertex 0 is pinned to A,
+which quotients out the swap of A and B.  On the incidence graph of
+PG(2,q), at a t where every vertex needs at least two neighbours on its
+own side, a flag triangle is put on A as well: point 0, two lines L0 and
+L1 through it, and a second point on each line (see ``_presets`` for why
+no partition is lost).  ``found`` / ``exhausted_none`` answers are
+deterministic for any worker count; which witness is returned first is
+deterministic only with one worker.
 """
 
 from __future__ import annotations
@@ -259,6 +264,35 @@ def _run_job(args):
     return _solve(*args)
 
 
+def _presets(g: Graph, t: int) -> list[tuple[int, int]]:
+    """The assignments every search of ``g`` at ``t`` starts from.
+
+    ``[(0, 0)]``, vertex 0 on A, unless ``g`` is the incidence graph of
+    PG(2,q) (``g.plane_order`` is set) and every vertex needs at least two
+    neighbours on its own side at t, ``ceil((q + 1 + 2t)/2) >= 2``.  Then
+    five vertices go on A: the point P0 = 0, the first two lines L0 and L1
+    through it, and the first point P1 != P0 of L0 and P2 != P0 of L1.
+    P1 and P2 are not collinear with P0, since L0 and L1 meet only in P0.
+
+    No partition is lost up to symmetry.  Take a t-internal partition and
+    a point P; swapping the classes if need be, P is in A.  P has two lines
+    M0 and M1 in A, and each of them has a point in A other than P, say Q0
+    and Q1.  (P, Q0, Q1) is an ordered triangle, and PGL(3,q) is
+    transitive on those: a collineation maps it to (P0, P1, P2), so maps
+    M0 = PQ0 to L0 and M1 = PQ1 to L1.  It is an automorphism of the
+    incidence graph, so the image is a t-internal partition that meets all
+    five presets.
+    """
+    q = g.plane_order
+    if q is None or (q + 2 * t + 2) // 2 < 2:
+        return [(0, 0)]
+    adj = g.adjacency_lists
+    l0, l1 = adj[0][:2]
+    p1 = next(p for p in adj[l0] if p != 0)
+    p2 = next(p for p in adj[l1] if p != 0)
+    return [(0, 0), (l0, 0), (l1, 0), (p1, 0), (p2, 0)]
+
+
 def _frontier_jobs(adj, t, presets):
     """Expand the top two branching levels into independent preset lists.
 
@@ -281,34 +315,58 @@ def _frontier_jobs(adj, t, presets):
     return jobs
 
 
-def _decide(adj, t, max_nodes, deadline, workers):
+class _Pool:
+    """The process pool of one search call, started by the first t that fans out.
+
+    It has ``min(workers, len(jobs))`` processes for that t's jobs and
+    serves every later t of the call; a context manager, it stops its
+    processes on exit.  A t that ends ``found`` or ``timeout`` ends the
+    call, so no job of one t is still queued when the next t starts.
+    """
+
+    def __init__(self, workers):
+        self.workers = workers
+        self._pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.terminate()
+
+    def imap_unordered(self, args):
+        if self._pool is None:
+            self._pool = multiprocessing.get_context().Pool(
+                processes=min(self.workers, len(args))
+            )
+        return self._pool.imap_unordered(_run_job, args)
+
+
+def _decide(adj, t, presets, max_nodes, deadline, pool):
     """Decide one t: ``(status, witness side, nodes, conflicts, max_depth)``.
 
     A t that a vertex's degree rules out takes no node.  One worker, or a
     frontier with no jobs, searches serially; otherwise each job gets its
-    share of ``max_nodes`` in a pool of at most one process per job.
+    share of ``max_nodes`` on ``pool``.
     """
     if len(adj) < 2 or any(max(0, (len(a) + 2 * t + 1) // 2) > len(a) for a in adj):
         return (EXHAUSTED, None, 0, 0, 0)
-    presets = [(0, 0)]
-    jobs = [] if workers == 1 else _frontier_jobs(adj, t, presets)
+    jobs = [] if pool.workers == 1 else _frontier_jobs(adj, t, presets)
     if not jobs:
         return _solve(adj, t, presets, max_nodes, deadline)
     share = None if max_nodes is None else max_nodes // len(jobs)
     args = [(adj, t, job, share, deadline) for job in jobs]
     status, side, nodes, conflicts, max_depth = EXHAUSTED, None, 0, 0, 0
-    with multiprocessing.get_context().Pool(processes=min(workers, len(jobs))) as pool:
-        for job_status, job_side, job_nodes, job_conflicts, job_depth in pool.imap_unordered(
-            _run_job, args
-        ):
-            nodes += job_nodes
-            conflicts += job_conflicts
-            max_depth = max(max_depth, 2 + job_depth)
-            if job_status == FOUND:
-                status, side = FOUND, job_side
-                break
-            if job_status == TIMEOUT:
-                status = TIMEOUT
+    for job_status, job_side, job_nodes, job_conflicts, job_depth in pool.imap_unordered(args):
+        nodes += job_nodes
+        conflicts += job_conflicts
+        max_depth = max(max_depth, 2 + job_depth)
+        if job_status == FOUND:
+            status, side = FOUND, job_side
+            break
+        if job_status == TIMEOUT:
+            status = TIMEOUT
     return (status, side, nodes, conflicts, max_depth)
 
 
@@ -348,16 +406,17 @@ def exhaustive_exists(
 ) -> SearchResult:
     """Decide whether a t-internal partition exists, with optional budgets.
 
-    With ``workers > 1`` the top two branching levels fan out to a pool of
-    at most one process per job, so at most four; a top of the tree that
-    yields no jobs is searched serially, as with one worker.  ``max_seconds``
-    is one deadline for the whole call, shared by every job
+    With ``workers > 1`` the top two branching levels below the presets fan
+    out to a pool of at most one process per job, so at most four; a top of
+    the tree that yields no jobs is searched serially, as with one worker.
+    ``max_seconds`` is one deadline for the whole call, shared by every job
     (``time.monotonic`` is system-wide, so pool workers read the same
     clock).  ``max_nodes`` is one budget too: each of the k jobs gets
     ``max_nodes // k`` nodes and, like a single worker, stops at its share
-    plus one.  ``details`` carries ``conflicts`` (branches whose propagation
-    failed) and ``max_depth`` (the most branching levels on one path,
-    counting the two fanned-out levels above each pool job).
+    plus one.  ``details`` carries ``presets`` (how many assignments the
+    search started from, 1 or 5; see ``_presets``), ``conflicts`` (branches
+    whose propagation failed) and ``max_depth`` (the most branching levels
+    on one path, counting the two fanned-out levels above each pool job).
 
     Raises ValueError when ``max_nodes < 1``, ``max_seconds <= 0`` or
     ``workers < 1``.
@@ -365,10 +424,18 @@ def exhaustive_exists(
     _check_budgets(max_nodes, max_seconds, workers)
     start = time.monotonic()
     deadline = None if max_seconds is None else start + max_seconds
-    status, side, nodes, conflicts, max_depth = _decide(
-        g.adjacency_lists, t, max_nodes, deadline, workers
-    )
-    details = {"t": t, "workers": workers, "conflicts": conflicts, "max_depth": max_depth}
+    presets = _presets(g, t)
+    with _Pool(workers) as pool:
+        status, side, nodes, conflicts, max_depth = _decide(
+            g.adjacency_lists, t, presets, max_nodes, deadline, pool
+        )
+    details = {
+        "t": t,
+        "workers": workers,
+        "presets": len(presets),
+        "conflicts": conflicts,
+        "max_depth": max_depth,
+    }
     return _result(g, t, start, status, side, nodes, details)
 
 
@@ -388,8 +455,10 @@ def exhaustive_max_intimacy(
     ``(None, result)`` on a budget timeout.  ``max_nodes`` and
     ``max_seconds`` are each one budget for the whole scan: every t gets
     what the ones before it left.  The result's ``nodes_explored`` and
-    ``conflicts`` sum over the scan, ``max_depth`` is its deepest path, and
-    ``wall_time`` times the whole scan.
+    ``conflicts`` sum over the scan, ``max_depth`` is its deepest path,
+    ``presets`` counts the presets of the last t tried, and ``wall_time``
+    times the whole scan.  With ``workers > 1`` one pool serves the whole
+    scan: it starts at the first t that fans out.
     """
     _check_budgets(max_nodes, max_seconds, workers)
     if g.n < 2:
@@ -403,24 +472,32 @@ def exhaustive_max_intimacy(
     if t_hi < t_lo:
         raise ValueError(f"t_hi={t_hi} is below the trivial floor t={t_lo}")
     nodes = conflicts = max_depth = 0
-    for t in range(t_hi, t_lo - 1, -1):
-        nodes_left = None if max_nodes is None else max_nodes - nodes
-        if (nodes_left is not None and nodes_left < 1) or (
-            deadline is not None and time.monotonic() >= deadline
-        ):
-            status, side = TIMEOUT, None
-            break
-        status, side, t_nodes, t_conflicts, t_depth = _decide(
-            g.adjacency_lists, t, nodes_left, deadline, workers
-        )
-        nodes += t_nodes
-        conflicts += t_conflicts
-        max_depth = max(max_depth, t_depth)
-        if status != EXHAUSTED:
-            break
-    else:
-        raise RuntimeError("scan passed the trivial floor without a witness")
-    details = {"t": t, "workers": workers, "conflicts": conflicts, "max_depth": max_depth}
+    with _Pool(workers) as pool:
+        for t in range(t_hi, t_lo - 1, -1):
+            presets = _presets(g, t)
+            nodes_left = None if max_nodes is None else max_nodes - nodes
+            if (nodes_left is not None and nodes_left < 1) or (
+                deadline is not None and time.monotonic() >= deadline
+            ):
+                status, side = TIMEOUT, None
+                break
+            status, side, t_nodes, t_conflicts, t_depth = _decide(
+                g.adjacency_lists, t, presets, nodes_left, deadline, pool
+            )
+            nodes += t_nodes
+            conflicts += t_conflicts
+            max_depth = max(max_depth, t_depth)
+            if status != EXHAUSTED:
+                break
+        else:
+            raise RuntimeError("scan passed the trivial floor without a witness")
+    details = {
+        "t": t,
+        "workers": workers,
+        "presets": len(presets),
+        "conflicts": conflicts,
+        "max_depth": max_depth,
+    }
     return (t if status == FOUND else None), _result(g, t, start, status, side, nodes, details)
 
 

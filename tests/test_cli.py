@@ -207,7 +207,16 @@ def test_search_exhaustive_negative(capsys):
     code, out, _ = run(capsys, "search", "exhaustive", "--q", "3", "--t", "1")
     assert code == 0  # a completed nonexistence proof is a success
     assert "status: exhausted_none" in out
-    assert "nodes explored: 48\nconflicts: 24\nmax depth: 7\n" in out
+    assert "nodes explored: 10\nconflicts: 5\nmax depth: 3\npresets: 5\n" in out
+
+
+@pytest.mark.parametrize("q,t,presets", [("5", "1", 5), ("2", "-1", 1)])
+def test_search_exhaustive_prints_presets(capsys, q, t, presets):
+    code, out, _ = run(capsys, "search", "exhaustive", "--q", q, "--t", t)
+    assert code == 0
+    lines = out.splitlines()
+    depth = next(i for i, line in enumerate(lines) if line.startswith("max depth: "))
+    assert lines[depth + 1] == f"presets: {presets}"
 
 
 @pytest.mark.parametrize(

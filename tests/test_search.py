@@ -18,6 +18,7 @@ from planepart.search import (
     AnnealParams,
     SearchResult,
     _frontier_jobs,
+    _presets,
     _solve,
     anneal_search,
     brute_force_exists,
@@ -31,6 +32,32 @@ from oracles import get_graph, get_plane, random_bipartite, reference_anneal, re
 
 def complete_graph(n):
     return Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
+
+
+def untagged(g):
+    """The same graph without ``plane_order``: its search pins vertex 0 alone."""
+    return Graph(g.indptr, g.indices, n_left=g.n_left)
+
+
+class RecordingContext:
+    """A multiprocessing context that records the size of every pool it starts."""
+
+    def __init__(self, ctx, sizes):
+        self.ctx = ctx
+        self.sizes = sizes
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        return self.ctx.Pool(processes=processes)
+
+
+def record_pools(monkeypatch):
+    sizes = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda *args: RecordingContext(get_context(*args), sizes)
+    )
+    return sizes
 
 
 def test_pg2_3_no_1_internal():
@@ -149,24 +176,25 @@ def test_degenerate_frontier_runs_the_serial_search():
 
 
 def test_pool_is_sized_to_its_jobs(monkeypatch):
-    sizes = []
-    get_context = multiprocessing.get_context
-
-    class RecordingContext:
-        def __init__(self, ctx):
-            self.ctx = ctx
-
-        def Pool(self, processes):
-            sizes.append(processes)
-            return self.ctx.Pool(processes=processes)
-
-    monkeypatch.setattr(
-        multiprocessing, "get_context", lambda *args: RecordingContext(get_context(*args))
-    )
-    # PG(2,3) at t=1 has four jobs: six workers start four processes
-    res = exhaustive_exists(get_graph(3), 1, workers=6)
+    sizes = record_pools(monkeypatch)
+    # PG(2,3) at t=1 has four jobs below either preset list: six workers
+    # start four processes
+    res = exhaustive_exists(untagged(get_graph(3)), 1, workers=6)
     assert res.status == "exhausted_none"
     assert sizes == [4]
+    res = exhaustive_exists(get_graph(3), 1, workers=6)
+    assert res.status == "exhausted_none"
+    assert sizes == [4, 4]
+
+
+def test_max_intimacy_scan_starts_one_pool(monkeypatch):
+    # the untagged PG(2,3) scan fans out at t = 1 (exhausted) and t = 0 (found)
+    sizes = record_pools(monkeypatch)
+    g = untagged(get_graph(3))
+    assert [len(_frontier_jobs(g.adjacency_lists, t, [(0, 0)])) for t in (1, 0)] == [4, 4]
+    best, res = exhaustive_max_intimacy(g, workers=2)
+    assert (best, res.status) == (0, "found")
+    assert sizes == [2]
 
 
 def test_max_seconds_is_one_budget_across_workers():
@@ -203,23 +231,30 @@ def test_meaningless_budgets_are_rejected(budget):
 
 
 def test_max_intimacy_scan_has_one_node_budget():
-    # PG(2,3): t = 2, 1, 0 take 0 + 48 + 18 nodes and 0 + 24 + 0 conflicts
-    g = get_graph(3)
+    # untagged PG(2,3): t = 2, 1, 0 take 0 + 48 + 18 nodes and 0 + 24 + 0 conflicts
+    g = untagged(get_graph(3))
     best, res = exhaustive_max_intimacy(g, max_nodes=66)
     assert (best, res.status, res.nodes_explored) == (0, "found", 66)
     assert res.details["conflicts"] == 24
     # one node short: t = 0 gets the 17 nodes that t = 1 left, and stops at its 18th
     best, res = exhaustive_max_intimacy(g, max_nodes=65)
     assert (best, res.status, res.nodes_explored) == (None, "timeout", 66)
+    # with the flag triangle: 0 + 10 + 14 nodes and 0 + 5 + 0 conflicts
+    g = get_graph(3)
+    best, res = exhaustive_max_intimacy(g, max_nodes=24)
+    assert (best, res.status, res.nodes_explored) == (0, "found", 24)
+    assert res.details["conflicts"] == 5
+    best, res = exhaustive_max_intimacy(g, max_nodes=23)
+    assert (best, res.status, res.nodes_explored) == (None, "timeout", 24)
 
 
 def test_max_intimacy_scan_has_one_deadline(monkeypatch):
     deadlines = []
     decide = search_module._decide
 
-    def spy(adj, t, max_nodes, deadline, workers):
-        deadlines.append(deadline)
-        return decide(adj, t, max_nodes, deadline, workers)
+    def spy(*args):
+        deadlines.append(args[4])
+        return decide(*args)
 
     monkeypatch.setattr(search_module, "_decide", spy)
     before = time.monotonic()
@@ -237,17 +272,24 @@ def test_max_intimacy_rejects_t_hi_below_the_trivial_floor():
 
 
 def test_solver_counters():
-    # 24 frames of two tries each: 23 tries open the other frames, one reaches
-    # the all-A leaf, which is no witness, and the other 24 fail to propagate
-    res = exhaustive_exists(get_graph(3), 1)
-    assert res.status == "exhausted_none"
-    assert res.nodes_explored == 48
-    assert res.details["conflicts"] == 24
-    assert res.details["max_depth"] == 7
-    pooled = exhaustive_exists(get_graph(3), 1, workers=2)
-    assert pooled.status == "exhausted_none"
-    assert 0 < pooled.details["conflicts"] <= pooled.nodes_explored
-    assert 2 < pooled.details["max_depth"] <= get_graph(3).n
+    for g, counts in [
+        # 24 frames of two tries each: 23 tries open the other frames, one
+        # reaches the all-A leaf, which is no witness, and the other 24 fail
+        # to propagate
+        (untagged(get_graph(3)), (48, 24, 7)),
+        # five frames below the flag triangle: four tries open the other
+        # frames, one reaches the all-A leaf and five fail to propagate
+        (get_graph(3), (10, 5, 3)),
+    ]:
+        res = exhaustive_exists(g, 1)
+        assert res.status == "exhausted_none"
+        assert res.nodes_explored == counts[0]
+        assert res.details["conflicts"] == counts[1]
+        assert res.details["max_depth"] == counts[2]
+        pooled = exhaustive_exists(g, 1, workers=2)
+        assert pooled.status == "exhausted_none"
+        assert 0 < pooled.details["conflicts"] <= pooled.nodes_explored
+        assert 2 < pooled.details["max_depth"] <= g.n
 
 
 def _assert_same_solve(adj, t, presets, max_nodes):
@@ -280,6 +322,54 @@ def test_solver_matches_reference_on_small_graphs(data):
     presets = [(0, 0)] + data.draw(st.lists(st.tuples(vertex, st.integers(0, 1)), max_size=3))
     max_nodes = data.draw(st.one_of(st.none(), st.integers(1, 40)))
     _assert_same_solve(g.adjacency_lists, t, presets, max_nodes)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_flag_triangle_keeps_every_status(q):
+    g = get_graph(q)
+    for t in range(-2, 3):
+        assert exhaustive_exists(g, t).status == exhaustive_exists(untagged(g), t).status
+
+
+def test_flag_triangle_agrees_with_bruteforce_on_fano():
+    g = get_graph(2)
+    for t in range(-2, 3):
+        assert (exhaustive_exists(g, t).status == "found") is brute_force_exists(g, t)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+@pytest.mark.parametrize("q,max_nodes", [(3, None), (4, None), (5, None), (7, 5_000)])
+def test_solver_matches_reference_from_the_flag_triangle(q, max_nodes, t):
+    g = get_graph(q)
+    presets = _presets(g, t)
+    assert len(presets) == 5
+    _assert_same_solve(g.adjacency_lists, t, presets, max_nodes)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_presets_form_a_flag_triangle(q):
+    pl, g = get_plane(q), get_graph(q)
+    n = pl.n
+    presets = _presets(g, 1)
+    assert [s for _, s in presets] == [0] * 5
+    p0, l0, l1, p1, p2 = [v for v, _ in presets]
+    assert p0 == 0 and p1 < n and p2 < n and l0 >= n and l1 >= n
+    lines = [set(row) for row in pl.pencils.tolist()]
+    assert [j + n for j, line in enumerate(lines) if {p0, p1} <= line] == [l0]
+    assert [j + n for j, line in enumerate(lines) if {p0, p2} <= line] == [l1]
+    assert p1 != p0 and p2 != p0 and l0 != l1
+    assert not any({p0, p1, p2} <= line for line in lines)
+
+
+def test_only_vertex_0_is_pinned_below_two_own_neighbours():
+    # a vertex of degree q + 1 needs ceil((q + 1 + 2t)/2) own-side neighbours
+    for q, t in [(2, -1), (2, -2), (3, -1), (4, -2)]:
+        g = get_graph(q)
+        assert _presets(g, t) == [(0, 0)]
+        assert exhaustive_exists(g, t).details["presets"] == 1
+    assert len(_presets(get_graph(4), -1)) == 5
+    assert _presets(untagged(get_graph(5)), 1) == [(0, 0)]
+    assert _presets(complete_graph(6), 1) == [(0, 0)]
 
 
 def test_infeasible_t_short_circuits():
