@@ -331,12 +331,6 @@ def test_flag_triangle_keeps_every_status(q):
         assert exhaustive_exists(g, t).status == exhaustive_exists(untagged(g), t).status
 
 
-def test_flag_triangle_agrees_with_bruteforce_on_fano():
-    g = get_graph(2)
-    for t in range(-2, 3):
-        assert (exhaustive_exists(g, t).status == "found") is brute_force_exists(g, t)
-
-
 @pytest.mark.parametrize("t", [0, 1, 2])
 @pytest.mark.parametrize("q,max_nodes", [(3, None), (4, None), (5, None), (7, 5_000)])
 def test_solver_matches_reference_from_the_flag_triangle(q, max_nodes, t):
@@ -384,9 +378,12 @@ def test_brute_force_rejects_large_graph():
         brute_force_exists(get_graph(3), 0)
 
 
-@pytest.mark.parametrize("t,expect", [(0, True), (1, False)])
+@pytest.mark.parametrize("t,expect", [(0, True), (1, False), (-2, True), (-1, True), (2, False)])
 def test_bruteforce_fano(t, expect):
-    assert brute_force_exists(get_graph(2), t) is expect
+    g = get_graph(2)
+    assert brute_force_exists(g, t) is expect
+    # the search from the flag triangle (t >= 0) or from vertex 0 agrees
+    assert (exhaustive_exists(g, t).status == "found") is expect
 
 
 @settings(max_examples=25, deadline=None)
