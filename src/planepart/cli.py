@@ -328,16 +328,14 @@ def _search_anneal(pl: Plane, g: Graph, args) -> int:
     params = AnnealParams(
         seed=args.seed,
         restarts=args.restarts,
-        sweeps=args.sweeps,
-        start_temp=args.start_temp,
-        cooling=args.cooling,
+        steps=args.steps,
     )
     init = _load_partition(args.init, pl, g) if args.init else None
     res = anneal_search(g, args.t, params=params, init=init)
     print(f"status: {res.status}  (seed {params.seed}, t = {args.t})")
-    print(f"flip proposals: {res.nodes_explored}")
-    print(f"best objective: {res.details.get('best_objective')}")
-    print(f"accepted flips: {res.details.get('accepted')}")
+    print(f"steps: {res.nodes_explored}")
+    print(f"best objective: {res.details['best_objective']}")
+    print(f"aspirations: {res.details['aspirations']}")
     print(f"wall time: {res.wall_time:.2f} s")
     if res.witness is not None:
         _print_margins(margins(g, res.witness))
@@ -413,14 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--out", help="write search result JSON here")
     ex.set_defaults(func=cmd_search)
 
-    an = mode.add_parser("anneal", help="seeded stochastic local search")
+    an = mode.add_parser("anneal", help="seeded tabu search over single-vertex flips")
     an.add_argument("--q", type=int, required=True)
     an.add_argument("--t", type=int, default=1)
     an.add_argument("--seed", type=int, default=0)
     an.add_argument("--restarts", type=int, default=AnnealParams.restarts)
-    an.add_argument("--sweeps", type=int, default=AnnealParams.sweeps)
-    an.add_argument("--start-temp", type=float, default=AnnealParams.start_temp)
-    an.add_argument("--cooling", type=float, default=AnnealParams.cooling)
+    an.add_argument("--steps", type=int, default=AnnealParams.steps, help="steps per restart")
     an.add_argument("--init", help="partition JSON to seed the first restart")
     an.add_argument("--out", help="write search result JSON here")
     an.set_defaults(func=cmd_search)

@@ -174,13 +174,13 @@ def _spectral_bound(outdir: str, orders: list):
         bound = intimacy_upper_bound(q)
         parts = _partition_suite(q)
         seeded = anneal_search(
-            g, bound, params=AnnealParams(seed=0, restarts=1, sweeps=1), init=parts[0][1]
+            g, bound, params=AnnealParams(seed=0, restarts=1, steps=1), init=parts[0][1]
         )
         if seeded.witness is not None:
             parts.append(("anneal-seeded", seeded.witness))
         if q == 4:
             cold = anneal_search(
-                g, 0, params=AnnealParams(seed=2, restarts=3, sweeps=300)
+                g, 0, params=AnnealParams(seed=2, restarts=3, steps=300)
             )
             if cold.witness is not None:
                 parts.append(("anneal-cold", cold.witness))
@@ -339,7 +339,7 @@ def _solver_vs_oracle(outdir: str, graphs: int, vertices: int, t_values: list, s
 
 
 def _anneal_cli(outdir: str, orders: list, t: int, seed: int):
-    """Annealing on q=5 and q=7 at t=1: reproducible seed-stamped records."""
+    """Tabu search on q=5 and q=7 at t=1: reproducible seed-stamped records."""
     failures = []
     runs = []
     statuses = {}

@@ -22,8 +22,9 @@ PG(2,q), at a t where every vertex needs at least two neighbours on its
 own side, a flag triangle is put on A as well: point 0, two lines L0 and
 L1 through it, and a second point on each line (see ``_presets`` for why
 no partition is lost).  ``found`` / ``exhausted_none`` answers are
-deterministic for any worker count; which witness is returned first is
-deterministic only with one worker.
+deterministic for any worker count.  So are the witness and the node count
+of a search without a ``max_seconds`` deadline: the pool's jobs are read in
+frontier order, and the first that finds a witness ends the search.
 """
 
 from __future__ import annotations
@@ -335,12 +336,12 @@ class _Pool:
         if self._pool is not None:
             self._pool.terminate()
 
-    def imap_unordered(self, args):
+    def imap(self, args):
         if self._pool is None:
             self._pool = multiprocessing.get_context().Pool(
                 processes=min(self.workers, len(args))
             )
-        return self._pool.imap_unordered(_run_job, args)
+        return self._pool.imap(_run_job, args)
 
 
 def _decide(adj, t, presets, max_nodes, deadline, pool):
@@ -348,7 +349,10 @@ def _decide(adj, t, presets, max_nodes, deadline, pool):
 
     A t that a vertex's degree rules out takes no node.  One worker, or a
     frontier with no jobs, searches serially; otherwise each job gets its
-    share of ``max_nodes`` on ``pool``.
+    share of ``max_nodes`` on ``pool``.  Results are read in frontier order,
+    the order in which the serial search visits the jobs' subtrees, and the
+    first job to find a witness ends the t: without budgets its witness is
+    the serial one, and the nodes are those of the jobs up to it.
     """
     if len(adj) < 2 or any(max(0, (len(a) + 2 * t + 1) // 2) > len(a) for a in adj):
         return (EXHAUSTED, None, 0, 0, 0)
@@ -358,7 +362,7 @@ def _decide(adj, t, presets, max_nodes, deadline, pool):
     share = None if max_nodes is None else max_nodes // len(jobs)
     args = [(adj, t, job, share, deadline) for job in jobs]
     status, side, nodes, conflicts, max_depth = EXHAUSTED, None, 0, 0, 0
-    for job_status, job_side, job_nodes, job_conflicts, job_depth in pool.imap_unordered(args):
+    for job_status, job_side, job_nodes, job_conflicts, job_depth in pool.imap(args):
         nodes += job_nodes
         conflicts += job_conflicts
         max_depth = max(max_depth, 2 + job_depth)
@@ -535,26 +539,24 @@ def brute_force_exists(g: Graph, t: int) -> bool:
     return False
 
 
-# -- simulated annealing ---------------------------------------------------------
+# -- tabu search -----------------------------------------------------------------
+
+# a flipped vertex is tabu for _TABU_MIN + rng.randrange(_TABU_SPREAD) steps
+_TABU_MIN = 10
+_TABU_SPREAD = 10
 
 
 @dataclass(frozen=True)
 class AnnealParams:
     seed: int = 0
     restarts: int = 10
-    sweeps: int = 1200
-    start_temp: float = 2.5
-    cooling: float = 0.995
+    steps: int = 3000
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.sweeps < 1:
-            raise ValueError(f"sweeps must be at least 1, got {self.sweeps}")
-        if not 0 < self.start_temp < math.inf:
-            raise ValueError(f"start_temp must be positive and finite, got {self.start_temp}")
-        if not 0 < self.cooling <= 1:
-            raise ValueError(f"cooling must be in (0, 1], got {self.cooling}")
+        if self.steps < 1:
+            raise ValueError(f"steps must be at least 1, got {self.steps}")
 
 
 def anneal_search(
@@ -563,15 +565,23 @@ def anneal_search(
     params: AnnealParams | None = None,
     init: Partition | None = None,
 ) -> SearchResult:
-    """Seeded annealing over single-vertex flips.
+    """Seeded tabu search over single-vertex flips.
 
     Minimizes the total shortfall ``sum_v max(0, d(v) + 2t - 2 d_own(v))``;
-    objective zero is a verified witness.  Flips never empty a class.  A
-    failure to find reports status ``timeout``: it never claims
+    objective zero is a verified witness.  Each restart starts from ``init``
+    (the first one only) or a random split and takes up to ``params.steps``
+    steps.  A step flips the eligible vertex of least objective change, even
+    when that change is uphill.  A vertex is eligible when flipping it keeps
+    both classes nonempty and it is not tabu, or when the flip would beat
+    the restart's best objective (aspiration).  Ties go to a reservoir draw
+    over the tied vertices in index order: the j-th replaces the choice when
+    ``rng.randrange(j) == 0``.  A flipped vertex is then tabu for the next
+    ``10 + rng.randrange(10)`` steps.  A step with no eligible vertex flips
+    nothing.  A failure to find reports status ``timeout``: it never claims
     nonexistence.  Identical (graph, t, params, init) reruns are identical.
-    ``AnnealParams`` rejects fewer than one restart or sweep, a start
-    temperature that is not positive and finite, and a cooling factor
-    outside (0, 1] with ValueError.
+    ``AnnealParams`` rejects fewer than one restart or step with ValueError.
+    ``nodes_explored`` counts steps, ``details["aspirations"]`` the flips
+    of tabu vertices.
 
     Each vertex keeps its raw shortfall ``short[v] = d(v) + 2t - 2 d_own(v)``
     (its penalty is ``max(0, short[v])``, and flipping v turns it into
@@ -584,27 +594,28 @@ def anneal_search(
                    + sum(lose[u] for own-side u in N(v))
                    + sum(gain[u] for other-side u in N(v))
 
-    A proposal reads ``delta[v]`` in O(1).  An accepted flip updates
+    plus ``off``, which exceeds twice any such change, once while v is tabu
+    and once more while v is alone in its class, so the least entry of
+    ``delta`` is the least change of a non-tabu vertex.  A flip updates
     ``short`` and ``delta`` on N(v), and ``delta`` on N(u) for each
     neighbour u whose ``lose``/``gain`` moved: O(d * changed).  Flipping v
-    back would undo the flip, so v's own delta becomes ``-delta[v]``.  The
-    random stream and the acceptance rule are those of a plain loop that
-    rescans N(v) on every proposal, so statuses, proposal counts, best
-    objectives and witnesses are the same as that loop's.  Proposals draw
-    their vertex as ``rng.randrange(n)`` does in CPython, k-bit
-    ``getrandbits`` draws until one is below n, without the call's
-    argument checks.
-    ``details["accepted"]`` counts accepted flips.
+    back would undo the flip, so v's own change becomes ``-delta[v]``.  The
+    choices and the random stream are those of a plain loop that rescans
+    N(v) for every vertex on every step, so statuses, step counts, best
+    objectives and witnesses are the same as that loop's.  The tie and tenure
+    draws are taken as ``rng.randrange`` takes them in CPython, k-bit
+    ``getrandbits`` draws until one is in range, without the call's argument
+    checks.
     """
     params = params or AnnealParams()
     if g.n < 2:
         raise ValueError("need at least two vertices to partition")
     start = time.monotonic()
     rng = random.Random(params.seed)
+    randrange = rng.randrange
     getrandbits = rng.getrandbits
-    uniform = rng.random
+    spread_bits = _TABU_SPREAD.bit_length()
     n = g.n
-    k = n.bit_length()
     adj = [tuple(a) for a in g.adjacency_lists]
     deg = [len(a) for a in adj]
     t4 = 4 * t
@@ -613,17 +624,21 @@ def anneal_search(
     flip_of = {x: max(0, t4 - x) - max(0, x) for x in xs}
     lose_of = {x: max(0, x + 2) - max(0, x) for x in xs}
     gain_of = {x: max(0, x - 2) - max(0, x) for x in xs}
-    proposals = 0
-    accepted = 0
+    # every objective change lies in [-span, span]; an entry above span is ineligible
+    span = 4 * abs(t) + 4 * max(deg)
+    off = 2 * span + 1
+    ring = _TABU_MIN + _TABU_SPREAD
+    steps = 0
+    aspirations = 0
     best_obj = None
 
     def finish(status, side=None, detail=None):
         details = {
-            "seed": params.seed, "t": t, "best_objective": best_obj, "accepted": accepted
+            "seed": params.seed, "t": t, "best_objective": best_obj, "aspirations": aspirations
         }
         details.update(detail or {})
         return _result(
-            g, t, start, status, side, proposals, details, "anneal", {"seed": params.seed}
+            g, t, start, status, side, steps, details, "anneal", {"seed": params.seed}
         )
 
     for restart in range(params.restarts):
@@ -632,12 +647,12 @@ def anneal_search(
             if len(side) != n:
                 raise ValueError("init partition does not match the graph")
         else:
-            side = [rng.randrange(2) for _ in range(n)]
+            side = [randrange(2) for _ in range(n)]
         ones = sum(side)
         if ones == 0:
-            side[rng.randrange(n)] = 1
+            side[randrange(n)] = 1
         elif ones == n:
-            side[rng.randrange(n)] = 0
+            side[randrange(n)] = 0
         counts = [n - sum(side), sum(side)]
         short = [
             deg[v] + 2 * t - 2 * sum(1 for u in adj[v] if side[u] == side[v])
@@ -646,7 +661,7 @@ def anneal_search(
         obj = sum(max(0, x) for x in short)
         best_obj = obj if best_obj is None else min(best_obj, obj)
         if obj == 0:
-            return finish(FOUND, side=side, detail={"restart": restart, "sweep": 0})
+            return finish(FOUND, side=side, detail={"restart": restart, "step": 0})
         lose = [lose_of[x] for x in short]
         gain = [gain_of[x] for x in short]
         delta = [
@@ -654,64 +669,103 @@ def anneal_search(
             + sum(lose[u] if side[u] == side[v] else gain[u] for u in adj[v])
             for v in range(n)
         ]
-        temp = params.start_temp
-        for sweep in range(params.sweeps):
-            # temp is fixed within a sweep, so exp depends on the delta alone
-            boltzmann = {}
-            for i in range(n):
-                # rng.randrange(n) without its argument checks: the same
-                # rejection loop over k-bit draws, so the stream is unchanged
-                v = getrandbits(k)
-                while v >= n:
-                    v = getrandbits(k)
-                s = side[v]
-                if counts[s] == 1:
-                    continue
-                dv = delta[v]
-                if dv > 0:
-                    p = boltzmann.get(dv)
-                    if p is None:
-                        # a temperature cooled to 0.0 rejects every uphill move
-                        p = boltzmann[dv] = math.exp(-dv / temp) if temp else 0.0
-                    if not uniform() < p:
-                        continue
-                accepted += 1
-                side[v] = s ^ 1
-                counts[s] -= 1
-                counts[s ^ 1] += 1
-                lose_v, gain_v = lose[v], gain[v]
-                xv = short[v] = t4 - short[v]
-                new_lose_v = lose[v] = lose_of[xv]
-                new_gain_v = gain[v] = gain_of[xv]
-                for u in adj[v]:
-                    # u's term for v switches between lose[v] and gain[v]
-                    xu = short[u]
-                    if side[u] == s:
-                        x = xu + 2
-                        change = new_gain_v - lose_v
-                    else:
-                        x = xu - 2
-                        change = new_lose_v - gain_v
-                    short[u] = x
-                    delta[u] += change + flip_of[x] - flip_of[xu]
-                    d_lose = lose_of[x] - lose[u]
-                    d_gain = gain_of[x] - gain[u]
-                    if d_lose or d_gain:
-                        lose[u] += d_lose
-                        gain[u] += d_gain
-                        su = side[u]
-                        for w in adj[u]:
-                            delta[w] += d_lose if side[w] == su else d_gain
-                # overwrites what the loop above added to delta[v]
-                delta[v] = -dv
-                obj += dv
+        # alone[s]: the vertex of class s while it is the only one, else None
+        alone = [side.index(s) if counts[s] == 1 else None for s in (0, 1)]
+        for v in alone:
+            if v is not None:
+                delta[v] += off
+        tabu_until = [0] * n
+        tabu = set()
+        expiring = [[] for _ in range(ring)]
+        restart_best = obj
+        for step in range(params.steps):
+            slot = expiring[step % ring]
+            for v in slot:
+                # a vertex flipped again while tabu has two entries; only one ends its tenure
+                if tabu_until[v] == step:
+                    tabu_until[v] = 0
+                    delta[v] -= off
+                    tabu.remove(v)
+            slot.clear()
+            # a tabu vertex aspires when obj + (delta[v] - off) < restart_best
+            bar = restart_best - obj + off
+            aspiring = [v for v in tabu if delta[v] < bar]
+            if aspiring:
+                key = delta[:]
+                for v in aspiring:
+                    key[v] -= off
+            else:
+                key = delta
+            dv = min(key)
+            if dv > span:
+                continue
+            v = key.index(dv)
+            ties = key.count(dv)
+            if ties > 1:
+                i = v
+                for j in range(2, ties + 1):
+                    i = key.index(dv, i + 1)
+                    # rng.randrange(j) without its argument checks: the same
+                    # rejection loop over k-bit draws, so the stream is unchanged
+                    k = j.bit_length()
+                    r = getrandbits(k)
+                    while r >= j:
+                        r = getrandbits(k)
+                    if not r:
+                        v = i
+            if tabu_until[v] > step:
+                aspirations += 1
+            s = side[v]
+            side[v] = s ^ 1
+            counts[s] -= 1
+            counts[s ^ 1] += 1
+            lose_v, gain_v = lose[v], gain[v]
+            xv = short[v] = t4 - short[v]
+            new_lose_v = lose[v] = lose_of[xv]
+            new_gain_v = gain[v] = gain_of[xv]
+            for u in adj[v]:
+                # u's term for v switches between lose[v] and gain[v]
+                xu = short[u]
+                if side[u] == s:
+                    x = xu + 2
+                    change = new_gain_v - lose_v
+                else:
+                    x = xu - 2
+                    change = new_lose_v - gain_v
+                short[u] = x
+                delta[u] += change + flip_of[x] - flip_of[xu]
+                d_lose = lose_of[x] - lose[u]
+                d_gain = gain_of[x] - gain[u]
+                if d_lose or d_gain:
+                    lose[u] += d_lose
+                    gain[u] += d_gain
+                    su = side[u]
+                    for w in adj[u]:
+                        delta[w] += d_lose if side[w] == su else d_gain
+            # v is now tabu; this overwrites what the loop above added to delta[v]
+            delta[v] = off - dv
+            # rng.randrange(_TABU_SPREAD), drawn as above
+            r = getrandbits(spread_bits)
+            while r >= _TABU_SPREAD:
+                r = getrandbits(spread_bits)
+            until = tabu_until[v] = step + 1 + _TABU_MIN + r
+            expiring[until % ring].append(v)
+            tabu.add(v)
+            if alone[s ^ 1] is not None:
+                delta[alone[s ^ 1]] -= off
+                alone[s ^ 1] = None
+            if counts[s] == 1:
+                u = alone[s] = side.index(s)
+                delta[u] += off
+            obj += dv
+            if obj < restart_best:
+                restart_best = obj
                 if obj < best_obj:
                     best_obj = obj
                 if obj == 0:
-                    proposals += i + 1
+                    steps += step + 1
                     return finish(
-                        FOUND, side=side, detail={"restart": restart, "sweep": sweep}
+                        FOUND, side=side, detail={"restart": restart, "step": step + 1}
                     )
-            proposals += n
-            temp *= params.cooling
+        steps += params.steps
     return finish(TIMEOUT)

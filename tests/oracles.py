@@ -1,6 +1,5 @@
 """Independent reference implementations the tests check the package against."""
 
-import math
 import random
 import sys
 import time
@@ -312,10 +311,10 @@ def random_partition(rng, n) -> np.ndarray:
 
 
 def reference_anneal(g: Graph, t: int, params=None, init=None) -> SearchResult:
-    """The annealer as a plain loop: every proposal rescans N(v) for its delta.
+    """The tabu search as a plain loop: every step rescans N(v) for every delta.
 
     ``planepart.search.anneal_search`` caches the deltas instead and must
-    agree with this on status, proposals, details and witness.
+    agree with this on status, steps, details and witness.
     """
     params = params or AnnealParams()
     if g.n < 2:
@@ -326,8 +325,8 @@ def reference_anneal(g: Graph, t: int, params=None, init=None) -> SearchResult:
     adj = [tuple(a) for a in g.adjacency_lists]
     deg = [len(a) for a in adj]
     target = [deg[v] + 2 * t for v in range(n)]
-    proposals = 0
-    accepted = 0
+    steps = 0
+    aspirations = 0
     best_obj = None
 
     def finish(status, side=None, detail=None):
@@ -337,16 +336,25 @@ def reference_anneal(g: Graph, t: int, params=None, init=None) -> SearchResult:
                 g, side, t, "anneal", {"seed": params.seed}
             )
         details = {
-            "seed": params.seed, "t": t, "best_objective": best_obj, "accepted": accepted
+            "seed": params.seed, "t": t, "best_objective": best_obj, "aspirations": aspirations
         }
         details.update(detail or {})
         return SearchResult(
             status=status,
             witness=witness,
-            nodes_explored=proposals,
+            nodes_explored=steps,
             wall_time=time.monotonic() - start,
             details=details,
         )
+
+    def flip_delta(side, own, v):
+        s = side[v]
+        delta = max(0, target[v] - 2 * (deg[v] - own[v])) - max(0, target[v] - 2 * own[v])
+        for u in adj[v]:
+            ou = own[u]
+            nu = ou - 1 if side[u] == s else ou + 1
+            delta += max(0, target[u] - 2 * nu) - max(0, target[u] - 2 * ou)
+        return delta
 
     for restart in range(params.restarts):
         if restart == 0 and init is not None:
@@ -365,43 +373,42 @@ def reference_anneal(g: Graph, t: int, params=None, init=None) -> SearchResult:
         obj = sum(max(0, target[v] - 2 * own[v]) for v in range(n))
         best_obj = obj if best_obj is None else min(best_obj, obj)
         if obj == 0:
-            return finish(FOUND, side=side, detail={"restart": restart, "sweep": 0})
-        temp = params.start_temp
-        for sweep in range(params.sweeps):
-            for _ in range(n):
-                proposals += 1
-                v = rng.randrange(n)
-                s = side[v]
-                if counts[s] == 1:
+            return finish(FOUND, side=side, detail={"restart": restart, "step": 0})
+        tabu_until = [0] * n
+        restart_best = obj
+        for step in range(params.steps):
+            eligible = []
+            for v in range(n):
+                if counts[side[v]] == 1:
                     continue
-                d = deg[v]
-                new_own_v = d - own[v]
-                pen_old = target[v] - 2 * own[v]
-                pen_new = target[v] - 2 * new_own_v
-                delta = max(0, pen_new) - max(0, pen_old)
-                for u in adj[v]:
-                    ou = own[u]
-                    nu = ou - 1 if side[u] == s else ou + 1
-                    tu = target[u]
-                    po = tu - 2 * ou
-                    pn = tu - 2 * nu
-                    delta += max(0, pn) - max(0, po)
-                if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                    accepted += 1
-                    for u in adj[v]:
-                        own[u] += -1 if side[u] == s else 1
-                    own[v] = new_own_v
-                    counts[s] -= 1
-                    counts[s ^ 1] += 1
-                    side[v] ^= 1
-                    obj += delta
-                    if obj < best_obj:
-                        best_obj = obj
-                    if obj == 0:
-                        return finish(
-                            FOUND, side=side, detail={"restart": restart, "sweep": sweep}
-                        )
-            temp *= params.cooling
+                d = flip_delta(side, own, v)
+                if tabu_until[v] <= step or obj + d < restart_best:
+                    eligible.append((v, d))
+            if not eligible:
+                continue
+            least = min(d for _, d in eligible)
+            ties = [v for v, d in eligible if d == least]
+            v = ties[0]
+            for j in range(2, len(ties) + 1):
+                if rng.randrange(j) == 0:
+                    v = ties[j - 1]
+            if tabu_until[v] > step:
+                aspirations += 1
+            s = side[v]
+            for u in adj[v]:
+                own[u] += -1 if side[u] == s else 1
+            own[v] = deg[v] - own[v]
+            side[v] = s ^ 1
+            counts[s] -= 1
+            counts[s ^ 1] += 1
+            tabu_until[v] = step + 1 + 10 + rng.randrange(10)
+            obj += least
+            best_obj = min(best_obj, obj)
+            restart_best = min(restart_best, obj)
+            if obj == 0:
+                steps += step + 1
+                return finish(FOUND, side=side, detail={"restart": restart, "step": step + 1})
+        steps += params.steps
     return finish(TIMEOUT)
 
 

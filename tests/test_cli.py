@@ -111,7 +111,7 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--q", "3", "--partition"),
-    ("search", "anneal", "--q", "3", "--restarts", "1", "--sweeps", "1", "--init"),
+    ("search", "anneal", "--q", "3", "--restarts", "1", "--steps", "1", "--init"),
 ])
 def test_missing_partition_file_is_usage_error(tmp_path, capsys, argv):
     missing = tmp_path / "nonexistent.json"
@@ -140,7 +140,7 @@ def test_verify_and_init_accept_a_search_result(tmp_path, capsys):
     code, out, _ = run(
         capsys,
         "search", "anneal", "--q", "3", "--t", "0",
-        "--restarts", "1", "--sweeps", "1", "--init", str(path),
+        "--restarts", "1", "--steps", "1", "--init", str(path),
     )
     assert code == 0
     assert "status: found" in out
@@ -161,7 +161,7 @@ def test_non_partition_documents_are_usage_errors(tmp_path, capsys, doc):
         path.write_text(json.dumps(doc))
     for argv in (
         ["verify", "--q", "3", "--partition", str(path)],
-        ["search", "anneal", "--q", "3", "--sweeps", "1", "--init", str(path)],
+        ["search", "anneal", "--q", "3", "--steps", "1", "--init", str(path)],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -272,12 +272,13 @@ def test_search_max_intimacy_q3(tmp_path, capsys):
 def test_search_anneal_deterministic(tmp_path, capsys):
     argv = [
         "search", "anneal", "--q", "4", "--t", "0",
-        "--seed", "2", "--restarts", "3", "--sweeps", "300",
+        "--seed", "2", "--restarts", "3", "--steps", "300",
     ]
     code, out1, _ = run(capsys, *argv, "--out", str(tmp_path / "a.json"))
     assert code == 0
     assert "status: found" in out1
-    assert "accepted flips: " in out1
+    assert "steps: " in out1
+    assert "aspirations: " in out1
     code, out2, _ = run(capsys, *argv, "--out", str(tmp_path / "b.json"))
     assert code == 0
     d1 = json.loads((tmp_path / "a.json").read_text())
@@ -285,7 +286,7 @@ def test_search_anneal_deterministic(tmp_path, capsys):
     d1.pop("wall_time")
     d2.pop("wall_time")
     assert d1 == d2
-    assert d1["params"]["seed"] == 2
+    assert d1["params"] == {"seed": 2, "restarts": 3, "steps": 300}
 
 
 def test_search_anneal_seeded_init(tmp_path, capsys):
@@ -294,7 +295,7 @@ def test_search_anneal_seeded_init(tmp_path, capsys):
     code, out, _ = run(
         capsys,
         "search", "anneal", "--q", "9", "--t", "1",
-        "--restarts", "1", "--sweeps", "5", "--init", str(baer_path),
+        "--restarts", "1", "--steps", "5", "--init", str(baer_path),
     )
     assert code == 0
     assert "status: found" in out
@@ -341,9 +342,9 @@ def _search_docs():
     found = exhaustive_exists(g, 0)
     assert found.witness is not None
     best, scan = exhaustive_max_intimacy(g, t_hi=1)
-    annealed = anneal_search(get_graph(4), 0, AnnealParams(seed=2, restarts=3, sweeps=300))
+    annealed = anneal_search(get_graph(4), 0, AnnealParams(seed=2, restarts=3, steps=300))
     assert annealed.witness is not None
-    timed_out = anneal_search(g, 1, AnnealParams(restarts=1, sweeps=3))
+    timed_out = anneal_search(g, 1, AnnealParams(restarts=1, steps=3))
     docs = [
         found.to_json(g.labels),
         exhaustive_exists(g, 1).to_json(g.labels),
@@ -427,15 +428,8 @@ def test_reproduce_manifest_is_written_as_json_dump(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--restarts", "0"),
     ("--restarts", "-1"),
-    ("--sweeps", "0"),
-    ("--start-temp", "0"),
-    ("--start-temp", "-1"),
-    ("--start-temp", "inf"),
-    ("--start-temp", "nan"),
-    ("--cooling", "0"),
-    ("--cooling", "-1"),
-    ("--cooling", "1.5"),
-    ("--cooling", "nan"),
+    ("--steps", "0"),
+    ("--steps", "-1"),
 ])
 def test_search_anneal_rejects_meaningless_parameters(capsys, flag, value):
     code, out, err = run(capsys, "search", "anneal", "--q", "3", flag, value)
@@ -444,21 +438,28 @@ def test_search_anneal_rejects_meaningless_parameters(capsys, flag, value):
     assert "status:" not in out
 
 
-def test_search_anneal_accepts_cooling_one(capsys):
+def test_search_anneal_accepts_one_step(capsys):
     code, out, _ = run(
-        capsys, "search", "anneal", "--q", "2", "--t", "1",
-        "--restarts", "1", "--sweeps", "3", "--cooling", "1",
+        capsys, "search", "anneal", "--q", "2", "--t", "1", "--restarts", "1", "--steps", "1",
     )
     assert code == 0
     assert "status: timeout" in out
+    assert "steps: 1\n" in out
 
 
-def test_search_anneal_cooled_to_zero_temperature(capsys):
-    # 2.5 * 0.5**k is 0.0 from k = 1076 on; PG(2,2) has no 1-internal partition
+def test_search_anneal_times_out_after_its_budget(capsys):
+    # PG(2,2) has no 1-internal partition: a timeout exits 0 after every step
     code, out, _ = run(
         capsys, "search", "anneal", "--q", "2", "--t", "1",
-        "--restarts", "1", "--sweeps", "1200", "--cooling", "0.5",
+        "--restarts", "2", "--steps", "1200",
     )
     assert code == 0
     assert "status: timeout" in out
-    assert f"flip proposals: {1200 * 14}" in out
+    assert f"steps: {2 * 1200}\n" in out
+
+
+@pytest.mark.parametrize("flag", ["--sweeps", "--start-temp", "--cooling"])
+def test_search_anneal_has_no_temperature_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "anneal", "--q", "3", flag, "1"])
+    assert exc.value.code == 2

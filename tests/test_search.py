@@ -197,6 +197,18 @@ def test_max_intimacy_scan_starts_one_pool(monkeypatch):
     assert sizes == [2]
 
 
+def test_pooled_scan_is_reproducible():
+    # pool results are read in frontier order, so the first job to find a
+    # witness is the same on every run, and it holds the serial witness
+    g = untagged(get_graph(4))
+    solo_t, solo = exhaustive_max_intimacy(g)
+    runs = [exhaustive_max_intimacy(g, workers=2) for _ in range(5)]
+    assert len({res.nodes_explored for _, res in runs}) == 1
+    for t, res in runs:
+        assert (t, res.status) == (solo_t, "found")
+        assert res.witness.side.tolist() == solo.witness.side.tolist()
+
+
 def test_max_seconds_is_one_budget_across_workers():
     # four jobs on two workers: a full budget per job would run for about 2 s
     res = exhaustive_exists(get_graph(7), 1, workers=2, max_seconds=1.0)
@@ -423,15 +435,16 @@ def test_anneal_from_baer_seed():
     q = 9
     g = get_graph(q)
     init = pp.construct_baer_partition(get_plane(q))
-    res = anneal_search(g, 1, AnnealParams(seed=0, restarts=1, sweeps=5), init=init)
+    res = anneal_search(g, 1, AnnealParams(seed=0, restarts=1, steps=5), init=init)
     assert res.status == "found"
-    assert res.details["sweep"] == 0
+    assert res.details["step"] == 0
+    assert res.nodes_explored == 0
     assert margins(g, res.witness).partition_intimacy >= 1
 
 
 def test_anneal_cold_start_pg2_4():
     g = get_graph(4)
-    res = anneal_search(g, 0, AnnealParams(seed=2, restarts=3, sweeps=300))
+    res = anneal_search(g, 0, AnnealParams(seed=2, restarts=3, steps=300))
     assert res.status == "found"
     assert margins(g, res.witness).partition_intimacy >= 0
 
@@ -440,15 +453,36 @@ def test_anneal_never_fakes_a_witness():
     # no 1-internal partition of this graph exists; anneal may only time out
     g = get_graph(3)
     for seed in range(5):
-        res = anneal_search(g, 1, AnnealParams(seed=seed, restarts=2, sweeps=60))
+        res = anneal_search(g, 1, AnnealParams(seed=seed, restarts=2, steps=60))
         assert res.status == "timeout"
         assert res.witness is None
         assert res.details["best_objective"] > 0
 
 
+def test_anneal_default_params_time_out_on_pg2_5():
+    # PG(2,5) has no 1-internal partition: every default run spends its whole budget
+    g = get_graph(5)
+    for seed in range(5):
+        res = anneal_search(g, 1, AnnealParams(seed=seed))
+        assert res.status == "timeout"
+        assert res.witness is None
+        assert res.details["best_objective"] > 0
+        assert res.nodes_explored == 10 * 3000
+
+
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_anneal_default_params_find_pg2_7(seed):
+    # seed 0 is test_anneal_default_budget_pg2_7
+    g = get_graph(7)
+    res = anneal_search(g, 1, AnnealParams(seed=seed))
+    assert res.status == "found"
+    assert res.details["best_objective"] == 0
+    assert margins(g, res.witness).partition_intimacy >= 1
+
+
 def test_anneal_deterministic():
     g = get_graph(4)
-    p = AnnealParams(seed=7, restarts=2, sweeps=120)
+    p = AnnealParams(seed=7, restarts=2, steps=120)
     r1 = anneal_search(g, 0, p)
     r2 = anneal_search(g, 0, p)
     assert r1.status == r2.status
@@ -460,8 +494,8 @@ def test_anneal_deterministic():
 
 def test_anneal_seed_changes_trajectory():
     g = get_graph(4)
-    r1 = anneal_search(g, 0, AnnealParams(seed=1, restarts=1, sweeps=50))
-    r2 = anneal_search(g, 0, AnnealParams(seed=2, restarts=1, sweeps=50))
+    r1 = anneal_search(g, 0, AnnealParams(seed=1, restarts=1, steps=50))
+    r2 = anneal_search(g, 0, AnnealParams(seed=2, restarts=1, steps=50))
     different = (
         r1.nodes_explored != r2.nodes_explored
         or r1.details != r2.details
@@ -478,7 +512,7 @@ def test_anneal_rejects_mismatched_init():
     g = get_graph(2)
     init = pp.construct_baer_partition(get_plane(4))
     with pytest.raises(ValueError):
-        anneal_search(g, 0, AnnealParams(restarts=1, sweeps=1), init=init)
+        anneal_search(g, 0, AnnealParams(restarts=1, steps=1), init=init)
 
 
 def test_witness_provenance_labels():
@@ -486,7 +520,7 @@ def test_witness_provenance_labels():
     res = exhaustive_exists(g, 0)
     assert res.witness.provenance["construction"] == "exhaustive"
     assert res.witness.provenance["parameters"]["t"] == 0
-    res2 = anneal_search(g, 0, AnnealParams(seed=3, restarts=2, sweeps=200))
+    res2 = anneal_search(g, 0, AnnealParams(seed=3, restarts=2, steps=200))
     if res2.witness is not None:
         assert res2.witness.provenance["construction"] == "anneal"
         assert res2.witness.provenance["parameters"]["seed"] == 3
@@ -507,7 +541,7 @@ def _assert_same_run(res, ref):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_anneal_matches_reference(q, t, seed):
     g = get_graph(q)
-    params = AnnealParams(seed=seed, restarts=2, sweeps=150)
+    params = AnnealParams(seed=seed, restarts=2, steps=150)
     _assert_same_run(anneal_search(g, t, params), reference_anneal(g, t, params))
 
 
@@ -515,7 +549,7 @@ def test_anneal_matches_reference(q, t, seed):
 def test_anneal_matches_reference_baer_seeded(t):
     g = get_graph(9)
     init = pp.construct_baer_partition(get_plane(9))
-    params = AnnealParams(seed=0, restarts=2, sweeps=20)
+    params = AnnealParams(seed=0, restarts=2, steps=20)
     _assert_same_run(
         anneal_search(g, t, params, init=init),
         reference_anneal(g, t, params, init=init),
@@ -523,24 +557,33 @@ def test_anneal_matches_reference_baer_seeded(t):
 
 
 @pytest.mark.parametrize("seed", [0, 4])
-def test_anneal_zero_temperature_is_the_cold_limit(seed):
-    # 5e-324 * 0.5 rounds to 0.0, so `cold` runs at temperature zero from its
-    # second sweep on; `tiny` stays at 5e-324, where exp(-dv / temp) is
-    # already 0.0, and the reference loop can run it without dividing by 0
+def test_anneal_aspiration_matches_reference(seed):
+    # PG(2,3) has no 1-internal partition, so the whole budget runs and tabu
+    # vertices get flipped for beating the restart's best objective
     g = get_graph(3)
-    cold = AnnealParams(seed=seed, restarts=2, sweeps=40, start_temp=5e-324, cooling=0.5)
-    tiny = AnnealParams(seed=seed, restarts=2, sweeps=40, start_temp=5e-324, cooling=1.0)
-    res = anneal_search(g, 1, cold)
+    params = AnnealParams(seed=seed, restarts=2, steps=200)
+    res = anneal_search(g, 1, params)
     assert res.status == "timeout"
-    assert res.details["accepted"] > 0
-    _assert_same_run(res, reference_anneal(g, 1, tiny))
+    assert res.details["aspirations"] > 0
+    _assert_same_run(res, reference_anneal(g, 1, params))
+
+
+def test_anneal_steps_without_an_eligible_vertex():
+    # each class of a two-vertex graph holds one vertex, so no flip is allowed
+    g = Graph.from_edges(2, [(0, 1)])
+    params = AnnealParams(restarts=3, steps=7)
+    res = anneal_search(g, 1, params)
+    assert res.status == "timeout"
+    assert res.nodes_explored == 21
+    assert res.details["best_objective"] == 6
+    _assert_same_run(res, reference_anneal(g, 1, params))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 + 3])
 def test_inline_index_draw_is_randrange(seed):
-    # anneal_search draws its proposal vertex with this loop in place of
-    # rng.randrange(n); the trajectories, and reference_anneal as their
-    # oracle, depend on both giving the same value and the same state after
+    # anneal_search draws its tie breaks and tabu tenures with this loop in
+    # place of rng.randrange(n); the trajectories, and reference_anneal as
+    # their oracle, depend on both giving the same value and the same state after
     ns = list(range(2, 301)) + [512, 1024, 4096]
     ours, theirs = random.Random(seed), random.Random(seed)
     for _ in range(3):
@@ -555,11 +598,13 @@ def test_inline_index_draw_is_randrange(seed):
 
 
 def test_anneal_default_budget_pg2_7():
-    # criterion-9's run: these counts were recorded with the rescanning loop
-    res = anneal_search(get_graph(7), 1, AnnealParams(seed=0))
-    assert res.status == "timeout"
-    assert res.details["best_objective"] == 4
-    assert res.nodes_explored == 1_368_000
+    # criterion-9's run: this count was recorded with the rescanning loop
+    g = get_graph(7)
+    res = anneal_search(g, 1, AnnealParams(seed=0))
+    assert res.status == "found"
+    assert margins(g, res.witness).partition_intimacy >= 1
+    assert res.nodes_explored == 368
+    assert res.details["restart"] == 0 and res.details["step"] == 368
 
 
 @st.composite
@@ -579,9 +624,8 @@ def test_anneal_gain_cache_matches_reference(data):
     params = AnnealParams(
         seed=data.draw(st.integers(0, 10**6)),
         restarts=data.draw(st.integers(1, 3)),
-        sweeps=data.draw(st.integers(1, 30)),
-        start_temp=data.draw(st.sampled_from([0.3, 1.0, 2.5])),
-        cooling=data.draw(st.sampled_from([0.9, 0.995])),
+        # past 10 steps the first tenures start to end
+        steps=data.draw(st.integers(1, 60)),
     )
     init = None
     kind = data.draw(st.sampled_from(["cold", "single", "given"]))
