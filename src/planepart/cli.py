@@ -258,7 +258,7 @@ def cmd_spectrum(args) -> int:
     pl = plane_of_order(args.q)
     rep = singular_spectrum(pl)
     groups = ", ".join(f"{v:.9f} (x{m})" for v, m in rep.singular_values)
-    print(f"singular values of M for q = {pl.q}: {groups}")
+    print(f"singular values of M for q = {pl.q}: {groups or 'none, the Gram identity fails'}")
     print(f"max |MM^T - qI - J| = {rep.max_residual}")
     if args.json:
         _write_json(args.json, rep.to_json())

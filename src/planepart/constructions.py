@@ -24,7 +24,10 @@ class Partition:
     provenance: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        self.side = np.asarray(self.side, dtype=np.uint8)
+        side = np.asarray(self.side)
+        if side.ndim != 1 or not ((side == 0) | (side == 1)).all():
+            raise ValueError("partition side must be a 1-D array of 0 (A) and 1 (B)")
+        self.side = side.astype(np.uint8)
         counts = np.bincount(self.side, minlength=2)
         if counts[0] == 0 or counts[1] == 0:
             raise ValueError("partition classes must both be nonempty")

@@ -82,7 +82,9 @@ class Plane:
     The one stored incidence is ``pencils``: row j lists, ascending, the
     q+1 points on line j.  Point and line triples coincide and the pairing
     is symmetric, so the same rows also list the lines through each point;
-    ``points_on`` and ``lines_through`` are that one array.
+    ``points_on`` and ``lines_through`` are that one array.  No dense
+    point-by-line matrix is kept: counts, the incidence graph and the
+    spectrum's Gram check all read the pencils.
     """
 
     def __init__(self, field: Field):
@@ -104,13 +106,6 @@ class Plane:
     def coords(self) -> np.ndarray:
         """The triples as an ``(n, 3)`` array."""
         return np.array(self.triples, dtype=np.int32)
-
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """Dense boolean point-by-line matrix, built from the pencils on first use."""
-        inc = np.zeros((self.n, self.n), dtype=bool)
-        inc[self.points_on, np.arange(self.n)[:, None]] = True
-        return inc
 
     def index(self, triples) -> np.ndarray:
         """Indices of nonzero coordinate triples, shape ``(..., 3)``.

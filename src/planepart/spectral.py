@@ -2,9 +2,10 @@
 
 For PG(2,q) the point-line incidence matrix M satisfies
 ``M M^T = q I + J`` exactly, so the singular values are q+1 once and
-sqrt(q) with multiplicity q^2+q.  The expander mixing bound with
-lambda_2 = sqrt(q) caps the intimacy of any partition at the largest
-integer strictly below sqrt(q)/2.
+sqrt(q) with multiplicity q^2+q.  ``singular_spectrum`` checks that
+identity over the integers from the pencils; no dense matrix is built.
+The expander mixing bound with lambda_2 = sqrt(q) caps the intimacy of
+any partition at the largest integer strictly below sqrt(q)/2.
 """
 
 from __future__ import annotations
@@ -17,19 +18,11 @@ import numpy as np
 from .fields import factor_prime_power
 from .plane import Plane
 
-MAX_SPECTRUM_ORDER = 16
-GROUP_TOL = 1e-9
-
-
-def incidence_matrix(pl: Plane) -> np.ndarray:
-    """Dense 0/1 point-by-line matrix."""
-    return pl.incidence.astype(np.int64)
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
     singular_values: list[tuple[float, int]]  # (value, multiplicity), descending
-    lambda2: float
+    lambda2: float | None  # None when the Gram identity fails
     max_residual: int  # max abs entry of M M^T - qI - J, exact integer
 
     def to_json(self) -> dict:
@@ -41,31 +34,26 @@ class SpectralReport:
 
 
 def singular_spectrum(pl: Plane) -> SpectralReport:
-    """Grouped singular values of M plus the exact Gram residual.
+    """Singular values of M from the exact Gram residual max |M M^T - qI - J|.
 
-    Dense computation; restricted to q <= 16.
+    Row P of M M^T is ``pl.hits(pl.lines_through[P])``, read with one
+    bincount per block of points; points and lines share the pencils, so
+    the rows are those of M^T M too.  A zero residual gives q+1 once and
+    sqrt(q) q^2+q times; otherwise the report holds no values.
     """
-    if pl.q > MAX_SPECTRUM_ORDER:
-        raise ValueError(
-            f"spectrum computation restricted to q <= {MAX_SPECTRUM_ORDER}, got q={pl.q}"
-        )
-    m = incidence_matrix(pl)
-    gram = m @ m.T
-    expect = pl.q * np.eye(pl.n, dtype=np.int64) + np.ones((pl.n, pl.n), np.int64)
-    max_residual = int(np.abs(gram - expect).max())
-    sv = np.linalg.svd(m.astype(np.float64), compute_uv=False)
-    groups: list[list] = []
-    for v in sv:
-        if groups and groups[-1][0] - v <= GROUP_TOL:
-            groups[-1][1] += 1
-        else:
-            groups.append([float(v), 1])
-    lambda2 = groups[1][0] if len(groups) > 1 else 0.0
-    return SpectralReport(
-        singular_values=[(v, c) for v, c in groups],
-        lambda2=lambda2,
-        max_residual=max_residual,
-    )
+    n, q, block = pl.n, pl.q, 256
+    residual = 0
+    for lo in range(0, n, block):
+        rows = np.arange(lo, min(lo + block, n))
+        on = pl.points_on[pl.lines_through[rows]].reshape(rows.size, -1)
+        on += (np.arange(rows.size) * n)[:, None]
+        gram = np.bincount(on.ravel(), minlength=rows.size * n).reshape(rows.size, n)
+        gram[np.arange(rows.size), rows] -= q
+        residual = max(residual, int(np.abs(gram - 1).max()))
+    if residual:
+        return SpectralReport(singular_values=[], lambda2=None, max_residual=residual)
+    values = [(float(q + 1), 1), (math.sqrt(q), q * q + q)]
+    return SpectralReport(singular_values=values, lambda2=math.sqrt(q), max_residual=0)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,24 @@ def dense_incidence(pl) -> np.ndarray:
     return inc
 
 
+def reference_spectrum(pl) -> list[tuple[float, int]]:
+    """Singular values of the dense incidence matrix by a float SVD.
+
+    Values within 1e-9 of the previous one join its group; descending
+    (value, multiplicity) pairs.  Dense, so restricted to q <= 16.
+    """
+    if pl.q > 16:
+        raise ValueError(f"reference spectrum restricted to q <= 16, got q={pl.q}")
+    sv = np.linalg.svd(dense_incidence(pl).astype(np.float64), compute_uv=False)
+    groups: list[list] = []
+    for v in sv:
+        if groups and groups[-1][0] - v <= 1e-9:
+            groups[-1][1] += 1
+        else:
+            groups.append([float(v), 1])
+    return [(v, c) for v, c in groups]
+
+
 def reference_perm_from_action(pl, mat) -> np.ndarray:
     """Permutation of triple indices under a 3x3 matrix, one triple at a time."""
     f = ReferenceField(pl.field.p, pl.field.h)

@@ -191,7 +191,7 @@ def test_conic_no_three_collinear(q):
     od = classify_conic(pl)
     mask = np.zeros(pl.n, dtype=np.int64)
     mask[od.oval] = 1
-    per_line = pl.incidence.astype(np.int64).T @ mask
+    per_line = dense_incidence(pl).astype(np.int64).T @ mask
     assert per_line.max() == 2
 
 
@@ -365,6 +365,19 @@ def test_partition_rejects_empty_class():
         Partition(np.zeros(2 * pl.n, dtype=np.uint8), {})
 
 
+@pytest.mark.parametrize("side", [
+    [0, 1, 2, 1],  # vertex 2 would be in neither class
+    [0, 1, 257],  # would overflow the uint8 cast
+    np.array([0, 1, -1], dtype=np.int8),  # would wrap to 255
+    [0.0, 1.0, 0.5],
+    [[0, 1], [1, 0]],
+    1,
+])
+def test_partition_rejects_malformed_side(side):
+    with pytest.raises(ValueError, match="1-D array of 0"):
+        Partition(side)
+
+
 def test_all_partitions_respect_spectral_bound():
     # constructions and the spectral cap cross-check each other
     for q in (4, 9, 16, 25):
@@ -411,4 +424,4 @@ def test_hot_paths_never_build_the_dense_matrix(q):
         assert edges_between(pl, pts, lns) == inc[np.ix_(pts, lns - pl.n)].sum()
     g.to_dimacs(io.StringIO())
     pl.to_json()
-    assert "incidence" not in pl.__dict__
+    assert not hasattr(pl, "incidence")

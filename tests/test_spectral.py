@@ -1,22 +1,22 @@
 """Incidence spectrum, Gram identity, mixing window, intimacy cap."""
 
+import copy
 import math
 import random
 
-import numpy as np
 import pytest
 
 import planepart as pp
+from planepart import cli, reproduce
 from planepart.spectral import (
     check_mixing,
     edges_between,
-    incidence_matrix,
     intimacy_upper_bound,
     mixing_bound,
     singular_spectrum,
 )
 
-from oracles import get_plane
+from oracles import get_plane, reference_spectrum
 
 ALL_SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -49,30 +49,51 @@ def test_singular_values_small(q, top, second, mult):
 def test_spectrum_shape_general(q):
     n = q * q + q + 1
     rep = singular_spectrum(get_plane(q))
-    (v1, m1), (v2, m2) = rep.singular_values
-    assert (m1, m2) == (1, n - 1)
-    assert abs(v1 - (q + 1)) < 1e-9
-    assert abs(v2 - math.sqrt(q)) < 1e-9
+    assert rep.singular_values == [(q + 1.0, 1), (math.sqrt(q), n - 1)]
+    assert rep.lambda2 == math.sqrt(q)
+    # the float SVD of the dense matrix built from the line equations agrees
+    ref = reference_spectrum(get_plane(q))
+    assert [m for _, m in ref] == [1, n - 1]
+    for (v, _), (r, _) in zip(rep.singular_values, ref):
+        assert abs(v - r) < 1e-9
 
 
-def test_spectrum_rejects_large_order():
-    with pytest.raises(ValueError):
-        singular_spectrum(get_plane(17))
+def test_spectrum_exact_up_to_the_field_cap(capsys):
+    for q in (17, 64):
+        rep = singular_spectrum(get_plane(q))
+        assert rep.max_residual == 0
+        assert rep.singular_values == [(q + 1.0, 1), (math.sqrt(q), q * q + q)]
+    assert cli.main(["spectrum", "--q", "128"]) == 2
+    assert "exceeds the supported maximum 64" in capsys.readouterr().err
 
 
 def test_spectrum_json_round_numbers():
     doc = singular_spectrum(get_plane(2)).to_json()
-    assert doc["max_residual"] == 0
-    top, mult = doc["singular_values"][0]
-    assert mult == 1 and abs(top - 3.0) < 1e-9
-    assert abs(doc["lambda2"] - math.sqrt(2)) < 1e-9
+    assert doc == {
+        "singular_values": [[3.0, 1], [math.sqrt(2), 6]],
+        "lambda2": math.sqrt(2),
+        "max_residual": 0,
+    }
 
 
-def test_incidence_matrix_row_sums():
-    m = incidence_matrix(get_plane(4))
-    assert m.shape == (21, 21)
-    assert (m.sum(axis=0) == 5).all()
-    assert (m.sum(axis=1) == 5).all()
+def test_corrupt_pencil_has_no_spectrum(monkeypatch, capsys, tmp_path):
+    # one pencil entry moved to a point off the line breaks M M^T = qI + J
+    pl = get_plane(3)
+    bad = copy.copy(pl)
+    pencils = pl.pencils.copy()
+    pencils[0, 0] = next(p for p in range(pl.n) if p not in pl.pencils[0])
+    bad.pencils = bad.points_on = bad.lines_through = pencils
+    rep = singular_spectrum(bad)
+    assert rep.max_residual > 0
+    assert rep.singular_values == []
+    assert rep.lambda2 is None
+    monkeypatch.setattr(cli, "plane_of_order", lambda q: bad)
+    assert cli.main(["spectrum", "--q", "3"]) == 1
+    assert f"max |MM^T - qI - J| = {rep.max_residual}" in capsys.readouterr().out
+    # the acceptance check reports the failure instead of raising
+    monkeypatch.setattr(reproduce, "_plane", lambda q: bad if q == 3 else get_plane(q))
+    failures, _, _ = reproduce._spectrum(str(tmp_path), [3], 1)
+    assert f"q=3: Gram residual {rep.max_residual}" in failures
 
 
 def test_mixing_bound_degenerate_cases():
