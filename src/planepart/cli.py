@@ -284,6 +284,7 @@ def _print_solver_counts(res) -> None:
     print(f"conflicts: {res.details['conflicts']}")
     print(f"max depth: {res.details['max_depth']}")
     print(f"presets: {res.details['presets']}")
+    print(f"propagations: {res.details['propagations']}")
     print(f"wall time: {res.wall_time:.2f} s")
 
 

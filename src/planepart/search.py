@@ -4,24 +4,26 @@ The exhaustive solver is a sound and complete branch and bound over A/B
 assignments with unit propagation on one threshold per vertex: with
 ``cap[v] = d(v) - ceil((d(v) + 2t)/2)``, a vertex on side X is feasible
 exactly while at most ``cap[v]`` of its neighbours are on the other side.
-Each vertex keeps one counter of assigned neighbours per side.  When w is
-put on side X, only its neighbours not on X are checked, each by one
-comparison of its X counter with its cap: above the cap is a conflict for
-a vertex on the other side and forces an unassigned vertex onto X; at the
-cap, the other-side vertex forces all its unassigned neighbours onto its
-own side.  Propagation runs to a fixpoint, which does not depend on the
-order of the forced assignments.  The search is a loop over an explicit
-stack of (vertex, next side, trail mark) frames, so its depth is not
-bounded by the interpreter's recursion limit; undoing to a trail mark
-restores sides and counters.  The branching vertex minimises
-``(cap - max(a, b), 2 cap - a - b, v)`` over the unassigned vertices, a
-and b its neighbours on A and on B.  Every search starts from presets
-that cut symmetry from the tree.  On any graph vertex 0 is pinned to A,
-which quotients out the swap of A and B.  On the incidence graph of
-PG(2,q), at a t where every vertex needs at least two neighbours on its
-own side, a flag triangle is put on A as well: point 0, two lines L0 and
-L1 through it, and a second point on each line (see ``_presets`` for why
-no partition is lost).  ``found`` / ``exhausted_none`` answers are
+Each side's neighbour counters are one int with a field per vertex, biased
+so that the field's top bit says "above the cap" (see ``_Solver``), and
+putting w on a side adds w's packed neighbour row to that side's counters.
+Propagation runs in waves over the side masks: a free vertex above its cap
+on X goes on X, a vertex at its cap on the other side sends its free
+neighbours to its own side, and a vertex above its cap on the other side
+is a conflict.  Each forcing follows from the assignment and stays true as
+it grows, so neither the fixpoint nor whether a conflict lies on the way
+to it depends on the order of the forced assignments.  The search is a
+loop over an explicit stack whose every level keeps its own state, O(n)
+bytes, so backtracking drops a level and the depth is not bounded by the
+interpreter's recursion limit.  The branching vertex minimises
+``(cap - max(a, b), 2 cap - a - b, v)`` over the free vertices, a and b
+its neighbours on A and on B.  Every search starts from presets that cut
+symmetry from the tree.  On any graph vertex 0 is pinned to A, which
+quotients out the swap of A and B.  On the incidence graph of PG(2,q), at
+a t where every vertex needs at least two neighbours on its own side, a
+flag triangle is put on A as well: point 0, two lines L0 and L1 through
+it, and a second point on each line (see ``_presets`` for why no
+partition is lost).  ``found`` / ``exhausted_none`` answers are
 deterministic for any worker count.  So are the witness and the node count
 of a search without a ``max_seconds`` deadline: the pool's jobs are read in
 frontier order, and the first that finds a witness ends the search.
@@ -72,156 +74,173 @@ class SearchResult:
 
 
 class _Solver:
-    """Sides, per-side neighbour counters and the trail of one branch and bound."""
+    """The packed state of one branch and bound, and its search.
 
-    def __init__(self, adj, t, max_nodes=None, deadline=None):
+    A state is ``(ca, cb, ma, mb)``.  Field v of ``ca``, bits ``W*v`` to
+    ``W*v + W - 1``, holds ``H - 1 - cap[v] + a``, H = 2**(W-1) and a the
+    neighbours of v on A, so its top bit is set exactly above the cap and it
+    is ``H - 1`` exactly at it; ``cb`` counts B alike.  ``ma`` and ``mb``
+    hold the vertices on A and on B at their fields' top bits.  The graph
+    must be simple: a repeated neighbour would carry out of a field.
+    """
+
+    def __init__(self, adj, t):
         self.adj = adj
-        self.n = n = len(adj)
         deg = [len(a) for a in adj]
         # the most neighbours a vertex may have on the other side: d - ceil((d + 2t)/2)
-        self.cap = cap = [d - max(0, (d + 2 * t + 1) // 2) for d in deg]
-        # _select's key (cap - max(a, b), 2 cap - a - b, v) as one integer:
-        # base - scale * max(a, b) - (a + b), with scale wider than the range
-        # of the second component, and ties left to the scan order of v
-        spread = max(cap, default=0) - min(cap, default=0)
-        self.scale = scale = 2 * spread + max(deg, default=0) + 1
-        self.base = [(scale + 2) * c for c in cap]
-        self.side = [-1] * n
-        self.cnt = ([0] * n, [0] * n)  # assigned neighbours on A, on B
-        self.trail: list[int] = []
-        self.nodes = 0
-        self.conflicts = 0
-        self.max_depth = 0
-        self.max_nodes = max_nodes
-        self.deadline = deadline
+        cap = [d - max(0, (d + 2 * t + 1) // 2) for d in deg]
+        # a vertex with cap < 0 is above its cap with no neighbour assigned,
+        # so it can take no side; _select takes the least (cap, v) of them first
+        self.neg_first = min(((c, v) for v, c in enumerate(cap) if c < 0), default=(0, None))[1]
+        # H >= need: a field below 2H - 1 does not carry out on adding one, and
+        # a key cap - count of _select stays below the H - 1 of assigned fields
+        need = max([c + 2 for c in cap] + [d - c + 1 for d, c in zip(deg, cap)], default=0)
+        self.step = step = ((need - 1).bit_length() + 8) // 8
+        self.width = width = 8 * step
+        self.top = top = width - 1
+        self.nbytes = len(adj) * step
+        self.ones = int.from_bytes((1).to_bytes(step, "little") * len(adj), "little")
+        self.hi = self.ones << top
+        self.low = self.hi - self.ones
+        bias = b"".join(((1 << top) - 1 - c).to_bytes(step, "little") for c in cap)
+        self.state = (int.from_bytes(bias, "little"),) * 2 + (0, 0)
+        self.rows = [None] * len(adj)
+        self.forced = 0
         self.witness: list[int] | None = None
 
-    def _assign(self, v, s) -> bool:
-        """Put v on side s and propagate to a fixpoint; False on a conflict.
+    def _row(self, v):
+        """v's row, 1 in the field of each neighbour; shifted by W - 1, its neighbour mask."""
+        row = self.rows[v] = sum(1 << (u * self.width) for u in self.adj[v])
+        return row
 
-        On False the state is part-way: the caller undoes to its trail mark.
+    def _fields(self, x):
+        """The fields of x in vertex order."""
+        b, k = x.to_bytes(self.nbytes, "little"), self.step
+        if k == 1:
+            return b
+        return [int.from_bytes(b[i : i + k], "little") for i in range(0, len(b), k)]
+
+    def _assign(self, state, v, s):
+        """The state after free v goes on side s, at the fixpoint; None on a conflict.
+
+        A wave puts its vertices on their sides and adds their rows.  The next
+        wave takes each free vertex that it took above its cap on X to X, and
+        the free neighbours of each vertex on Y that it brought to its cap on
+        X, or that joined Y at it, to Y.  Only the vertices a wave touches are
+        judged, so a free vertex with cap < 0 and no neighbour assigned is
+        not forced.  A success adds the vertices it forced to ``self.forced``.
         """
-        adj = self.adj
-        cap = self.cap
-        side = self.side
-        cnt = self.cnt
-        trail = self.trail
-        waiting = ([], [])  # vertices forced onto A, onto B
-        waiting[s].append(v)
-        to_a, to_b = waiting
-        while to_a or to_b:
-            if to_a:
-                w, sw = to_a.pop(), 0
-            else:
-                w, sw = to_b.pop(), 1
-            cur = side[w]
-            if cur == sw:
-                continue
-            other_w = cnt[sw ^ 1][w]
-            cap_w = cap[w]
-            if cur != -1 or other_w > cap_w:
-                return False
-            side[w] = sw
-            trail.append(w)
-            nbrs = adj[w]
-            mine = cnt[sw]
-            ours = waiting[sw]
-            if other_w == cap_w:
-                ours.extend([u for u in nbrs if side[u] == -1])
-            # only a neighbour not on w's side can reach its threshold here;
-            # a conflict still counts every neighbour, as _undo decrements them all
-            conflict = False
-            for u in nbrs:
-                c = mine[u] + 1
-                mine[u] = c
-                cap_u = cap[u]
-                if c < cap_u:
-                    continue
-                su = side[u]
-                if su == -1:
-                    if c > cap_u:
-                        ours.append(u)
-                elif su != sw:
-                    if c > cap_u:
-                        conflict = True
-                    else:
-                        waiting[su].extend([x for x in adj[u] if side[x] == -1])
-            if conflict:
-                return False
-        return True
+        ca, cb, ma, mb = state
+        rows, row, ones, hi = self.rows, self._row, self.ones, self.hi
+        width, top = self.width, self.top
+        bit = 1 << (v * width + top)
+        na, nb = (bit, 0) if s == 0 else (0, bit)
+        while na or nb:
+            if na & nb:
+                return None
+            ma |= na
+            mb |= nb
+            touch_a = touch_b = 0
+            x = na
+            while x:
+                p = x.bit_length() - 1
+                x ^= 1 << p
+                r = rows[p // width] or row(p // width)
+                ca += r
+                touch_a |= r
+            if ca & mb:
+                return None
+            x = nb
+            while x:
+                p = x.bit_length() - 1
+                x ^= 1 << p
+                r = rows[p // width] or row(p // width)
+                cb += r
+                touch_b |= r
+            if cb & ma:
+                return None
+            free = hi ^ ma ^ mb
+            touch_a <<= top
+            touch_b <<= top
+            # adding one to a field flips its top bit exactly at the cap
+            x = (touch_a | nb) & mb & ((ca + ones) ^ ca)
+            y = (touch_b | na) & ma & ((cb + ones) ^ cb)
+            na = ca & touch_a & free
+            nb = cb & touch_b & free
+            while x:
+                p = x.bit_length() - 1
+                x ^= 1 << p
+                nb |= (rows[p // width] << top) & free
+            while y:
+                p = y.bit_length() - 1
+                y ^= 1 << p
+                na |= (rows[p // width] << top) & free
+        self.forced += ((ma | mb) ^ (state[2] | state[3])).bit_count() - 1
+        return (ca, cb, ma, mb)
 
-    def _undo(self, mark):
-        trail = self.trail
-        side = self.side
-        adj = self.adj
-        cnt = self.cnt
-        for v in trail[mark:]:
-            cs = cnt[side[v]]
-            side[v] = -1
-            for u in adj[v]:
-                cs[u] -= 1
-        del trail[mark:]
+    def _select(self, state):
+        """The free vertex of least (cap - max(a, b), 2 cap - a - b, v), or None.
 
-    def _select(self):
-        side = self.side
-        a_cnt, b_cnt = self.cnt
-        base = self.base
-        scale = self.scale
-        best = None
-        best_key = math.inf
-        for v in range(self.n):
-            if side[v] != -1:
-                continue
-            a = a_cnt[v]
-            b = b_cnt[v]
-            key = base[v] - scale * (a if a > b else b) - a - b
-            if key < best_key:
-                best, best_key = v, key
-        return best
+        Field by field, with ``ka = cap - a``, ``kb = cap - b`` and H - 1 for
+        an assigned vertex: the least ``min(ka, kb)``, then ``max(ka, kb)``.
+        """
+        ca, cb, ma, mb = state
+        hi = self.hi
+        free = hi ^ ma ^ mb
+        if not free or self.neg_first is not None:
+            return self.neg_first if free else None
+        low, top = self.low, self.top
+        free -= free >> top
+        ka = (ca & free) ^ low
+        kb = (cb & free) ^ low
+        ge = ((ka | hi) - kb) & hi  # the fields where ka >= kb
+        kmin = ka ^ ((ka ^ kb) & (ge - (ge >> top)))
+        keys = self._fields(kmin)
+        k = 0
+        while k not in keys:
+            k += 1
+        eq = (((kmin ^ (k * self.ones)) + low) & hi) ^ hi  # the fields where kmin == k
+        eq -= eq >> top
+        keys = self._fields(((ka ^ kb ^ kmin) & eq) | (eq ^ low))
+        while k not in keys:
+            k += 1
+        return keys.index(k)
 
     def assign_presets(self, presets) -> bool:
+        state = self.state
         for v, s in presets:
-            if self.side[v] == s:
-                continue
-            if not self._assign(v, s):
-                return False
-        return True
+            bit = 1 << (v * self.width + self.top)
+            if state and not state[2 + s] & bit:  # state[2 + s]: the side-s mask
+                state = None if state[3 - s] & bit else self._assign(state, v, s)
+        self.state = state
+        return state is not None
 
-    def _complete(self) -> bool:
-        side = self.side
-        if 0 in side and 1 in side:
-            self.witness = list(side)
-            return True
-        return False
+    def _complete(self, state) -> bool:
+        if state[2] and state[3]:
+            self.witness = list(self._fields(state[3] >> self.top))
+        return self.witness is not None
 
-    def search(self) -> str:
-        """Depth first over an explicit stack of (vertex, next side, trail mark).
+    def search(self, max_nodes, deadline):
+        """Depth first over an explicit stack of (vertex, next side, state) levels.
 
-        Tries side 0 then side 1 of each branching vertex, one node per try,
-        and returns FOUND, EXHAUSTED or TIMEOUT.
+        One node per try of side 0, then side 1, of each branching vertex; a level
+        drops its state at its second try.  Returns ``(status, witness side, nodes,
+        conflicts, max_depth, propagations)``, status FOUND, EXHAUSTED or TIMEOUT.
         """
-        v = self._select()
+        self.forced = 0
+        v = self._select(self.state)
         if v is None:
-            return FOUND if self._complete() else EXHAUSTED
-        assign = self._assign
-        select = self._select
-        undo = self._undo
-        trail = self.trail
-        max_nodes = math.inf if self.max_nodes is None else self.max_nodes
-        deadline = self.deadline
-        nodes = self.nodes
-        conflicts = 0
-        max_depth = 1
-        status = EXHAUSTED
-        stack = [(v, 0, len(trail))]
+            return (FOUND if self._complete(self.state) else EXHAUSTED, self.witness, 0, 0, 0, 0)
+        assign, select = self._assign, self._select
+        max_nodes = math.inf if max_nodes is None else max_nodes
+        nodes, conflicts, max_depth, status = 0, 0, 1, EXHAUSTED
+        stack = [(v, 0, self.state)]
         while stack:
-            v, s, mark = stack[-1]
-            if len(trail) > mark:
-                undo(mark)
+            v, s, state = stack[-1]
             if s == 2:
                 stack.pop()
                 continue
-            stack[-1] = (v, s + 1, mark)
+            stack[-1] = (v, 1, state) if s == 0 else (v, 2, None)
             nodes += 1
             if nodes > max_nodes or (
                 deadline is not None
@@ -230,35 +249,31 @@ class _Solver:
             ):
                 status = TIMEOUT
                 break
-            if not assign(v, s):
+            state = assign(state, v, s)
+            if state is None:
                 conflicts += 1
                 continue
-            w = select()
+            w = select(state)
             if w is None:
-                if self._complete():
+                if self._complete(state):
                     status = FOUND
                     break
                 continue
-            stack.append((w, 0, len(trail)))
+            stack.append((w, 0, state))
             if len(stack) > max_depth:
                 max_depth = len(stack)
-        self.nodes = nodes
-        self.conflicts = conflicts
-        self.max_depth = max_depth
-        return status
+        return (status, self.witness, nodes, conflicts, max_depth, self.forced)
 
 
 def _solve(adj, t, presets, max_nodes, deadline):
-    """One solver run from ``presets``.
+    """One solver run from ``presets``, as ``_Solver.search`` returns it.
 
-    Returns ``(status, witness side, nodes, conflicts, max_depth)``.  Pool
-    workers run this too.
+    A run whose presets fail takes no node.  Pool workers run this too.
     """
-    solver = _Solver(adj, t, max_nodes=max_nodes, deadline=deadline)
+    solver = _Solver(adj, t)
     if not solver.assign_presets(presets):
-        return (EXHAUSTED, None, 0, 0, 0)
-    status = solver.search()
-    return (status, solver.witness, solver.nodes, solver.conflicts, solver.max_depth)
+        return (EXHAUSTED, None, 0, 0, 0, 0)
+    return solver.search(max_nodes, deadline)
 
 
 def _run_job(args):
@@ -301,18 +316,17 @@ def _frontier_jobs(adj, t, presets):
     lies within the top two levels: the caller then searches serially.
     """
     probe = _Solver(adj, t)
-    v1 = probe._select() if probe.assign_presets(presets) else None
+    v1 = probe._select(probe.state) if probe.assign_presets(presets) else None
     if v1 is None:
         return []
     jobs = []
     for s1 in (0, 1):
-        mark = len(probe.trail)
-        if probe._assign(v1, s1):
-            v2 = probe._select()
+        state = probe._assign(probe.state, v1, s1)
+        if state is not None:
+            v2 = probe._select(state)
             if v2 is None:
                 return []
             jobs.extend(presets + [(v1, s1), (v2, s2)] for s2 in (0, 1))
-        probe._undo(mark)
     return jobs
 
 
@@ -345,7 +359,7 @@ class _Pool:
 
 
 def _decide(adj, t, presets, max_nodes, deadline, pool):
-    """Decide one t: ``(status, witness side, nodes, conflicts, max_depth)``.
+    """Decide one t: ``(status, witness side, nodes, conflicts, max_depth, propagations)``.
 
     A t that a vertex's degree rules out takes no node.  One worker, or a
     frontier with no jobs, searches serially; otherwise each job gets its
@@ -355,23 +369,24 @@ def _decide(adj, t, presets, max_nodes, deadline, pool):
     the serial one, and the nodes are those of the jobs up to it.
     """
     if len(adj) < 2 or any(max(0, (len(a) + 2 * t + 1) // 2) > len(a) for a in adj):
-        return (EXHAUSTED, None, 0, 0, 0)
+        return (EXHAUSTED, None, 0, 0, 0, 0)
     jobs = [] if pool.workers == 1 else _frontier_jobs(adj, t, presets)
     if not jobs:
         return _solve(adj, t, presets, max_nodes, deadline)
     share = None if max_nodes is None else max_nodes // len(jobs)
     args = [(adj, t, job, share, deadline) for job in jobs]
-    status, side, nodes, conflicts, max_depth = EXHAUSTED, None, 0, 0, 0
-    for job_status, job_side, job_nodes, job_conflicts, job_depth in pool.imap(args):
+    status, side, nodes, conflicts, max_depth, forced = EXHAUSTED, None, 0, 0, 0, 0
+    for job_status, job_side, job_nodes, job_conflicts, job_depth, job_forced in pool.imap(args):
         nodes += job_nodes
         conflicts += job_conflicts
         max_depth = max(max_depth, 2 + job_depth)
+        forced += job_forced
         if job_status == FOUND:
             status, side = FOUND, job_side
             break
         if job_status == TIMEOUT:
             status = TIMEOUT
-    return (status, side, nodes, conflicts, max_depth)
+    return (status, side, nodes, conflicts, max_depth, forced)
 
 
 def _wrap_witness(g: Graph, side, t: int, source: str, extra=None) -> Partition:
@@ -419,8 +434,9 @@ def exhaustive_exists(
     ``max_nodes // k`` nodes and, like a single worker, stops at its share
     plus one.  ``details`` carries ``presets`` (how many assignments the
     search started from, 1 or 5; see ``_presets``), ``conflicts`` (branches
-    whose propagation failed) and ``max_depth`` (the most branching levels
-    on one path, counting the two fanned-out levels above each pool job).
+    whose propagation failed), ``propagations`` (vertices forced in the
+    other branches) and ``max_depth`` (the most branching levels on one
+    path, counting the two fanned-out levels above each pool job).
 
     Raises ValueError when ``max_nodes < 1``, ``max_seconds <= 0`` or
     ``workers < 1``.
@@ -430,7 +446,7 @@ def exhaustive_exists(
     deadline = None if max_seconds is None else start + max_seconds
     presets = _presets(g, t)
     with _Pool(workers) as pool:
-        status, side, nodes, conflicts, max_depth = _decide(
+        status, side, nodes, conflicts, max_depth, forced = _decide(
             g.adjacency_lists, t, presets, max_nodes, deadline, pool
         )
     details = {
@@ -439,6 +455,7 @@ def exhaustive_exists(
         "presets": len(presets),
         "conflicts": conflicts,
         "max_depth": max_depth,
+        "propagations": forced,
     }
     return _result(g, t, start, status, side, nodes, details)
 
@@ -458,11 +475,11 @@ def exhaustive_max_intimacy(
     any split qualifies; a ``t_hi`` below it is a ValueError.  Returns
     ``(None, result)`` on a budget timeout.  ``max_nodes`` and
     ``max_seconds`` are each one budget for the whole scan: every t gets
-    what the ones before it left.  The result's ``nodes_explored`` and
-    ``conflicts`` sum over the scan, ``max_depth`` is its deepest path,
-    ``presets`` counts the presets of the last t tried, and ``wall_time``
-    times the whole scan.  With ``workers > 1`` one pool serves the whole
-    scan: it starts at the first t that fans out.
+    what the ones before it left.  The result's ``nodes_explored``,
+    ``conflicts`` and ``propagations`` sum over the scan, ``max_depth`` is
+    its deepest path, ``presets`` counts the presets of the last t tried,
+    and ``wall_time`` times the whole scan.  With ``workers > 1`` one pool
+    serves the whole scan: it starts at the first t that fans out.
     """
     _check_budgets(max_nodes, max_seconds, workers)
     if g.n < 2:
@@ -475,7 +492,7 @@ def exhaustive_max_intimacy(
     t_lo = -((int(degs.max()) + 1) // 2)
     if t_hi < t_lo:
         raise ValueError(f"t_hi={t_hi} is below the trivial floor t={t_lo}")
-    nodes = conflicts = max_depth = 0
+    nodes = conflicts = max_depth = forced = 0
     with _Pool(workers) as pool:
         for t in range(t_hi, t_lo - 1, -1):
             presets = _presets(g, t)
@@ -485,12 +502,13 @@ def exhaustive_max_intimacy(
             ):
                 status, side = TIMEOUT, None
                 break
-            status, side, t_nodes, t_conflicts, t_depth = _decide(
+            status, side, t_nodes, t_conflicts, t_depth, t_forced = _decide(
                 g.adjacency_lists, t, presets, nodes_left, deadline, pool
             )
             nodes += t_nodes
             conflicts += t_conflicts
             max_depth = max(max_depth, t_depth)
+            forced += t_forced
             if status != EXHAUSTED:
                 break
         else:
@@ -501,6 +519,7 @@ def exhaustive_max_intimacy(
         "presets": len(presets),
         "conflicts": conflicts,
         "max_depth": max_depth,
+        "propagations": forced,
     }
     return (t if status == FOUND else None), _result(g, t, start, status, side, nodes, details)
 

@@ -17,6 +17,7 @@ from planepart.graphs import Graph
 from planepart.search import (
     AnnealParams,
     SearchResult,
+    _Solver,
     _frontier_jobs,
     _presets,
     _solve,
@@ -27,6 +28,7 @@ from planepart.search import (
 )
 from planepart.verify import margins
 
+import oracles
 from oracles import get_graph, get_plane, random_bipartite, reference_anneal, reference_solve
 
 
@@ -304,6 +306,19 @@ def test_solver_counters():
         assert 2 < pooled.details["max_depth"] <= g.n
 
 
+def test_propagations_sum_over_pool_jobs_and_scans():
+    g = get_graph(3)
+    adj = g.adjacency_lists
+    jobs = _frontier_jobs(adj, 1, _presets(g, 1))
+    pooled = exhaustive_exists(g, 1, workers=2)
+    per_job = [_solve(adj, 1, job, None, None)[5] for job in jobs]
+    assert pooled.details["propagations"] == sum(per_job)
+    # the scan decides t = 2, 1 and 0
+    best, res = exhaustive_max_intimacy(g)
+    per_t = [exhaustive_exists(g, t).details["propagations"] for t in (2, 1, 0)]
+    assert best == 0 and res.details["propagations"] == sum(per_t) > 0
+
+
 def _assert_same_solve(adj, t, presets, max_nodes):
     got = _solve(adj, t, presets, max_nodes, None)
     assert got[:3] == reference_solve(adj, t, presets, max_nodes, None)
@@ -350,6 +365,93 @@ def test_solver_matches_reference_from_the_flag_triangle(q, max_nodes, t):
     presets = _presets(g, t)
     assert len(presets) == 5
     _assert_same_solve(g.adjacency_lists, t, presets, max_nodes)
+
+
+def test_solver_pins_the_plane_trees():
+    # reference_solve compares status, witness and nodes only: these pin the
+    # conflicts, depth and propagations of two trees from the flag triangle
+    for q, max_nodes, want in [
+        (5, None, ("exhausted_none", 7384, 3692, 24, 10616)),
+        (7, 50_000, ("timeout", 50001, 24988, 55, 49738)),
+    ]:
+        g = get_graph(q)
+        status, _, *counts = _solve(g.adjacency_lists, 1, _presets(g, 1), max_nodes, None)
+        assert (status, *counts) == want
+
+
+class _CountingSolver(oracles._Solver):
+    """The recursive reference solver, counting what its successful branches force."""
+
+    forced = None  # None while the presets are assigned
+
+    def _assign(self, v, s):
+        mark = len(self.trail)
+        ok = super()._assign(v, s)
+        if ok and self.forced is not None:
+            self.forced += len(self.trail) - mark - 1
+        return ok
+
+
+def reference_propagations(adj, t, presets, max_nodes):
+    solver = _CountingSolver(adj, t, max_nodes=max_nodes)
+    if not solver.assign_presets(presets):
+        return 0
+    solver.forced = 0
+    try:
+        solver.search()
+    except oracles._Stop:
+        pass
+    return solver.forced
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_propagations_match_the_reference_on_planes(q):
+    # the packed solver forces a branch's vertices in waves, the reference
+    # one at a time: the counts agree because the fixpoint does not depend
+    # on the order
+    g = get_graph(q)
+    for t in range(-2, 3):
+        for presets in [(0, 0)], _presets(g, t):
+            got = _solve(g.adjacency_lists, t, presets, 10_000, None)[5]
+            assert got == reference_propagations(g.adjacency_lists, t, presets, 10_000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_propagations_match_the_reference_on_small_graphs(data):
+    g = data.draw(small_graphs())
+    t = data.draw(st.integers(-2, 2))
+    vertex = st.integers(0, g.n - 1)
+    presets = [(0, 0)] + data.draw(st.lists(st.tuples(vertex, st.integers(0, 1)), max_size=3))
+    max_nodes = data.draw(st.one_of(st.none(), st.integers(1, 40)))
+    got = _solve(g.adjacency_lists, t, presets, max_nodes, None)[5]
+    assert got == reference_propagations(g.adjacency_lists, t, presets, max_nodes)
+
+
+@pytest.mark.parametrize("max_nodes", [None, 50])
+@pytest.mark.parametrize("t", [-2, -1, 0, 1, 2])
+def test_solver_matches_reference_with_wide_fields(t, max_nodes):
+    # a hub joined to every vertex of 65 disjoint K4s has degree 260: its cap
+    # or d - cap passes 128 at every t here, so the counters need wider fields
+    hub = [(0, v) for v in range(1, 261)]
+    pairs = list(itertools.combinations(range(4), 2))
+    k4s = [(v + i, v + j) for v in range(1, 261, 4) for i, j in pairs]
+    adj = Graph.from_edges(261, hub + k4s).adjacency_lists
+    assert _Solver(adj, t).step > 1
+    _assert_same_solve(adj, t, [(0, 0)], max_nodes)
+
+
+@pytest.mark.parametrize("max_nodes", [None, 1])
+@pytest.mark.parametrize("t", [-2, -1, 0, 1, 2])
+def test_solver_matches_reference_with_negative_caps(t, max_nodes):
+    # at t >= 1 the isolated vertex 4 has cap < 0 and no neighbour to reach
+    # it, so only the search meets it; the pendant 5 adds a neighbour that
+    # can take no side
+    k4 = list(itertools.combinations(range(4), 2))
+    for n, edges in (5, k4), (6, k4 + [(3, 5)]):
+        adj = Graph.from_edges(n, edges).adjacency_lists
+        for presets in [(0, 0)], [(1, 1)], [(4, 0)]:
+            _assert_same_solve(adj, t, presets, max_nodes)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
