@@ -17,20 +17,21 @@ loop over an explicit stack whose every level keeps its own state, O(n)
 bytes, so backtracking drops a level and the depth is not bounded by the
 interpreter's recursion limit.  The branching vertex minimises
 ``(cap - max(a, b), 2 cap - a - b, v)`` over the free vertices, a and b
-its neighbours on A and on B.  Every search starts from presets that cut
-symmetry from the tree.  On any graph vertex 0 is pinned to A, which
-quotients out the swap of A and B.  On the incidence graph of PG(2,q), at
-a t where every vertex needs at least two neighbours on its own side, a
-flag triangle is put on A as well: point 0, two lines L0 and L1 through
-it, and a second point on each line (see ``_presets`` for why no
-partition is lost).  ``found`` / ``exhausted_none`` answers are
-deterministic for any worker count.  So are the witness and the node count
-of a search without a ``max_seconds`` deadline: the pool's jobs are read in
-frontier order, and the first that finds a witness ends the search.
+its neighbours on A and on B; it tries B first.  The presets put vertex 0
+on A, and A first walks a large tree of near-all-A assignments, whose B
+is too small to be t-internal.  The order changes no ``exhausted_none``
+tree, which visits both sides of every level.  Every search starts from
+presets that cut symmetry from the tree.  On any graph vertex 0 is pinned
+to A, which quotients out the swap of A and B.  On the incidence graph of
+PG(2,q), at a t where every vertex needs at least two neighbours on its
+own side, a flag triangle is put on A as well: point 0, two lines L0 and
+L1 through it, and a second point on each line (see ``_presets`` for why
+no partition is lost).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import random
@@ -223,8 +224,9 @@ class _Solver:
     def search(self, max_nodes, deadline):
         """Depth first over an explicit stack of (vertex, next side, state) levels.
 
-        One node per try of side 0, then side 1, of each branching vertex; a level
-        drops its state at its second try.  Returns ``(status, witness side, nodes,
+        One node per try of side 1 (B), then side 0 (A), of each branching
+        vertex (see the module docstring); a level drops its state at its
+        second try.  Returns ``(status, witness side, nodes,
         conflicts, max_depth, propagations)``, status FOUND, EXHAUSTED or TIMEOUT.
         """
         self.forced = 0
@@ -249,7 +251,7 @@ class _Solver:
             ):
                 status = TIMEOUT
                 break
-            state = assign(state, v, s)
+            state = assign(state, v, s ^ 1)
             if state is None:
                 conflicts += 1
                 continue
@@ -310,24 +312,39 @@ def _presets(g: Graph, t: int) -> list[tuple[int, int]]:
 
 
 def _frontier_jobs(adj, t, presets):
-    """Expand the top two branching levels into independent preset lists.
+    """Expand the top two branching levels into jobs: ``(jobs, tries)``.
 
-    ``[]`` when the presets fail, nothing is left to branch on, or a leaf
-    lies within the top two levels: the caller then searches serially.
+    The jobs are preset lists in the serial search's order.  ``tries[i]`` is
+    ``(nodes, conflicts, propagations)`` of the serial tries at those levels
+    after job i - 1 up to job i, ``tries[-1]`` of those after the last job.
+    No jobs when the presets fail or the top two levels hold a leaf or only
+    conflicts: the caller then searches serially.
     """
     probe = _Solver(adj, t)
     v1 = probe._select(probe.state) if probe.assign_presets(presets) else None
     if v1 is None:
-        return []
-    jobs = []
-    for s1 in (0, 1):
+        return [], []
+    jobs, tries = [], []
+    nodes = conflicts = probe.forced = 0
+    for s1 in (1, 0):
+        nodes += 1
         state = probe._assign(probe.state, v1, s1)
-        if state is not None:
-            v2 = probe._select(state)
-            if v2 is None:
-                return []
-            jobs.extend(presets + [(v1, s1), (v2, s2)] for s2 in (0, 1))
-    return jobs
+        if state is None:
+            conflicts += 1
+            continue
+        v2 = probe._select(state)
+        if v2 is None:
+            return [], []
+        for s2 in (1, 0):
+            nodes += 1
+            if probe._assign(state, v2, s2) is None:
+                conflicts += 1
+                continue
+            jobs.append(presets + [(v1, s1), (v2, s2)])
+            tries.append((nodes, conflicts, probe.forced))
+            nodes = conflicts = probe.forced = 0
+    tries.append((nodes, conflicts, probe.forced))
+    return jobs, tries
 
 
 class _Pool:
@@ -362,31 +379,33 @@ def _decide(adj, t, presets, max_nodes, deadline, pool):
     """Decide one t: ``(status, witness side, nodes, conflicts, max_depth, propagations)``.
 
     A t that a vertex's degree rules out takes no node.  One worker, or a
-    frontier with no jobs, searches serially; otherwise each job gets its
-    share of ``max_nodes`` on ``pool``.  Results are read in frontier order,
-    the order in which the serial search visits the jobs' subtrees, and the
-    first job to find a witness ends the t: without budgets its witness is
-    the serial one, and the nodes are those of the jobs up to it.
+    frontier with no jobs, searches serially; otherwise the jobs run on
+    ``pool`` and are read in the serial order, each after the tries before
+    it, up to the first witness.
     """
     if len(adj) < 2 or any(max(0, (len(a) + 2 * t + 1) // 2) > len(a) for a in adj):
         return (EXHAUSTED, None, 0, 0, 0, 0)
-    jobs = [] if pool.workers == 1 else _frontier_jobs(adj, t, presets)
+    jobs, tries = ([], []) if pool.workers == 1 else _frontier_jobs(adj, t, presets)
     if not jobs:
         return _solve(adj, t, presets, max_nodes, deadline)
-    share = None if max_nodes is None else max_nodes // len(jobs)
+    share = None
+    if max_nodes is not None:
+        share = max(0, max_nodes - sum(n for n, _, _ in tries)) // len(jobs)
     args = [(adj, t, job, share, deadline) for job in jobs]
-    status, side, nodes, conflicts, max_depth, forced = EXHAUSTED, None, 0, 0, 0, 0
-    for job_status, job_side, job_nodes, job_conflicts, job_depth, job_forced in pool.imap(args):
-        nodes += job_nodes
-        conflicts += job_conflicts
+    # the tries after the last job come with an empty result
+    results = itertools.chain(pool.imap(args), [(EXHAUSTED, None, 0, 0, 0, 0)])
+    status, nodes, conflicts, max_depth, forced = EXHAUSTED, 0, 0, 0, 0
+    for (top_nodes, top_conflicts, top_forced), result in zip(tries, results):
+        job_status, job_side, job_nodes, job_conflicts, job_depth, job_forced = result
+        nodes += top_nodes + job_nodes
+        conflicts += top_conflicts + job_conflicts
         max_depth = max(max_depth, 2 + job_depth)
-        forced += job_forced
+        forced += top_forced + job_forced
         if job_status == FOUND:
-            status, side = FOUND, job_side
-            break
+            return (FOUND, job_side, nodes, conflicts, max_depth, forced)
         if job_status == TIMEOUT:
             status = TIMEOUT
-    return (status, side, nodes, conflicts, max_depth, forced)
+    return (status, None, nodes, conflicts, max_depth, forced)
 
 
 def _wrap_witness(g: Graph, side, t: int, source: str, extra=None) -> Partition:
@@ -428,11 +447,12 @@ def exhaustive_exists(
     With ``workers > 1`` the top two branching levels below the presets fan
     out to a pool of at most one process per job, so at most four; a top of
     the tree that yields no jobs is searched serially, as with one worker.
-    ``max_seconds`` is one deadline for the whole call, shared by every job
+    Without budgets the status, witness and counts do not depend on
+    ``workers``.  ``max_seconds`` is one deadline for the whole call, shared by every job
     (``time.monotonic`` is system-wide, so pool workers read the same
-    clock).  ``max_nodes`` is one budget too: each of the k jobs gets
-    ``max_nodes // k`` nodes and, like a single worker, stops at its share
-    plus one.  ``details`` carries ``presets`` (how many assignments the
+    clock).  ``max_nodes`` is one budget too: each of the k jobs gets a k-th
+    of what the tries above the jobs leave and, like a single worker, stops
+    at its share plus one.  ``details`` carries ``presets`` (how many assignments the
     search started from, 1 or 5; see ``_presets``), ``conflicts`` (branches
     whose propagation failed), ``propagations`` (vertices forced in the
     other branches) and ``max_depth`` (the most branching levels on one

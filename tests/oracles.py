@@ -561,7 +561,7 @@ class _Solver:
         v = self._select()
         if v is None:
             return self._complete()
-        for s in (0, 1):
+        for s in (1, 0):
             self._bump()
             mark = len(self.trail)
             if self._assign(v, s) and self.search():

@@ -159,10 +159,10 @@ def test_search_needs_no_recursion():
     finally:
         sys.setrecursionlimit(before)
     # nothing is forced at t=-1: one level per vertex but the pinned one, and
-    # the all-A leaf fails without a conflict before the last vertex flips
+    # side B goes first, so the first leaf, every other vertex on B, is a witness
     solo = exhaustive_exists(path, -1)
     assert (solo.nodes_explored, solo.details["conflicts"], solo.details["max_depth"]) == (
-        n, 0, n - 1
+        n - 1, 0, n - 1
     )
 
 
@@ -170,7 +170,7 @@ def test_degenerate_frontier_runs_the_serial_search():
     # K3 at t=0 has no jobs at the top of the tree, so the pooled call runs
     # the serial search with the whole node budget
     k3 = complete_graph(3)
-    assert _frontier_jobs(k3.adjacency_lists, 0, [(0, 0)]) == []
+    assert _frontier_jobs(k3.adjacency_lists, 0, [(0, 0)]) == ([], [])
     solo = exhaustive_exists(k3, 0, max_nodes=10)
     pooled = exhaustive_exists(k3, 0, workers=2, max_nodes=10)
     assert pooled.status == solo.status == "exhausted_none"
@@ -179,21 +179,22 @@ def test_degenerate_frontier_runs_the_serial_search():
 
 def test_pool_is_sized_to_its_jobs(monkeypatch):
     sizes = record_pools(monkeypatch)
-    # PG(2,3) at t=1 has four jobs below either preset list: six workers
-    # start four processes
+    # PG(2,3) at t=1 has four jobs below vertex 0 alone: six workers start
+    # four processes; below the flag triangle two of the four tries at the
+    # second level conflict, which leaves two jobs
     res = exhaustive_exists(untagged(get_graph(3)), 1, workers=6)
     assert res.status == "exhausted_none"
     assert sizes == [4]
     res = exhaustive_exists(get_graph(3), 1, workers=6)
     assert res.status == "exhausted_none"
-    assert sizes == [4, 4]
+    assert sizes == [4, 2]
 
 
 def test_max_intimacy_scan_starts_one_pool(monkeypatch):
     # the untagged PG(2,3) scan fans out at t = 1 (exhausted) and t = 0 (found)
     sizes = record_pools(monkeypatch)
     g = untagged(get_graph(3))
-    assert [len(_frontier_jobs(g.adjacency_lists, t, [(0, 0)])) for t in (1, 0)] == [4, 4]
+    assert [len(_frontier_jobs(g.adjacency_lists, t, [(0, 0)])[0]) for t in (1, 0)] == [4, 4]
     best, res = exhaustive_max_intimacy(g, workers=2)
     assert (best, res.status) == (0, "found")
     assert sizes == [2]
@@ -213,14 +214,15 @@ def test_pooled_scan_is_reproducible():
 
 def test_max_seconds_is_one_budget_across_workers():
     # four jobs on two workers: a full budget per job would run for about 2 s
-    res = exhaustive_exists(get_graph(7), 1, workers=2, max_seconds=1.0)
+    res = exhaustive_exists(get_graph(8), 1, workers=2, max_seconds=1.0)
     assert res.status == "timeout"
     assert res.wall_time < 1.6
 
 
 def test_max_nodes_is_one_budget_across_workers():
-    # four jobs on two workers, 5,000 nodes each: each stops at its share + 1
-    res = exhaustive_exists(get_graph(7), 1, workers=2, max_nodes=20_000)
+    # four jobs on two workers: the frontier's six tries leave 4,998 nodes
+    # to each job, and each stops at its share + 1
+    res = exhaustive_exists(get_graph(8), 1, workers=2, max_nodes=20_000)
     assert res.status == "timeout"
     assert res.nodes_explored <= 20_004
 
@@ -245,14 +247,14 @@ def test_meaningless_budgets_are_rejected(budget):
 
 
 def test_max_intimacy_scan_has_one_node_budget():
-    # untagged PG(2,3): t = 2, 1, 0 take 0 + 48 + 18 nodes and 0 + 24 + 0 conflicts
+    # untagged PG(2,3): t = 2, 1, 0 take 0 + 48 + 17 nodes and 0 + 24 + 0 conflicts
     g = untagged(get_graph(3))
-    best, res = exhaustive_max_intimacy(g, max_nodes=66)
-    assert (best, res.status, res.nodes_explored) == (0, "found", 66)
-    assert res.details["conflicts"] == 24
-    # one node short: t = 0 gets the 17 nodes that t = 1 left, and stops at its 18th
     best, res = exhaustive_max_intimacy(g, max_nodes=65)
-    assert (best, res.status, res.nodes_explored) == (None, "timeout", 66)
+    assert (best, res.status, res.nodes_explored) == (0, "found", 65)
+    assert res.details["conflicts"] == 24
+    # one node short: t = 0 gets the 16 nodes that t = 1 left, and stops at its 17th
+    best, res = exhaustive_max_intimacy(g, max_nodes=64)
+    assert (best, res.status, res.nodes_explored) == (None, "timeout", 65)
     # with the flag triangle: 0 + 10 + 14 nodes and 0 + 5 + 0 conflicts
     g = get_graph(3)
     best, res = exhaustive_max_intimacy(g, max_nodes=24)
@@ -285,6 +287,11 @@ def test_max_intimacy_rejects_t_hi_below_the_trivial_floor():
         exhaustive_max_intimacy(get_graph(2), t_hi=-5)
 
 
+def _counts(res):
+    d = res.details
+    return (res.status, res.nodes_explored, d["conflicts"], d["max_depth"], d["propagations"])
+
+
 def test_solver_counters():
     for g, counts in [
         # 24 frames of two tries each: 23 tries open the other frames, one
@@ -292,7 +299,8 @@ def test_solver_counters():
         # to propagate
         (untagged(get_graph(3)), (48, 24, 7)),
         # five frames below the flag triangle: four tries open the other
-        # frames, one reaches the all-A leaf and five fail to propagate
+        # frames, five fail to propagate, and the last try, side A at every
+        # level, reaches the all-A leaf
         (get_graph(3), (10, 5, 3)),
     ]:
         res = exhaustive_exists(g, 1)
@@ -300,19 +308,38 @@ def test_solver_counters():
         assert res.nodes_explored == counts[0]
         assert res.details["conflicts"] == counts[1]
         assert res.details["max_depth"] == counts[2]
-        pooled = exhaustive_exists(g, 1, workers=2)
-        assert pooled.status == "exhausted_none"
-        assert 0 < pooled.details["conflicts"] <= pooled.nodes_explored
-        assert 2 < pooled.details["max_depth"] <= g.n
+        # the pool's counts include the two levels its jobs fan out from
+        assert _counts(exhaustive_exists(g, 1, workers=2)) == _counts(res)
+
+
+def test_pooled_counts_are_the_serial_counts():
+    # the frontier counts its own tries at the top two levels, so a pooled
+    # search without budgets reports the serial tree
+    g = get_graph(5)
+    solo = exhaustive_exists(g, 1)
+    assert solo.status == "exhausted_none"
+    assert _counts(exhaustive_exists(g, 1, workers=2)) == _counts(solo)
+
+
+def test_pooled_witness_is_the_serial_witness():
+    # PG(2,7) t=1 is found: the pool reads its jobs in the order the serial
+    # search visits them, so the first job with a witness holds the serial one
+    g = get_graph(7)
+    solo = exhaustive_exists(g, 1)
+    pooled = exhaustive_exists(g, 1, workers=2)
+    assert _counts(pooled) == _counts(solo) == ("found", 312, 137, 48, 378)
+    assert pooled.witness.side.tolist() == solo.witness.side.tolist()
+    assert margins(g, pooled.witness).partition_intimacy >= 1
 
 
 def test_propagations_sum_over_pool_jobs_and_scans():
+    # a pooled search adds the frontier's propagations to its jobs'
     g = get_graph(3)
     adj = g.adjacency_lists
-    jobs = _frontier_jobs(adj, 1, _presets(g, 1))
+    jobs, tries = _frontier_jobs(adj, 1, _presets(g, 1))
     pooled = exhaustive_exists(g, 1, workers=2)
     per_job = [_solve(adj, 1, job, None, None)[5] for job in jobs]
-    assert pooled.details["propagations"] == sum(per_job)
+    assert pooled.details["propagations"] == sum(f for _, _, f in tries) + sum(per_job)
     # the scan decides t = 2, 1 and 0
     best, res = exhaustive_max_intimacy(g)
     per_t = [exhaustive_exists(g, t).details["propagations"] for t in (2, 1, 0)]
@@ -334,7 +361,7 @@ def test_solver_matches_reference_on_planes(q, t):
 def test_solver_matches_reference_on_frontier_jobs(q, max_nodes):
     # PG(2,5)'s four jobs are searched to the end, PG(2,7)'s time out
     adj = get_graph(q).adjacency_lists
-    jobs = _frontier_jobs(adj, 1, [(0, 0)])
+    jobs, _ = _frontier_jobs(adj, 1, [(0, 0)])
     assert len(jobs) == 4
     for job in jobs:
         _assert_same_solve(adj, 1, job, max_nodes)
@@ -372,11 +399,14 @@ def test_solver_pins_the_plane_trees():
     # conflicts, depth and propagations of two trees from the flag triangle
     for q, max_nodes, want in [
         (5, None, ("exhausted_none", 7384, 3692, 24, 10616)),
-        (7, 50_000, ("timeout", 50001, 24988, 55, 49738)),
+        (7, 50_000, ("found", 312, 137, 48, 378)),
     ]:
         g = get_graph(q)
-        status, _, *counts = _solve(g.adjacency_lists, 1, _presets(g, 1), max_nodes, None)
+        status, side, *counts = _solve(g.adjacency_lists, 1, _presets(g, 1), max_nodes, None)
         assert (status, *counts) == want
+        if side is not None:
+            part = pp.Partition(side=np.asarray(side, dtype=np.uint8))
+            assert margins(g, part).partition_intimacy >= 1
 
 
 class _CountingSolver(oracles._Solver):
