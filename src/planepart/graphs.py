@@ -87,15 +87,30 @@ class Graph:
         return {self.label(v): v for v in range(self.n)}
 
     def to_dimacs(self, fh) -> None:
-        """Write DIMACS-like text to ``fh``: ``p edge n m``, one ``e u v`` per edge."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        keep = self.indices > src
-        heads = src[keep] + 1
-        tails = self.indices[keep].astype(np.int64) + 1
-        fh.write(f"p edge {self.n} {self.edge_count}\n")
-        # written a block at a time, so the Python ints and line strings of
-        # one block, not the text of the whole graph, are alive at once
-        for lo in range(0, heads.size, _DIMACS_BLOCK):
-            hs = heads[lo : lo + _DIMACS_BLOCK].tolist()
-            ts = tails[lo : lo + _DIMACS_BLOCK].tolist()
-            fh.write("".join(f"e {v} {u}\n" for v, u in zip(hs, ts)))
+        """Write DIMACS-like text to ``fh``: ``p edge n m``, one ``e u v`` per edge.
+
+        Each edge is written once, from its lower end, in that end's
+        neighbour order.  The text goes out a block of vertices at a time, a
+        block holding about ``_DIMACS_BLOCK`` adjacency entries, so only one
+        block's lines, not the text of the whole graph, are alive at once.
+        """
+        n, indptr = self.n, self.indptr
+        fh.write(f"p edge {n} {self.edge_count}\n")
+        ids = [str(v) for v in range(1, n + 1)]  # the 1-based text of each vertex
+        lo = 0
+        while lo < n:
+            end = int(indptr[lo]) + _DIMACS_BLOCK
+            hi = max(lo + 1, int(np.searchsorted(indptr, end, "right")) - 1)
+            nbrs = self.indices[indptr[lo] : indptr[hi]]
+            src = np.repeat(np.arange(lo, hi, dtype=np.int32), self.degrees[lo:hi])
+            keep = nbrs > src
+            tails = nbrs[keep].tolist()
+            # tails[cut[v - lo] : cut[v - lo + 1]] are the higher neighbours of v
+            cut = np.concatenate(([0], np.cumsum(keep)))[indptr[lo : hi + 1] - indptr[lo]].tolist()
+            parts = []
+            for v, a, b in zip(range(lo, hi), cut, cut[1:]):
+                if a < b:
+                    head = f"e {ids[v]} "
+                    parts.append(head + f"\n{head}".join([ids[u] for u in tails[a:b]]) + "\n")
+            fh.write("".join(parts))
+            lo = hi

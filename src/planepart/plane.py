@@ -51,40 +51,61 @@ def _dot(f: Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return add[s, mul[u[..., 2], v[..., 2]]]
 
 
+_PENCIL_BLOCK = 512  # lines per block of the pencil build
+
+
 def _pencils(f: Field, lines: np.ndarray) -> np.ndarray:
-    """Sorted ids of the q+1 points on each line, one row per line.
+    """Sorted ids of the q+1 points on each line, one int32 row per line.
 
     For a line L with last nonzero coordinate L[k] = 1 and i < j the other
     two positions, u = e_i - L[i] e_k and w = e_j - L[j] e_k are independent
     points of L, so its points are u + lam*w for lam in GF(q), and w.
+
+    ``lines`` also holds the point triples.  The rows are filled a block of
+    ``_PENCIL_BLOCK`` lines at a time, so only one block's temporaries are
+    alive at once, and each block's points are checked against their line's
+    equation before they are stored: a RuntimeError names corrupt tables.
     """
     q, n = f.q, len(lines)
-    rows = np.arange(n)
-    k = np.where(lines[:, 2] != 0, 2, np.where(lines[:, 1] != 0, 1, 0))
-    i = np.where(k == 0, 1, 0)
-    j = np.where(k == 2, 1, 2)
+    out = np.empty((n, q + 1), dtype=np.int32)
     minus = f.mul_table[f.p - 1]  # p - 1 encodes -1
-    u = np.zeros((n, 3), dtype=np.int32)
-    w = np.zeros((n, 3), dtype=np.int32)
-    u[rows, i] = 1
-    u[rows, k] = minus[lines[rows, i]]
-    w[rows, j] = 1
-    w[rows, k] = minus[lines[rows, j]]
     lam = np.arange(q)[None, :, None]
-    pts = f.add_table[u[:, None, :], f.mul_table[lam, w[:, None, :]]]
-    pts = np.concatenate([pts, w[:, None, :]], axis=1)
-    return np.sort(_triple_indices(f, pts), axis=1)
+    for lo in range(0, n, _PENCIL_BLOCK):
+        blk = lines[lo : lo + _PENCIL_BLOCK]
+        m = len(blk)
+        rows = np.arange(m)
+        k = np.where(blk[:, 2] != 0, 2, np.where(blk[:, 1] != 0, 1, 0))
+        i = np.where(k == 0, 1, 0)
+        j = np.where(k == 2, 1, 2)
+        u = np.zeros((m, 3), dtype=np.int32)
+        w = np.zeros((m, 3), dtype=np.int32)
+        u[rows, i] = 1
+        u[rows, k] = minus[blk[rows, i]]
+        w[rows, j] = 1
+        w[rows, k] = minus[blk[rows, j]]
+        pts = f.add_table[u[:, None, :], f.mul_table[lam, w[:, None, :]]]
+        pts = np.concatenate([pts, w[:, None, :]], axis=1)
+        ids = np.sort(_triple_indices(f, pts), axis=1)
+        if _dot(f, lines[ids], blk[:, None, :]).any():
+            raise RuntimeError("pencil point off its line; field tables corrupt")
+        out[lo : lo + m] = ids
+    return out
 
 
 class Plane:
     """PG(2,q) with exact incidence and index lookups.
 
     The one stored incidence is ``pencils``: row j lists, ascending, the
-    q+1 points on line j.  Point and line triples coincide and the pairing
-    is symmetric, so the same rows also list the lines through each point;
-    ``points_on`` and ``lines_through`` are that one array.  No dense
+    q+1 points on line j, as int32.  Point and line triples coincide and the
+    pairing is symmetric, so the same rows also list the lines through each
+    point; ``points_on`` and ``lines_through`` are that one array.  No dense
     point-by-line matrix is kept: counts, the incidence graph and the
     spectrum's Gram check all read the pencils.
+
+    The pencils are built a block of lines at a time, and each block's
+    points are checked against their line's equation as it is built.  The
+    constructor then checks that no row repeats a point and that every
+    point lies on q+1 lines; any failure is a RuntimeError.
     """
 
     def __init__(self, field: Field):
@@ -94,9 +115,8 @@ class Plane:
         self.n = q * q + q + 1
         self.triples = canonical_triples(q)
         self.pencils = _pencils(field, self.coords)
-        on_line = _dot(field, self.coords[self.pencils], self.coords[:, None, :])
-        if on_line.any() or (np.diff(self.pencils, axis=1) == 0).any():
-            raise RuntimeError("pencil point off its line; field tables corrupt")
+        if (np.diff(self.pencils, axis=1) == 0).any():
+            raise RuntimeError("pencil repeats a point; field tables corrupt")
         if (np.bincount(self.pencils.ravel(), minlength=self.n) != q + 1).any():
             raise RuntimeError("point on a wrong number of lines; field tables corrupt")
         self.points_on = self.pencils
@@ -158,7 +178,8 @@ class Plane:
             },
             "points": self.labels[: self.n],
             "lines": self.labels[self.n :],
-            "lines_points": self.points_on.tolist(),
+            # one shared int object per point id, not one per incidence
+            "lines_points": np.arange(self.n).astype(object)[self.points_on].tolist(),
         }
 
     def __repr__(self) -> str:
@@ -177,9 +198,11 @@ def incidence_graph(pl: Plane) -> Graph:
     The graph carries ``plane_order = q``: it is the incidence graph of the
     desarguesian plane, whose collineations the exhaustive search may use.
     """
-    n = pl.n
-    indptr = np.arange(2 * n + 1, dtype=np.int64) * (pl.q + 1)
-    indices = np.concatenate([pl.lines_through + n, pl.points_on]).ravel()
+    n, r = pl.n, pl.q + 1
+    indptr = np.arange(2 * n + 1, dtype=np.int64) * r
+    indices = np.empty(2 * n * r, dtype=np.int32)
+    np.add(pl.lines_through, n, out=indices[: n * r].reshape(n, r))
+    indices[n * r :] = pl.points_on.ravel()
     return Graph(indptr, indices, n_left=n, labels=pl.labels, plane_order=pl.q)
 
 
@@ -319,7 +342,8 @@ def verify_subplane(pl: Plane, pts, lns, m: int) -> bool:
     in_pts = np.zeros(pl.n, dtype=bool)
     in_pts[pts] = True
     on = pl.points_on[lns]
-    sub = on[in_pts[on]].reshape(k, m + 1)
+    # int64: the pair codes reach n*n, which passes int32 once q > 214
+    sub = on[in_pts[on]].reshape(k, m + 1).astype(np.int64)
     a, b = np.triu_indices(m + 1, 1)
     pairs = sub[:, a] * pl.n + sub[:, b]
     return bool(np.unique(pairs).size == k * (k - 1) // 2)

@@ -44,7 +44,7 @@ def _side_array(partition, n: int) -> np.ndarray:
         raise ValueError(f"partition covers {side.size} vertices, graph has {n}")
     if not np.isin(side, (0, 1)).all():
         raise ValueError("partition sides must be 0 (A) or 1 (B)")
-    return side
+    return side.astype(np.int8)
 
 
 def margins(g: Graph, partition) -> MarginReport:
@@ -54,8 +54,10 @@ def margins(g: Graph, partition) -> MarginReport:
     size_b = g.n - size_a
     if size_a == 0 or size_b == 0:
         raise ValueError("both partition classes must be nonempty")
-    same = (side[g.indices] == np.repeat(side, g.degrees)).astype(np.int64)
-    cum = np.concatenate(([0], np.cumsum(same)))
+    same = side[g.indices] == np.repeat(side, g.degrees)
+    cum = np.zeros(same.size + 1, dtype=np.int32)
+    cum[1:] = same
+    np.cumsum(cum[1:], out=cum[1:])  # in place: cumsum would copy a bool input to int32
     d_own = cum[g.indptr[1:]] - cum[g.indptr[:-1]]
     margin = 2 * d_own - g.degrees
     return MarginReport(

@@ -1,14 +1,18 @@
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import planepart as pp
 from planepart import incidence_graph, plane_of_order, singer_cycle, verify_subplane
+from planepart import plane as plane_module
+from planepart.constructions import construct_baer_partition
 from planepart.fields import MAX_FIELD_ORDER, prime_factors
-from planepart.graphs import Graph
+from planepart.graphs import _DIMACS_BLOCK, Graph
 from planepart.plane import least_primitive_cubic
+from planepart.verify import margins
 from oracles import (
     ReferenceField,
     dense_incidence,
@@ -153,22 +157,87 @@ def test_corrupt_tables_rejected():
     f = pp.make_field(2, 2)
     f.mul_table = f.mul_table.copy()
     f.mul_table[2, 3] = f.mul_table[3, 2] = 2
-    with pytest.raises(RuntimeError):
+    # the line check in the block loop fires before the whole-array checks
+    with pytest.raises(RuntimeError, match="off its line"):
         pp.Plane(f)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 32])  # q=32 spans several blocks
+# q=32 has 69,762 adjacency entries: to_dimacs writes four blocks of 496
+# vertices (16,368 entries, 2^14 less 16) and a last one of 130 vertices
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 32])
 def test_dimacs_matches_reference_on_planes(q):
     g = get_graph(q)
     assert _dimacs(g) == reference_dimacs(g)
+
+
+def _matching(n, isolated) -> list[list[int]]:
+    """Neighbour rows pairing the vertices not in ``isolated`` in id order."""
+    live = [v for v in range(n) if v not in isolated]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(live[0::2], live[1::2]):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return nbrs
 
 
 def test_dimacs_matches_reference_on_other_graphs():
     rng = random.Random(11)
     graphs = [random_bipartite(rng, a, a, 0.5) for a in (1, 3, 6, 10)]
     graphs.append(Graph.from_edges(5, [(0, 1), (1, 2), (3, 1)]))  # vertex 4 isolated
+    # the CSR graphs below come from from_neighbor_lists, which keeps each
+    # row as given; out of order rows write each edge in its lower end's order
+    shuffled = random_bipartite(rng, 30, 30, 0.5).adjacency_lists
+    for row in shuffled:
+        rng.shuffle(row)
+    graphs.append(Graph.from_neighbor_lists(shuffled))
+    # degree-1 vertices but for B-1, B, B+2 and B+4 (B = _DIMACS_BLOCK): the
+    # first block ends after B+2, so isolated vertices close it, and the
+    # second starts at B+3 with B+4 isolated inside it
+    b = _DIMACS_BLOCK
+    graphs.append(Graph.from_neighbor_lists(_matching(b + 8, {b - 1, b, b + 2, b + 4})))
+    # vertex 3 is joined to every other vertex: its row alone is more than a
+    # block, and its lower neighbours write their edge to it from their rows
+    n = b + 100
+    hub = [[3] if v != 3 else [u for u in range(n) if u != 3] for v in range(n)]
+    hub[0].append(1)
+    hub[1].append(0)
+    graphs.append(Graph.from_neighbor_lists(hub))
     for g in graphs:
         assert _dimacs(g) == reference_dimacs(g)
+
+
+def _transient_mb(step):
+    """``step()`` and the peak memory tracemalloc saw above its start, in MB."""
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = step()
+    return out, (tracemalloc.get_traced_memory()[1] - base) / 1e6
+
+
+def test_plane_request_steps_hold_a_block_of_temporaries(monkeypatch):
+    # each step of a q=64 plane, Baer or export request keeps its temporaries
+    # to a block; whole-plane int64 temporaries read 6.8-17.4 MB per step
+    handed = []
+
+    def recording_graph(indptr, indices, **kw):
+        handed.append(indices)
+        return Graph(indptr, indices, **kw)
+
+    monkeypatch.setattr(plane_module, "Graph", recording_graph)
+    tracemalloc.start()
+    try:
+        pl, build = _transient_mb(lambda: plane_of_order(64))
+        g, graph = _transient_mb(lambda: incidence_graph(pl))
+        part = construct_baer_partition(pl)
+        _, margin = _transient_mb(lambda: margins(g, part))
+        _, export = _transient_mb(lambda: g.to_dimacs(io.StringIO()))
+        _, doc = _transient_mb(pl.to_json)
+    finally:
+        tracemalloc.stop()
+    peaks = {"build": build, "graph": graph, "margins": margin, "export": export, "json": doc}
+    assert max(peaks.values()) < 6, peaks
+    assert pl.pencils.dtype == np.int32
+    assert np.shares_memory(g.indices, handed[0])
 
 
 @pytest.mark.parametrize("edge", [(-1, 0), (0, 3), (5, 1)])

@@ -13,15 +13,38 @@ from planepart.verify import is_internal, is_strict, margins
 from oracles import get_graph, get_plane, naive_intimacy, naive_margins, random_partition
 
 
+# every form a side may take: margins casts it to int8 once it is checked
+SIDE_FORMS = [
+    lambda side: side,  # uint8, as random_partition makes it
+    lambda side: side.astype(bool),
+    lambda side: side.astype(np.int64),
+    lambda side: side.tolist(),
+]
+
+
+def _check_against_oracle(g, rng, rounds):
+    for _ in range(rounds):
+        side = random_partition(rng, g.n)
+        want = naive_margins(g, side)
+        for form in SIDE_FORMS:
+            rep = margins(g, form(side))
+            assert rep.margin.tolist() == want
+            assert rep.partition_intimacy == naive_intimacy(g, side)
+
+
 @pytest.mark.parametrize("q", [3, 4])
 def test_margins_match_oracle_random(q):
-    g = get_graph(q)
-    rng = random.Random(1000 + q)
-    for _ in range(100):
-        side = random_partition(rng, g.n)
-        rep = margins(g, side)
-        assert rep.margin.tolist() == naive_margins(g, side)
-        assert rep.partition_intimacy == naive_intimacy(g, side)
+    _check_against_oracle(get_graph(q), random.Random(1000 + q), 100)
+
+
+def test_margins_match_oracle_off_the_plane():
+    # graphs with odd cycles, uneven degrees and isolated vertices (margin 0)
+    rng = random.Random(5)
+    for n in (2, 5, 9, 16):
+        inner = range(1, n - 1)
+        edges = [(u, v) for u in inner for v in inner if u < v and rng.random() < 0.4]
+        g = pp.Graph.from_edges(n, edges)  # vertices 0 and n-1 isolated
+        _check_against_oracle(g, rng, 30)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
