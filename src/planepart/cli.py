@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
+from itertools import islice
 
 from . import __version__
 from .constructions import (
@@ -43,84 +45,47 @@ from .verify import MarginReport, margins
 CONSTRUCTIONS = ("baer", "combinatorial", "alg1mod4", "alg3mod4", "oval", "even")
 
 
-_encode_str = json.encoder.encode_basestring_ascii
 _CONTAINERS = (dict, list, tuple)
-_PIECE = 1024
+_PIECE = 256
 
 
-def _json_scalar(value) -> str:
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    return json.dumps(value)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return _encode_str(key)
-    if key is None or isinstance(key, (int, float)):
-        return _encode_str(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_run(keys, values, start: int, stop: int, lead: str, sep: str):
-    """``values[start:stop]``, scalars all, after ``lead`` and joined by ``sep``.
-
-    ``keys`` is None in a list.  Each piece is one ``str.join`` of at most
-    ``_PIECE`` entries, so a long run never holds all its texts at once.
-    """
-    kinds = set(map(type, values[start:stop]))
-    if kinds == {int}:
-        fmt = int.__repr__
-    elif kinds == {str}:
-        fmt = _encode_str
-    else:
-        fmt = _json_scalar
-    if keys is not None:
-        key_fmt = _encode_str if set(map(type, keys[start:stop])) == {str} else _json_key
-    for a in range(start, stop, _PIECE):
-        b = min(a + _PIECE, stop)
-        texts = map(fmt, values[a:b])
-        if keys is not None:
-            texts = map("{}: {}".format, map(key_fmt, keys[a:b]), texts)
-        yield lead + sep.join(texts)
-        lead = sep
+@functools.lru_cache(maxsize=None)
+def _encoder(level: int) -> json.JSONEncoder:
+    """The C encoder with the item separator of ``indent=2`` at ``level``."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (level + 1), ": "))
 
 
 def _json_chunks(obj, level: int = 0):
     """The text of ``json.dumps(obj, indent=2)``, piece by piece.
 
-    Runs of scalars go through ``_json_run``; only containers recurse.  The
-    pure-Python encoder that ``indent`` selects makes a call per token
-    instead.
+    Scalars, empty containers and up to ``_PIECE`` entries of a container of
+    scalars are each one call of the stdlib C encoder, whose item separator
+    carries the indent of ``level``; only a container that holds containers
+    recurses.  ``indent`` itself would select the pure-Python encoder, which
+    makes a call per token.
     """
-    if not isinstance(obj, _CONTAINERS):
-        yield _json_scalar(obj)
+    encoder = _encoder(level)
+    encode = encoder.encode
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        yield encode(obj)
         return
-    if not obj:
-        yield "{}" if isinstance(obj, dict) else "[]"
-        return
-    if isinstance(obj, dict):
-        keys, values, lead, close = list(obj), list(obj.values()), "{", "}"
-    else:
-        keys, values, lead, close = None, obj, "[", "]"
-    sep = ",\n" + "  " * (level + 1)
-    lead += sep[1:]
-    start = 0
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    sep = encoder.item_separator
+    lead = ("{" if is_dict else "[") + sep[1:]
     if any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values))):
-        for i, value in enumerate(values):
-            if isinstance(value, _CONTAINERS):
-                if start < i:
-                    yield from _json_run(keys, values, start, i, lead, sep)
-                    lead = sep
-                yield lead if keys is None else lead + _json_key(keys[i]) + ": "
-                yield from _json_chunks(value, level + 1)
-                lead = sep
-                start = i + 1
-    if start < len(values):
-        yield from _json_run(keys, values, start, len(values), lead, sep)
-    yield "\n" + "  " * level + close
+        for key, value in zip(obj, values):  # a list's "keys" are its values, unused
+            # the key as the encoder coerces or rejects it, then ": "
+            yield lead + encode({key: 0})[1:-2] if is_dict else lead
+            yield from _json_chunks(value, level + 1)
+            lead = sep
+    else:
+        items = iter(obj.items()) if is_dict else None
+        for start in range(0, len(obj), _PIECE):
+            piece = dict(islice(items, _PIECE)) if is_dict else obj[start:start + _PIECE]
+            yield lead + encode(piece)[1:-1]
+            lead = sep
+    yield "\n" + "  " * level + ("}" if is_dict else "]")
 
 
 def _write_json(path: str, doc: dict):

@@ -39,7 +39,7 @@ class MarginReport:
 
 
 def _side_array(partition, n: int) -> np.ndarray:
-    side = np.asarray(getattr(partition, "side", partition), dtype=np.int64)
+    side = np.asarray(getattr(partition, "side", partition))
     if side.shape != (n,):
         raise ValueError(f"partition covers {side.size} vertices, graph has {n}")
     if not np.isin(side, (0, 1)).all():

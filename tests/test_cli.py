@@ -1,13 +1,16 @@
 """End-to-end runs of the command line against fresh temp files."""
 
 import dataclasses
+import enum
 import json
+import tracemalloc
 
 import pytest
 
 from planepart import reproduce
 from planepart.cli import _PIECE, _json_chunks, _partition_doc, _write_json, main
 from planepart.constructions import Partition, construct_baer_partition
+from planepart.plane import incidence_graph, plane_of_order
 from planepart.search import (
     AnnealParams,
     anneal_search,
@@ -371,6 +374,22 @@ def test_json_writer_matches_json_dump_on_package_documents(tmp_path):
         _assert_written_as_json_dump(tmp_path, doc)
 
 
+class _Kind(enum.IntEnum):
+    A = 0
+    B = 1
+
+
+class _Text(str):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+_RUN_LENGTHS = (_PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE + 1)
+
+
 @pytest.mark.parametrize("doc", [
     {},
     [],
@@ -386,10 +405,19 @@ def test_json_writer_matches_json_dump_on_package_documents(tmp_path):
     [True, False, 1, 0],
     {"x": 1, "y": [2], "z": 3, "w": "4", "v": {}, "u": None},
     {"scalars": [1, 2, 3], "mixed": [1, [2], 3], "deep": {"x": {"y": {"z": []}}}},
-    # runs longer than one str.join piece, whole and cut by a container
+    # runs longer than one encoder piece, whole and cut by a container
     list(range(2 * _PIECE + 5)),
     {f"k{i}": i % 3 == 0 or str(i) for i in range(_PIECE + 1)},
     [*range(_PIECE + 7), [None], *map(str, range(_PIECE)), {}, 0.5],
+    # runs at the piece boundaries, and flat containers at three depths
+    *[list(range(n)) for n in _RUN_LENGTHS],
+    *[{i if i % 2 else f"k{i}": i / 4 for i in range(n)} for n in _RUN_LENGTHS],
+    {"one": [1, 2], "two": {"a": {"b": 3, "c": 4}, "d": [[5, 6], {"e": 7}]}},
+    [[[1, "x"], [2.5, None]], {"k": {"n": [3]}}],
+    # subclasses are written as their base type writes them
+    {_Kind.B: _Kind.A, _Text("key"): _Text("value"), _Real(0.25): _Real(1.5)},
+    [_Kind.B, _Text("a"), _Real(2.0), {"k": [_Kind.A, _Real(-0.5)]}],
+    {_Kind.A: [_Text("t")], _Real(3.5): {_Text("s"): _Kind.B}},
     None,
     7,
     "top-level string",
@@ -402,6 +430,8 @@ def test_json_writer_rejects_what_json_rejects(tmp_path):
     with pytest.raises(TypeError):
         _write_json(str(tmp_path / "a.json"), {(1, 2): "tuple key"})
     with pytest.raises(TypeError):
+        _write_json(str(tmp_path / "c.json"), {"ok": 1, (1, 2): ["tuple key"]})
+    with pytest.raises(TypeError):
         _write_json(str(tmp_path / "b.json"), {"set": {1, 2}})
 
 
@@ -411,6 +441,27 @@ def test_json_writer_streams_the_plane_document():
     same = "".join(pieces) == json.dumps(get_plane(16).to_json(), indent=2)
     assert same
     assert max(map(len, pieces)) < sum(map(len, pieces)) / 4
+
+
+def test_json_writer_holds_a_piece_at_a_time(tmp_path):
+    # the q=64 plane and Baer partition documents; their 4,161 rows of 65
+    # points and the 8,322-entry assignment and margins dicts each peak
+    # within 0.15 MB of tracemalloc's start
+    pl = plane_of_order(64)
+    g = incidence_graph(pl)
+    baer = construct_baer_partition(pl)
+    docs = {"plane": pl.to_json(), "baer": _partition_doc(g, baer, margins(g, baer))}
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, doc in docs.items():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _write_json(str(tmp_path / f"{name}.json"), doc)
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 0.15, peaks
 
 
 def test_reproduce_manifest_is_written_as_json_dump(tmp_path, capsys):

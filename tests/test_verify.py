@@ -18,6 +18,7 @@ SIDE_FORMS = [
     lambda side: side,  # uint8, as random_partition makes it
     lambda side: side.astype(bool),
     lambda side: side.astype(np.int64),
+    lambda side: side.astype(float),  # 0.0 and 1.0 only
     lambda side: side.tolist(),
 ]
 
@@ -120,11 +121,30 @@ def test_margins_rejects_empty_class():
 
 
 def test_margins_rejects_bad_side_values():
+    # integers other than 0 and 1 in every integer form, and fractional
+    # sides, which must not be truncated to 0 or 1 before they are checked
+    g = get_graph(4)
+    for bad in (2, -1, 0.5, 1.5):
+        side = np.zeros(g.n)
+        side[1] = 1
+        side[0] = bad
+        forms = [side, side.tolist()]
+        if bad == int(bad):
+            ints = side.astype(np.int64)
+            forms += [ints, ints.astype(np.uint8), ints.tolist()]  # uint8 wraps -1 to 255
+        for form in forms:
+            with pytest.raises(ValueError):
+                margins(g, form)
+
+
+def test_margins_rejects_text_and_short_sides():
     g = get_graph(2)
-    side = np.zeros(g.n, dtype=np.int64)
-    side[0] = 2
+    text = ["0"] * g.n
+    text[0] = "1"
     with pytest.raises(ValueError):
-        margins(g, side)
+        margins(g, text)
+    with pytest.raises(ValueError):
+        margins(g, np.array(text))
     with pytest.raises(ValueError):
         margins(g, np.zeros(g.n - 1, dtype=np.uint8))
 
