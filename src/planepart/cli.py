@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 on a verification failure (a partition below
 the requested t, or an exhaustive search that ran out of budget without an
 answer), 2 on usage errors, including violated construction preconditions,
-meaningless search budgets or anneal parameters, and files that cannot be
-read or written.  ``search anneal`` exits 0 on ``timeout``: finding no
+flags that do not apply to the construction or search mode, meaningless
+search budgets or anneal parameters, and files that cannot be read or
+written.  ``search anneal`` exits 0 on ``timeout``: finding no
 witness is not a claim that none exists, and the acceptance table's
 criterion 9 relies on that exit code.
 """
@@ -43,6 +44,15 @@ from .spectral import intimacy_upper_bound, singular_spectrum
 from .verify import MarginReport, margins
 
 CONSTRUCTIONS = ("baer", "combinatorial", "alg1mod4", "alg3mod4", "oval", "even")
+# the constructions each construct flag applies to; any other use is a usage error
+_FLAG_USERS = {
+    "drop": ("combinatorial",),
+    "point": ("combinatorial",),
+    "line": ("combinatorial",),
+    "erase_units": ("alg1mod4", "alg3mod4"),
+    "variant": ("oval",),
+    "secant": ("even",),
+}
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -158,7 +168,7 @@ def _build_construction(pl: Plane, args) -> Partition:
     if name == "alg3mod4":
         return construct_algebraic_3mod4(pl, erase_units=args.erase_units)
     if name == "oval":
-        return construct_oval(pl, variant=args.variant)
+        return construct_oval(pl, variant=args.variant or "interior_skew")
     if name == "even":
         secant = _triple_index(pl, args.secant) if args.secant else None
         return construct_even(pl, secant_line=secant)
@@ -166,6 +176,10 @@ def _build_construction(pl: Plane, args) -> Partition:
 
 
 def cmd_construct(args) -> int:
+    for flag, users in _FLAG_USERS.items():
+        if getattr(args, flag) and args.name not in users:
+            option = "--" + flag.replace("_", "-")
+            raise ValueError(f"{option} does not apply to construction {args.name!r}")
     pl = plane_of_order(args.q)
     part = _build_construction(pl, args)
     g = incidence_graph(pl)
@@ -255,10 +269,11 @@ def _print_solver_counts(res) -> None:
 
 def _search_exhaustive(pl: Plane, g: Graph, args) -> int:
     if args.max_intimacy:
-        t_hi = min(int(g.degrees.min()) // 2, intimacy_upper_bound(pl.q))
+        if args.t is not None:
+            raise ValueError("--t does not apply to --max-intimacy, which scans every t")
         best, res = exhaustive_max_intimacy(
             g,
-            t_hi=t_hi,
+            t_hi=intimacy_upper_bound(pl.q),
             max_nodes=args.max_nodes,
             max_seconds=args.max_seconds,
             workers=args.workers,
@@ -275,7 +290,7 @@ def _search_exhaustive(pl: Plane, g: Graph, args) -> int:
         return 0
     res = exhaustive_exists(
         g,
-        args.t,
+        args.t or 0,
         max_nodes=args.max_nodes,
         max_seconds=args.max_seconds,
         workers=args.workers,
@@ -341,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--erase-units", action="store_true", help="alg1mod4/alg3mod4: drop unit triples"
     )
-    p.add_argument("--variant", choices=OVAL_VARIANTS, default="interior_skew")
+    p.add_argument("--variant", choices=OVAL_VARIANTS, help="oval: default interior_skew")
     p.add_argument("--point", help="combinatorial: pencil point a:b:c")
     p.add_argument("--line", help="combinatorial: reference line x:y:z")
     p.add_argument("--secant", help="even: secant line x:y:z")
@@ -367,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = mode.add_parser("exhaustive", help="sound and complete branch and bound")
     ex.add_argument("--q", type=int, required=True)
-    ex.add_argument("--t", type=int, default=0)
+    ex.add_argument("--t", type=int, help="default 0; not with --max-intimacy")
     ex.add_argument(
         "--max-intimacy", action="store_true", help="scan t downward for the maximum"
     )

@@ -39,9 +39,6 @@ class Partition:
     def class_a(self) -> np.ndarray:
         return np.flatnonzero(self.side == 0)
 
-    def class_b(self) -> np.ndarray:
-        return np.flatnonzero(self.side == 1)
-
     def to_json(self, labels) -> dict:
         return {
             "assignment": {

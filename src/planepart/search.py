@@ -26,7 +26,9 @@ to A, which quotients out the swap of A and B.  On the incidence graph of
 PG(2,q), at a t where every vertex needs at least two neighbours on its
 own side, a flag triangle is put on A as well: point 0, two lines L0 and
 L1 through it, and a second point on each line (see ``_presets`` for why
-no partition is lost).
+no partition is lost).  ``exhaustive_exists`` and ``exhaustive_max_intimacy``
+are one scan over t (``_scan``) with one node budget, one deadline and at
+most one process pool; the first decides a single t.
 """
 
 from __future__ import annotations
@@ -347,45 +349,17 @@ def _frontier_jobs(adj, t, presets):
     return jobs, tries
 
 
-class _Pool:
-    """The process pool of one search call, started by the first t that fans out.
-
-    It has ``min(workers, len(jobs))`` processes for that t's jobs and
-    serves every later t of the call; a context manager, it stops its
-    processes on exit.  A t that ends ``found`` or ``timeout`` ends the
-    call, so no job of one t is still queued when the next t starts.
-    """
-
-    def __init__(self, workers):
-        self.workers = workers
-        self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.terminate()
-
-    def imap(self, args):
-        if self._pool is None:
-            self._pool = multiprocessing.get_context().Pool(
-                processes=min(self.workers, len(args))
-            )
-        return self._pool.imap(_run_job, args)
-
-
-def _decide(adj, t, presets, max_nodes, deadline, pool):
+def _decide(adj, t, presets, max_nodes, deadline, imap):
     """Decide one t: ``(status, witness side, nodes, conflicts, max_depth, propagations)``.
 
-    A t that a vertex's degree rules out takes no node.  One worker, or a
-    frontier with no jobs, searches serially; otherwise the jobs run on
-    ``pool`` and are read in the serial order, each after the tries before
-    it, up to the first witness.
+    A t that a vertex's degree rules out takes no node.  Without ``imap``,
+    or with a frontier that has no jobs, the search is serial; otherwise
+    ``imap`` runs the jobs, which are read in the serial order, each after
+    the tries before it, up to the first witness.
     """
     if len(adj) < 2 or any(max(0, (len(a) + 2 * t + 1) // 2) > len(a) for a in adj):
         return (EXHAUSTED, None, 0, 0, 0, 0)
-    jobs, tries = ([], []) if pool.workers == 1 else _frontier_jobs(adj, t, presets)
+    jobs, tries = ([], []) if imap is None else _frontier_jobs(adj, t, presets)
     if not jobs:
         return _solve(adj, t, presets, max_nodes, deadline)
     share = None
@@ -393,7 +367,7 @@ def _decide(adj, t, presets, max_nodes, deadline, pool):
         share = max(0, max_nodes - sum(n for n, _, _ in tries)) // len(jobs)
     args = [(adj, t, job, share, deadline) for job in jobs]
     # the tries after the last job come with an empty result
-    results = itertools.chain(pool.imap(args), [(EXHAUSTED, None, 0, 0, 0, 0)])
+    results = itertools.chain(imap(args), [(EXHAUSTED, None, 0, 0, 0, 0)])
     status, nodes, conflicts, max_depth, forced = EXHAUSTED, 0, 0, 0, 0
     for (top_nodes, top_conflicts, top_forced), result in zip(tries, results):
         job_status, job_side, job_nodes, job_conflicts, job_depth, job_forced = result
@@ -425,13 +399,67 @@ def _result(g: Graph, t, start, status, side, nodes, details, source="exhaustive
     return SearchResult(status, witness, nodes, time.monotonic() - start, details)
 
 
-def _check_budgets(max_nodes, max_seconds, workers):
+def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
+    """Decide the t of ``ts`` in order up to the first not exhausted: ``(t, result)``.
+
+    t is the one the scan stopped at.  ``max_nodes`` and ``max_seconds`` are
+    each one budget for the scan: every t gets what the ones before it left
+    and starts only while some is left.  ``nodes_explored``, ``conflicts``,
+    ``propagations`` and ``wall_time`` cover the scan, ``max_depth`` is its
+    deepest path and ``presets`` counts the last t's.  With ``workers > 1``
+    the first t that fans out starts one pool of ``min(workers, jobs)``
+    processes, which serves every later t and is terminated when the scan
+    ends, also on an error.  A t that ends ``found`` or ``timeout`` ends the
+    scan, so no job of one t is queued when the next starts.  Raises
+    ValueError when ``max_nodes < 1``, ``max_seconds <= 0`` or ``workers < 1``.
+    """
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     if max_seconds is not None and not max_seconds > 0:
         raise ValueError(f"max_seconds must be positive, got {max_seconds}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    start = time.monotonic()
+    deadline = None if max_seconds is None else start + max_seconds
+    pool = None
+
+    def imap(args):
+        nonlocal pool
+        if pool is None:
+            pool = multiprocessing.get_context().Pool(processes=min(workers, len(args)))
+        return pool.imap(_run_job, args)
+
+    nodes = conflicts = max_depth = forced = 0
+    try:
+        for t in ts:
+            presets = _presets(g, t)
+            nodes_left = None if max_nodes is None else max_nodes - nodes
+            if (nodes_left is not None and nodes_left < 1) or (
+                deadline is not None and time.monotonic() >= deadline
+            ):
+                status, side = TIMEOUT, None
+                break
+            status, side, t_nodes, t_conflicts, t_depth, t_forced = _decide(
+                g.adjacency_lists, t, presets, nodes_left, deadline, imap if workers > 1 else None
+            )
+            nodes += t_nodes
+            conflicts += t_conflicts
+            max_depth = max(max_depth, t_depth)
+            forced += t_forced
+            if status != EXHAUSTED:
+                break
+        details = {
+            "t": t,
+            "workers": workers,
+            "presets": len(presets),
+            "conflicts": conflicts,
+            "max_depth": max_depth,
+            "propagations": forced,
+        }
+        return t, _result(g, t, start, status, side, nodes, details)
+    finally:
+        if pool is not None:
+            pool.terminate()
 
 
 def exhaustive_exists(
@@ -444,7 +472,9 @@ def exhaustive_exists(
 ) -> SearchResult:
     """Decide whether a t-internal partition exists, with optional budgets.
 
-    With ``workers > 1`` the top two branching levels below the presets fan
+    The one-t case of the scan that ``exhaustive_max_intimacy`` runs (see
+    ``_scan``): one node budget, one deadline and at most one pool.  With
+    ``workers > 1`` the top two branching levels below the presets fan
     out to a pool of at most one process per job, so at most four; a top of
     the tree that yields no jobs is searched serially, as with one worker.
     Without budgets the status, witness and counts do not depend on
@@ -461,23 +491,7 @@ def exhaustive_exists(
     Raises ValueError when ``max_nodes < 1``, ``max_seconds <= 0`` or
     ``workers < 1``.
     """
-    _check_budgets(max_nodes, max_seconds, workers)
-    start = time.monotonic()
-    deadline = None if max_seconds is None else start + max_seconds
-    presets = _presets(g, t)
-    with _Pool(workers) as pool:
-        status, side, nodes, conflicts, max_depth, forced = _decide(
-            g.adjacency_lists, t, presets, max_nodes, deadline, pool
-        )
-    details = {
-        "t": t,
-        "workers": workers,
-        "presets": len(presets),
-        "conflicts": conflicts,
-        "max_depth": max_depth,
-        "propagations": forced,
-    }
-    return _result(g, t, start, status, side, nodes, details)
+    return _scan(g, [t], max_nodes, max_seconds, workers)[1]
 
 
 def exhaustive_max_intimacy(
@@ -493,55 +507,24 @@ def exhaustive_max_intimacy(
     Scans from ``t_hi`` (default: min_v floor(d(v)/2), the degree cap; pass
     the spectral bound for plane graphs) down to the trivial floor, where
     any split qualifies; a ``t_hi`` below it is a ValueError.  Returns
-    ``(None, result)`` on a budget timeout.  ``max_nodes`` and
-    ``max_seconds`` are each one budget for the whole scan: every t gets
-    what the ones before it left.  The result's ``nodes_explored``,
-    ``conflicts`` and ``propagations`` sum over the scan, ``max_depth`` is
-    its deepest path, ``presets`` counts the presets of the last t tried,
-    and ``wall_time`` times the whole scan.  With ``workers > 1`` one pool
-    serves the whole scan: it starts at the first t that fans out.
+    ``(None, result)`` on a budget timeout.  It runs ``_scan``, as
+    ``exhaustive_exists`` does for one t: one node budget and one deadline
+    for the whole scan, each t getting what the ones before it left, counts
+    and ``wall_time`` over the whole scan, and with ``workers > 1`` one pool,
+    started at the first t that fans out.
     """
-    _check_budgets(max_nodes, max_seconds, workers)
     if g.n < 2:
         raise ValueError("need at least two vertices to partition")
-    start = time.monotonic()
-    deadline = None if max_seconds is None else start + max_seconds
     degs = g.degrees
     if t_hi is None:
         t_hi = int(degs.min()) // 2
     t_lo = -((int(degs.max()) + 1) // 2)
     if t_hi < t_lo:
         raise ValueError(f"t_hi={t_hi} is below the trivial floor t={t_lo}")
-    nodes = conflicts = max_depth = forced = 0
-    with _Pool(workers) as pool:
-        for t in range(t_hi, t_lo - 1, -1):
-            presets = _presets(g, t)
-            nodes_left = None if max_nodes is None else max_nodes - nodes
-            if (nodes_left is not None and nodes_left < 1) or (
-                deadline is not None and time.monotonic() >= deadline
-            ):
-                status, side = TIMEOUT, None
-                break
-            status, side, t_nodes, t_conflicts, t_depth, t_forced = _decide(
-                g.adjacency_lists, t, presets, nodes_left, deadline, pool
-            )
-            nodes += t_nodes
-            conflicts += t_conflicts
-            max_depth = max(max_depth, t_depth)
-            forced += t_forced
-            if status != EXHAUSTED:
-                break
-        else:
-            raise RuntimeError("scan passed the trivial floor without a witness")
-    details = {
-        "t": t,
-        "workers": workers,
-        "presets": len(presets),
-        "conflicts": conflicts,
-        "max_depth": max_depth,
-        "propagations": forced,
-    }
-    return (t if status == FOUND else None), _result(g, t, start, status, side, nodes, details)
+    t, res = _scan(g, range(t_hi, t_lo - 1, -1), max_nodes, max_seconds, workers)
+    if res.status == EXHAUSTED:
+        raise RuntimeError("scan passed the trivial floor without a witness")
+    return (t if res.status == FOUND else None), res
 
 
 _BRUTE_MAX_VERTICES = 20

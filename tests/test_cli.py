@@ -78,6 +78,40 @@ def test_coordinates_outside_the_field_are_usage_errors(capsys, flag, triple):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "baer", "--q", "9", "--drop"),
+    ("construct", "baer", "--q", "9", "--variant", "interior_skew"),
+    ("construct", "oval", "--q", "7", "--erase-units"),
+    ("construct", "oval", "--q", "7", "--secant", "1:0:0"),
+    ("construct", "even", "--q", "8", "--point", "0:0:1"),
+    ("construct", "even", "--q", "8", "--line", "1:0:0"),
+    ("construct", "combinatorial", "--q", "5", "--erase-units"),
+    ("construct", "alg1mod4", "--q", "5", "--variant", "exterior_skewtangent"),
+    ("construct", "alg3mod4", "--q", "7", "--drop"),
+    ("search", "exhaustive", "--q", "3", "--max-intimacy", "--t", "5"),
+    ("search", "exhaustive", "--q", "3", "--max-intimacy", "--t", "0"),
+])
+def test_flags_that_do_not_apply_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "does not apply to" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "combinatorial", "--q", "5", "--drop", "--point", "0:0:1", "--line", "0:0:1"),
+    ("construct", "alg1mod4", "--q", "5", "--erase-units"),
+    ("construct", "alg3mod4", "--q", "7", "--erase-units"),
+    ("construct", "oval", "--q", "7", "--variant", "exterior_skewtangent"),
+    ("construct", "even", "--q", "8", "--secant", "1:0:0"),
+])
+def test_flags_that_apply_are_accepted(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "partition intimacy: 0" in out
+
+
 def test_construct_even_odd_order_rejected(capsys):
     code, _, err = run(capsys, "construct", "even", "--q", "5")
     assert code == 2

@@ -332,6 +332,36 @@ def test_pooled_witness_is_the_serial_witness():
     assert margins(g, pooled.witness).partition_intimacy >= 1
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_t_scan_is_the_single_t_search(workers):
+    # both entry points are one scan: a max-intimacy scan from t_hi = 1 that
+    # finds a witness at t = 1 is exhaustive_exists at t = 1
+    g = get_graph(7)
+    single = exhaustive_exists(g, 1, workers=workers)
+    best, scan = exhaustive_max_intimacy(g, t_hi=1, workers=workers)
+    assert best == 1
+    assert _counts(scan) == _counts(single) == ("found", 312, 137, 48, 378)
+    assert scan.witness.side.tolist() == single.witness.side.tolist()
+    assert scan.details == single.details
+
+
+def test_pool_stops_when_a_pooled_search_raises(monkeypatch):
+    sizes = record_pools(monkeypatch)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(search_module, "_result", fail)
+    for scan in (
+        lambda g: exhaustive_exists(g, 1, workers=2),
+        lambda g: exhaustive_max_intimacy(g, workers=2),
+    ):
+        with pytest.raises(RuntimeError, match="planted"):
+            scan(get_graph(3))
+        assert multiprocessing.active_children() == []
+    assert sizes == [2, 2]
+
+
 def test_propagations_sum_over_pool_jobs_and_scans():
     # a pooled search adds the frontier's propagations to its jobs'
     g = get_graph(3)
