@@ -43,15 +43,28 @@ from .search import (
 from .spectral import intimacy_upper_bound, singular_spectrum
 from .verify import MarginReport, margins
 
-CONSTRUCTIONS = ("baer", "combinatorial", "alg1mod4", "alg3mod4", "oval", "even")
-# the constructions each construct flag applies to; any other use is a usage error
-_FLAG_USERS = {
-    "drop": ("combinatorial",),
-    "point": ("combinatorial",),
-    "line": ("combinatorial",),
-    "erase_units": ("alg1mod4", "alg3mod4"),
-    "variant": ("oval",),
-    "secant": ("even",),
+# each construction: the construct flags it reads (any other is a usage error)
+# and its builder, which looks its construct_* up in this module when called
+_CONSTRUCTIONS = {
+    "baer": ((), lambda pl, a: construct_baer_partition(pl)),
+    "combinatorial": (("drop", "point", "line"), lambda pl, a: construct_combinatorial(
+        pl,
+        point=_triple_index(pl, a.point),
+        line=_triple_index(pl, a.line),
+        drop_variant=a.drop,
+    )),
+    "alg1mod4": (("erase_units",), lambda pl, a: construct_algebraic_1mod4(
+        pl, erase_units=a.erase_units
+    )),
+    "alg3mod4": (("erase_units",), lambda pl, a: construct_algebraic_3mod4(
+        pl, erase_units=a.erase_units
+    )),
+    "oval": (("variant",), lambda pl, a: construct_oval(
+        pl, variant=a.variant or "interior_skew"
+    )),
+    "even": (("secant",), lambda pl, a: construct_even(
+        pl, secant_line=_triple_index(pl, a.secant)
+    )),
 }
 
 
@@ -117,8 +130,8 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _triple_index(pl: Plane, text: str) -> int:
-    return int(pl.index(_parse_triple(text)))
+def _triple_index(pl: Plane, text: str | None) -> int | None:
+    return None if text is None else int(pl.index(_parse_triple(text)))
 
 
 def _print_margins(report: MarginReport):
@@ -153,35 +166,16 @@ def cmd_plane(args) -> int:
     return 0
 
 
-def _build_construction(pl: Plane, args) -> Partition:
-    name = args.name
-    if name == "baer":
-        return construct_baer_partition(pl)
-    if name == "combinatorial":
-        point = _triple_index(pl, args.point) if args.point else None
-        line = _triple_index(pl, args.line) if args.line else None
-        return construct_combinatorial(
-            pl, point=point, line=line, drop_variant=args.drop
-        )
-    if name == "alg1mod4":
-        return construct_algebraic_1mod4(pl, erase_units=args.erase_units)
-    if name == "alg3mod4":
-        return construct_algebraic_3mod4(pl, erase_units=args.erase_units)
-    if name == "oval":
-        return construct_oval(pl, variant=args.variant or "interior_skew")
-    if name == "even":
-        secant = _triple_index(pl, args.secant) if args.secant else None
-        return construct_even(pl, secant_line=secant)
-    raise ValueError(f"unknown construction {name!r}")
-
-
 def cmd_construct(args) -> int:
-    for flag, users in _FLAG_USERS.items():
-        if getattr(args, flag) and args.name not in users:
-            option = "--" + flag.replace("_", "-")
-            raise ValueError(f"{option} does not apply to construction {args.name!r}")
+    reads, build = _CONSTRUCTIONS[args.name]
+    # the first flag that does not apply, in table order
+    for flags, _ in _CONSTRUCTIONS.values():
+        for flag in flags:
+            if getattr(args, flag) not in (None, False) and flag not in reads:
+                option = "--" + flag.replace("_", "-")
+                raise ValueError(f"{option} does not apply to construction {args.name!r}")
     pl = plane_of_order(args.q)
-    part = _build_construction(pl, args)
+    part = build(pl, args)
     g = incidence_graph(pl)
     report = margins(g, part)
     print(f"construction: {args.name}  q = {pl.q}")
@@ -284,7 +278,8 @@ def _search_exhaustive(pl: Plane, g: Graph, args) -> int:
             return 1
         print(f"max intimacy: {best}")
         if args.out:
-            doc = {"max_intimacy": best, "result": res.to_json(g.labels)}
+            doc = res.to_json(g.labels)
+            doc["max_intimacy"] = best
             _write_json(args.out, doc)
             print(f"wrote search JSON to {args.out}")
         return 0
@@ -349,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plane)
 
     p = sub.add_parser("construct", help="run a named partition construction")
-    p.add_argument("name", choices=CONSTRUCTIONS)
+    p.add_argument("name", choices=_CONSTRUCTIONS)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--out", help="write partition + margin report JSON here")
     p.add_argument("--drop", action="store_true", help="combinatorial: drop P and ell")

@@ -607,36 +607,44 @@ def anneal_search(
 
     Each vertex keeps its raw shortfall ``short[v] = d(v) + 2t - 2 d_own(v)``
     (its penalty is ``max(0, short[v])``, and flipping v turns it into
-    ``4t - short[v]``) and the change in its penalty if it loses
-    (``lose[v]``) or gains (``gain[v]``) one neighbour on its own side.  The
-    invariant is that ``delta[v]`` is the exact change in the objective if v
-    alone flips::
+    ``4t - short[v]``).  The lookup tables ``lose_of[x]`` and ``gain_of[x]``
+    give the change in the penalty of a vertex of shortfall x if it loses or
+    gains one neighbour on its own side.  The invariant is that ``delta[v]``
+    is the exact change in the objective if v alone flips::
 
         delta[v] = max(0, 4t - short[v]) - max(0, short[v])
-                   + sum(lose[u] for own-side u in N(v))
-                   + sum(gain[u] for other-side u in N(v))
+                   + sum(lose_of[short[u]] for own-side u in N(v))
+                   + sum(gain_of[short[u]] for other-side u in N(v))
 
     plus ``off``, which exceeds twice any such change, once while v is tabu
     and once more while v is alone in its class, so the least entry of
-    ``delta`` is the least change of a non-tabu vertex.  A flip updates
-    ``short`` and ``delta`` on N(v), and ``delta`` on N(u) for each
-    neighbour u whose ``lose``/``gain`` moved: O(d * changed).  Flipping v
-    back would undo the flip, so v's own change becomes ``-delta[v]``.  The
+    ``delta`` is the least change of a non-tabu vertex.  ``tabu`` maps each
+    tabu vertex to the step its tenure ends.  A flip updates ``short`` and
+    ``delta`` on N(v), and ``delta`` on N(u) for each neighbour u whose
+    ``lose_of``/``gain_of`` entry moved: O(d * changed).  Flipping v back
+    would undo the flip, so v's own change becomes ``-delta[v]``.  The
     choices and the random stream are those of a plain loop that rescans
     N(v) for every vertex on every step, so statuses, step counts, best
-    objectives and witnesses are the same as that loop's.  The tie and tenure
-    draws are taken as ``rng.randrange`` takes them in CPython, k-bit
-    ``getrandbits`` draws until one is in range, without the call's argument
-    checks.
+    objectives and witnesses are the same as that loop's.  Every draw is
+    taken as ``rng.randrange`` takes it in CPython, k-bit ``getrandbits``
+    draws until one is in range, without the call's argument checks.
     """
     params = params or AnnealParams()
     if g.n < 2:
         raise ValueError("need at least two vertices to partition")
     start = time.monotonic()
     rng = random.Random(params.seed)
-    randrange = rng.randrange
     getrandbits = rng.getrandbits
-    spread_bits = _TABU_SPREAD.bit_length()
+
+    def randbelow(j):
+        # rng.randrange(j) without its argument checks: the same rejection
+        # loop over k-bit draws, so the stream is unchanged
+        k = j.bit_length()
+        r = getrandbits(k)
+        while r >= j:
+            r = getrandbits(k)
+        return r
+
     n = g.n
     adj = [tuple(a) for a in g.adjacency_lists]
     deg = [len(a) for a in adj]
@@ -669,12 +677,12 @@ def anneal_search(
             if len(side) != n:
                 raise ValueError("init partition does not match the graph")
         else:
-            side = [randrange(2) for _ in range(n)]
+            side = [randbelow(2) for _ in range(n)]
         ones = sum(side)
         if ones == 0:
-            side[randrange(n)] = 1
+            side[randbelow(n)] = 1
         elif ones == n:
-            side[randrange(n)] = 0
+            side[randbelow(n)] = 0
         counts = [n - sum(side), sum(side)]
         short = [
             deg[v] + 2 * t - 2 * sum(1 for u in adj[v] if side[u] == side[v])
@@ -684,11 +692,9 @@ def anneal_search(
         best_obj = obj if best_obj is None else min(best_obj, obj)
         if obj == 0:
             return finish(FOUND, side=side, detail={"restart": restart, "step": 0})
-        lose = [lose_of[x] for x in short]
-        gain = [gain_of[x] for x in short]
         delta = [
             flip_of[short[v]]
-            + sum(lose[u] if side[u] == side[v] else gain[u] for u in adj[v])
+            + sum((lose_of if side[u] == side[v] else gain_of)[short[u]] for u in adj[v])
             for v in range(n)
         ]
         # alone[s]: the vertex of class s while it is the only one, else None
@@ -696,18 +702,16 @@ def anneal_search(
         for v in alone:
             if v is not None:
                 delta[v] += off
-        tabu_until = [0] * n
-        tabu = set()
+        tabu = {}
         expiring = [[] for _ in range(ring)]
         restart_best = obj
         for step in range(params.steps):
             slot = expiring[step % ring]
             for v in slot:
                 # a vertex flipped again while tabu has two entries; only one ends its tenure
-                if tabu_until[v] == step:
-                    tabu_until[v] = 0
+                if tabu.get(v) == step:
+                    del tabu[v]
                     delta[v] -= off
-                    tabu.remove(v)
             slot.clear()
             # a tabu vertex aspires when obj + (delta[v] - off) < restart_best
             bar = restart_best - obj + off
@@ -727,52 +731,38 @@ def anneal_search(
                 i = v
                 for j in range(2, ties + 1):
                     i = key.index(dv, i + 1)
-                    # rng.randrange(j) without its argument checks: the same
-                    # rejection loop over k-bit draws, so the stream is unchanged
-                    k = j.bit_length()
-                    r = getrandbits(k)
-                    while r >= j:
-                        r = getrandbits(k)
-                    if not r:
+                    if not randbelow(j):
                         v = i
-            if tabu_until[v] > step:
+            if v in tabu:
                 aspirations += 1
             s = side[v]
             side[v] = s ^ 1
             counts[s] -= 1
             counts[s ^ 1] += 1
-            lose_v, gain_v = lose[v], gain[v]
-            xv = short[v] = t4 - short[v]
-            new_lose_v = lose[v] = lose_of[xv]
-            new_gain_v = gain[v] = gain_of[xv]
+            xv = short[v]
+            short[v] = t4 - xv
+            # u's term for v turns from lose_of into gain_of (u on v's old side) or back
+            own, other = gain_of[t4 - xv] - lose_of[xv], lose_of[t4 - xv] - gain_of[xv]
             for u in adj[v]:
-                # u's term for v switches between lose[v] and gain[v]
                 xu = short[u]
                 if side[u] == s:
                     x = xu + 2
-                    change = new_gain_v - lose_v
+                    change = own
                 else:
                     x = xu - 2
-                    change = new_lose_v - gain_v
+                    change = other
                 short[u] = x
                 delta[u] += change + flip_of[x] - flip_of[xu]
-                d_lose = lose_of[x] - lose[u]
-                d_gain = gain_of[x] - gain[u]
+                d_lose = lose_of[x] - lose_of[xu]
+                d_gain = gain_of[x] - gain_of[xu]
                 if d_lose or d_gain:
-                    lose[u] += d_lose
-                    gain[u] += d_gain
                     su = side[u]
                     for w in adj[u]:
                         delta[w] += d_lose if side[w] == su else d_gain
             # v is now tabu; this overwrites what the loop above added to delta[v]
             delta[v] = off - dv
-            # rng.randrange(_TABU_SPREAD), drawn as above
-            r = getrandbits(spread_bits)
-            while r >= _TABU_SPREAD:
-                r = getrandbits(spread_bits)
-            until = tabu_until[v] = step + 1 + _TABU_MIN + r
+            until = tabu[v] = step + 1 + _TABU_MIN + randbelow(_TABU_SPREAD)
             expiring[until % ring].append(v)
-            tabu.add(v)
             if alone[s ^ 1] is not None:
                 delta[alone[s ^ 1]] -= off
                 alone[s ^ 1] = None

@@ -112,6 +112,53 @@ def test_flags_that_apply_are_accepted(capsys, argv):
     assert "partition intimacy: 0" in out
 
 
+# each construction at an order it applies to, and each construct flag with a value
+_ORDER_OF = {
+    "baer": "9", "combinatorial": "5", "alg1mod4": "5", "alg3mod4": "7", "oval": "7", "even": "8",
+}
+_FLAG_ARGS = {
+    "drop": ("--drop",),
+    "point": ("--point", "0:0:1"),
+    "line": ("--line", "0:0:1"),
+    "erase-units": ("--erase-units",),
+    "variant": ("--variant", "exterior_skewtangent"),
+    "secant": ("--secant", "1:0:0"),
+}
+_APPLIES = {
+    ("combinatorial", "drop"), ("combinatorial", "point"), ("combinatorial", "line"),
+    ("alg1mod4", "erase-units"), ("alg3mod4", "erase-units"), ("oval", "variant"),
+    ("even", "secant"),
+}
+
+
+@pytest.mark.parametrize("name", _ORDER_OF)
+@pytest.mark.parametrize("flag", _FLAG_ARGS)
+def test_construct_flag_matrix(capsys, name, flag):
+    code, out, err = run(capsys, "construct", name, "--q", _ORDER_OF[name], *_FLAG_ARGS[flag])
+    if (name, flag) in _APPLIES:
+        assert (code, err) == (0, "")
+        assert f"construction: {name}" in out
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: --{flag} does not apply to construction {name!r}\n"
+
+
+def test_construct_reports_the_first_flag_that_does_not_apply(capsys):
+    # in table order: drop, point, line, erase-units, variant, secant
+    flags = [arg for args in reversed(_FLAG_ARGS.values()) for arg in args]
+    for name, first in [("baer", "drop"), ("combinatorial", "erase-units"), ("oval", "drop")]:
+        code, _, err = run(capsys, "construct", name, "--q", _ORDER_OF[name], *flags)
+        assert code == 2
+        assert err == f"error: --{first} does not apply to construction {name!r}\n"
+
+
+def test_an_empty_coordinate_flag_is_given_not_absent(capsys):
+    code, _, err = run(capsys, "construct", "combinatorial", "--q", "5", "--point", "")
+    assert (code, err) == (2, "error: expected a:b:c coordinate triple, got ''\n")
+    code, _, err = run(capsys, "construct", "baer", "--q", "9", "--line", "")
+    assert (code, err) == (2, "error: --line does not apply to construction 'baer'\n")
+
+
 def test_construct_even_odd_order_rejected(capsys):
     code, _, err = run(capsys, "construct", "even", "--q", "5")
     assert code == 2
@@ -306,6 +353,26 @@ def test_search_max_intimacy_q3(tmp_path, capsys):
     assert json.loads(out_path.read_text())["max_intimacy"] == 0
 
 
+def test_max_intimacy_result_is_a_partition_file(tmp_path, capsys):
+    out_path = tmp_path / "max3.json"
+    code, _, _ = run(
+        capsys,
+        "search", "exhaustive", "--q", "3", "--max-intimacy", "--out", str(out_path),
+    )
+    assert code == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["status"] == "found"
+    t = str(doc["max_intimacy"])
+    code, out, _ = run(capsys, "verify", "--q", "3", "--partition", str(out_path), "--t", t)
+    assert code == 0
+    assert f"OK: partition is {t}-internal" in out
+    code, out, _ = run(
+        capsys, "search", "anneal", "--q", "3", "--t", t, "--init", str(out_path)
+    )
+    assert code == 0
+    assert "status: found" in out and "steps: 0" in out
+
+
 def test_search_anneal_deterministic(tmp_path, capsys):
     argv = [
         "search", "anneal", "--q", "4", "--t", "0",
@@ -385,7 +452,7 @@ def _search_docs():
     docs = [
         found.to_json(g.labels),
         exhaustive_exists(g, 1).to_json(g.labels),
-        {"max_intimacy": best, "result": scan.to_json(g.labels)},
+        {**scan.to_json(g.labels), "max_intimacy": best},
     ]
     for res, graph in ((annealed, get_graph(4)), (timed_out, g)):
         doc = res.to_json(graph.labels)
