@@ -78,6 +78,14 @@ def _partition(pl: Plane, point_ids, line_ids, name: str, params: dict) -> Parti
     return Partition(side=side, provenance=prov)
 
 
+def _vertex_id(pl: Plane, name: str, v) -> int:
+    """``v`` as a point or line id of ``pl``; ValueError unless an integer in ``[0, n)``."""
+    i = int(v)
+    if i != v or not 0 <= i < pl.n:
+        raise ValueError(f"{name} {v!r} is not an id in [0, {pl.n})")
+    return i
+
+
 # -- Baer subplane split -------------------------------------------------------
 
 
@@ -118,14 +126,14 @@ def construct_combinatorial(
     q = pl.q
     if q % 2 == 0:
         raise ValueError(f"combinatorial construction requires odd q, got q={q}")
-    point = int(pl.index((0, 0, 1))) if point is None else point
-    line = int(pl.index((0, 0, 1))) if line is None else line
+    point = int(pl.index((0, 0, 1))) if point is None else _vertex_id(pl, "point", point)
+    line = int(pl.index((0, 0, 1))) if line is None else _vertex_id(pl, "line", line)
     if pl.is_incident(point, line):
         raise ValueError("combinatorial construction requires a point off the line")
     half = (q + 1) // 2
     if pencil is None:
         pencil = pl.lines_through[point][:half].tolist()
-    pencil = [int(x) for x in pencil]
+    pencil = [_vertex_id(pl, "pencil line", x) for x in pencil]
     if len(set(pencil)) != half:
         raise ValueError(f"pencil must hold {half} distinct lines")
     if not all(pl.is_incident(point, ln) for ln in pencil):
@@ -384,7 +392,8 @@ def construct_even(
     secants = np.flatnonzero(arc.secant_profile == half)
     if secant_line is None:
         secant_line = int(secants[0])
-    elif arc.secant_profile[secant_line] != half:
+    secant_line = _vertex_id(pl, "secant line", secant_line)
+    if arc.secant_profile[secant_line] != half:
         raise ValueError(
             f"line {secant_line} meets the arc in {int(arc.secant_profile[secant_line])} "
             f"points, need a {half}-secant"

@@ -132,13 +132,15 @@ class Plane:
 
         Each triple is scaled to its normalized form first, so any nonzero
         multiple of a point or line names it.  Raises ValueError on a
-        coordinate outside ``[0, q)`` and on the zero triple.
+        coordinate outside ``[0, q)`` or not an integer, and on the zero triple.
         """
         t = np.asarray(triples)
-        outside = ((t < 0) | (t >= self.q)).any(axis=-1)
-        if outside.any():
-            bad = t[outside][0].tolist()
-            raise ValueError(f"triple {bad} has a coordinate outside GF({self.q})")
+        bad = (t < 0) | (t >= self.q)
+        if t.dtype.kind not in "iu":
+            bad |= np.mod(t, 1) != 0
+        bad = bad.any(axis=-1)
+        if bad.any():
+            raise ValueError(f"triple {t[bad][0].tolist()} has a coordinate outside GF({self.q})")
         return _triple_indices(self.field, t.astype(np.int64))
 
     def is_incident(self, point: int, line: int) -> bool:

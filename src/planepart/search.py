@@ -223,15 +223,19 @@ class _Solver:
             self.witness = list(self._fields(state[3] >> self.top))
         return self.witness is not None
 
-    def search(self, max_nodes, deadline):
+    def search(self, max_nodes, deadline, split=None):
         """Depth first over an explicit stack of (vertex, next side, state) levels.
 
         One node per try of side 1 (B), then side 0 (A), of each branching
         vertex (see the module docstring); a level drops its state at its
         second try.  Returns ``(status, witness side, nodes,
         conflicts, max_depth, propagations)``, status FOUND, EXHAUSTED or TIMEOUT.
+        A try that succeeds at depth ``split`` descends no further: it
+        appends ``(path, nodes, conflicts, propagations)`` to ``self.jobs``,
+        the ``(vertex, side)`` tries on the stack and the counts so far.
         """
         self.forced = 0
+        self.jobs = []
         v = self._select(self.state)
         if v is None:
             return (FOUND if self._complete(self.state) else EXHAUSTED, self.witness, 0, 0, 0, 0)
@@ -256,6 +260,11 @@ class _Solver:
             state = assign(state, v, s ^ 1)
             if state is None:
                 conflicts += 1
+                continue
+            if len(stack) == split:
+                # a level's next side is 1 while it tries B and 2 while it tries A
+                path = [(u, 2 - k) for u, k, _ in stack]
+                self.jobs.append((path, nodes, conflicts, self.forced))
                 continue
             w = select(state)
             if w is None:
@@ -313,73 +322,44 @@ def _presets(g: Graph, t: int) -> list[tuple[int, int]]:
     return [(0, 0), (l0, 0), (l1, 0), (p1, 0), (p2, 0)]
 
 
-def _frontier_jobs(adj, t, presets):
-    """Expand the top two branching levels into jobs: ``(jobs, tries)``.
-
-    The jobs are preset lists in the serial search's order.  ``tries[i]`` is
-    ``(nodes, conflicts, propagations)`` of the serial tries at those levels
-    after job i - 1 up to job i, ``tries[-1]`` of those after the last job.
-    No jobs when the presets fail or the top two levels hold a leaf or only
-    conflicts: the caller then searches serially.
-    """
-    probe = _Solver(adj, t)
-    v1 = probe._select(probe.state) if probe.assign_presets(presets) else None
-    if v1 is None:
-        return [], []
-    jobs, tries = [], []
-    nodes = conflicts = probe.forced = 0
-    for s1 in (1, 0):
-        nodes += 1
-        state = probe._assign(probe.state, v1, s1)
-        if state is None:
-            conflicts += 1
-            continue
-        v2 = probe._select(state)
-        if v2 is None:
-            return [], []
-        for s2 in (1, 0):
-            nodes += 1
-            if probe._assign(state, v2, s2) is None:
-                conflicts += 1
-                continue
-            jobs.append(presets + [(v1, s1), (v2, s2)])
-            tries.append((nodes, conflicts, probe.forced))
-            nodes = conflicts = probe.forced = 0
-    tries.append((nodes, conflicts, probe.forced))
-    return jobs, tries
-
-
 def _decide(adj, t, presets, max_nodes, deadline, imap):
     """Decide one t: ``(status, witness side, nodes, conflicts, max_depth, propagations)``.
 
-    A t that a vertex's degree rules out takes no node.  Without ``imap``,
-    or with a frontier that has no jobs, the search is serial; otherwise
-    ``imap`` runs the jobs, which are read in the serial order, each after
-    the tries before it, up to the first witness.
+    A t that a vertex's degree rules out takes no node.  With ``imap``, the
+    serial search of the top two branching levels, unbudgeted, cuts the
+    jobs (see ``_Solver.search``), and ``imap`` runs them on an equal share
+    of the nodes the top leaves.  The jobs are read in the serial order,
+    each after the top's tries before it, then the top's own result, up to
+    the first witness.  Without ``imap``, or when the top makes no job, the
+    search is serial.
     """
     if len(adj) < 2 or any(max(0, (len(a) + 2 * t + 1) // 2) > len(a) for a in adj):
         return (EXHAUSTED, None, 0, 0, 0, 0)
-    jobs, tries = ([], []) if imap is None else _frontier_jobs(adj, t, presets)
-    if not jobs:
+    top = _Solver(adj, t) if imap is not None else None
+    if top is None or not top.assign_presets(presets):
+        return _solve(adj, t, presets, max_nodes, deadline)
+    top_status, top_side, top_nodes, top_conflicts, _, top_forced = top.search(None, None, 2)
+    if not top.jobs:
         return _solve(adj, t, presets, max_nodes, deadline)
     share = None
     if max_nodes is not None:
-        share = max(0, max_nodes - sum(n for n, _, _ in tries)) // len(jobs)
-    args = [(adj, t, job, share, deadline) for job in jobs]
-    # the tries after the last job come with an empty result
-    results = itertools.chain(imap(args), [(EXHAUSTED, None, 0, 0, 0, 0)])
+        share = max(0, max_nodes - top_nodes) // len(top.jobs)
+    args = [(adj, t, presets + path, share, deadline) for path, *_ in top.jobs]
+    # each result comes after the top's counts at its job; the top's own result last
+    marks = [counts for _, *counts in top.jobs] + [(top_nodes, top_conflicts, top_forced)]
+    results = itertools.chain(imap(args), [(top_status, top_side, 0, 0, 0, 0)])
     status, nodes, conflicts, max_depth, forced = EXHAUSTED, 0, 0, 0, 0
-    for (top_nodes, top_conflicts, top_forced), result in zip(tries, results):
-        job_status, job_side, job_nodes, job_conflicts, job_depth, job_forced = result
-        nodes += top_nodes + job_nodes
-        conflicts += top_conflicts + job_conflicts
+    for (at_nodes, at_conflicts, at_forced), result in zip(marks, results):
+        job_status, side, job_nodes, job_conflicts, job_depth, job_forced = result
+        nodes += job_nodes
+        conflicts += job_conflicts
         max_depth = max(max_depth, 2 + job_depth)
-        forced += top_forced + job_forced
-        if job_status == FOUND:
-            return (FOUND, job_side, nodes, conflicts, max_depth, forced)
-        if job_status == TIMEOUT:
-            status = TIMEOUT
-    return (status, None, nodes, conflicts, max_depth, forced)
+        forced += job_forced
+        if job_status != EXHAUSTED:
+            status = job_status
+            if status == FOUND:
+                break
+    return (status, side, at_nodes + nodes, at_conflicts + conflicts, max_depth, at_forced + forced)
 
 
 def _wrap_witness(g: Graph, side, t: int, source: str, extra=None) -> Partition:

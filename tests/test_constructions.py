@@ -112,6 +112,22 @@ def test_combinatorial_rejects_bad_pencil():
         construct_combinatorial(pl, pencil=[0, 0])  # duplicates
 
 
+def test_combinatorial_rejects_ids_outside_the_plane():
+    # PG(2,5) has 31 points and 31 lines; -1 once aliased point or line 30
+    pl = get_plane(5)
+    point = int(pl.index((0, 0, 1)))
+    pencil = pl.lines_through[point][:3].tolist()
+    for kwargs in [
+        {"line": -1, "drop_variant": True},
+        {"line": 31},
+        {"point": -1},
+        {"point": 2.5},
+        {"pencil": [pencil[0] - pl.n] + pencil[1:]},
+    ]:
+        with pytest.raises(ValueError, match=r"not an id in \[0, 31\)"):
+            construct_combinatorial(pl, **kwargs)
+
+
 def test_combinatorial_drop_shrinks_classes():
     pl = get_plane(5)
     base = construct_combinatorial(pl)
@@ -342,6 +358,13 @@ def test_even_rejects_non_secant():
     skew = int(np.flatnonzero(arc.secant_profile == 0)[0])
     with pytest.raises(ValueError):
         construct_even(pl, arc=arc, secant_line=skew)
+
+
+def test_even_rejects_ids_outside_the_plane():
+    pl = get_plane(8)
+    for line in (-1, pl.n):
+        with pytest.raises(ValueError, match=r"not an id in \[0, 73\)"):
+            construct_even(pl, secant_line=line)
 
 
 # -- Partition plumbing --------------------------------------------------------

@@ -112,6 +112,15 @@ def test_index_rejects_triples_outside_the_plane(triple):
         get_plane(5).index(triple)
 
 
+def test_index_rejects_non_integer_coordinates():
+    pl = get_plane(5)
+    # (1.5, 0, 1) once truncated to (1:0:1); an integral float still names it
+    assert int(pl.index((1.0, 0, 1))) == int(pl.index((1, 0, 1))) == 7
+    for triple in [(1.5, 0, 1), (0, 0.25, 1), (float("nan"), 0, 1)]:
+        with pytest.raises(ValueError):
+            pl.index(triple)
+
+
 def test_labels_format():
     pl = get_plane(2)
     labels = pl.labels

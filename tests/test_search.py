@@ -18,7 +18,6 @@ from planepart.search import (
     AnnealParams,
     SearchResult,
     _Solver,
-    _frontier_jobs,
     _presets,
     _solve,
     anneal_search,
@@ -34,6 +33,15 @@ from oracles import get_graph, get_plane, random_bipartite, reference_anneal, re
 
 def complete_graph(n):
     return Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
+
+
+def top_jobs(adj, t, presets):
+    """The jobs a pooled search fans out: a ``(path, nodes, conflicts, propagations)`` each."""
+    solver = _Solver(adj, t)
+    if not solver.assign_presets(presets):
+        return []
+    solver.search(None, None, split=2)
+    return solver.jobs
 
 
 def untagged(g):
@@ -99,14 +107,24 @@ def test_k33_no_0_internal():
     assert brute_force_exists(k33, 0) is False
 
 
-def test_workers_agree_with_single():
-    g = get_graph(3)
-    for t in (0, 1):
+def test_workers_agree_with_single(monkeypatch):
+    sizes = record_pools(monkeypatch)
+    # at t = 0 the 5-vertex graph's first level holds a leaf beside two
+    # jobs, and the jobs still go to a pool
+    leaf = Graph.from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 3)])
+    for g, t in [(get_graph(3), 0), (get_graph(3), 1), (leaf, 0)]:
         solo = exhaustive_exists(g, t)
         pooled = exhaustive_exists(g, t, workers=2)
-        assert solo.status == pooled.status
-        if pooled.status == "found":
+        assert (pooled.status, pooled.nodes_explored) == (solo.status, solo.nodes_explored)
+        assert pooled.details == {**solo.details, "workers": 2}
+        if solo.witness is None:
+            assert pooled.witness is None
+        else:
+            assert pooled.witness.side.tolist() == solo.witness.side.tolist()
             assert margins(g, pooled.witness).partition_intimacy >= t
+    assert (solo.status, solo.nodes_explored) == ("found", 2)
+    # one pool per call, the leaf case included
+    assert sizes == [2, 2, 2]
 
 
 def test_node_budget_times_out():
@@ -170,7 +188,7 @@ def test_degenerate_frontier_runs_the_serial_search():
     # K3 at t=0 has no jobs at the top of the tree, so the pooled call runs
     # the serial search with the whole node budget
     k3 = complete_graph(3)
-    assert _frontier_jobs(k3.adjacency_lists, 0, [(0, 0)]) == ([], [])
+    assert top_jobs(k3.adjacency_lists, 0, [(0, 0)]) == []
     solo = exhaustive_exists(k3, 0, max_nodes=10)
     pooled = exhaustive_exists(k3, 0, workers=2, max_nodes=10)
     assert pooled.status == solo.status == "exhausted_none"
@@ -194,7 +212,7 @@ def test_max_intimacy_scan_starts_one_pool(monkeypatch):
     # the untagged PG(2,3) scan fans out at t = 1 (exhausted) and t = 0 (found)
     sizes = record_pools(monkeypatch)
     g = untagged(get_graph(3))
-    assert [len(_frontier_jobs(g.adjacency_lists, t, [(0, 0)])[0]) for t in (1, 0)] == [4, 4]
+    assert [len(top_jobs(g.adjacency_lists, t, [(0, 0)])) for t in (1, 0)] == [4, 4]
     best, res = exhaustive_max_intimacy(g, workers=2)
     assert (best, res.status) == (0, "found")
     assert sizes == [2]
@@ -313,7 +331,7 @@ def test_solver_counters():
 
 
 def test_pooled_counts_are_the_serial_counts():
-    # the frontier counts its own tries at the top two levels, so a pooled
+    # the top of the tree counts its own tries at the two levels, so a pooled
     # search without budgets reports the serial tree
     g = get_graph(5)
     solo = exhaustive_exists(g, 1)
@@ -363,13 +381,17 @@ def test_pool_stops_when_a_pooled_search_raises(monkeypatch):
 
 
 def test_propagations_sum_over_pool_jobs_and_scans():
-    # a pooled search adds the frontier's propagations to its jobs'
+    # a pooled search adds the top's propagations to its jobs'
     g = get_graph(3)
     adj = g.adjacency_lists
-    jobs, tries = _frontier_jobs(adj, 1, _presets(g, 1))
+    presets = _presets(g, 1)
+    top = _Solver(adj, 1)
+    assert top.assign_presets(presets)
+    top_propagations = top.search(None, None, split=2)[5]
     pooled = exhaustive_exists(g, 1, workers=2)
-    per_job = [_solve(adj, 1, job, None, None)[5] for job in jobs]
-    assert pooled.details["propagations"] == sum(f for _, _, f in tries) + sum(per_job)
+    per_job = [_solve(adj, 1, presets + path, None, None)[5] for path, *_ in top.jobs]
+    assert len(per_job) == 2
+    assert pooled.details["propagations"] == top_propagations + sum(per_job)
     # the scan decides t = 2, 1 and 0
     best, res = exhaustive_max_intimacy(g)
     per_t = [exhaustive_exists(g, t).details["propagations"] for t in (2, 1, 0)]
@@ -391,10 +413,10 @@ def test_solver_matches_reference_on_planes(q, t):
 def test_solver_matches_reference_on_frontier_jobs(q, max_nodes):
     # PG(2,5)'s four jobs are searched to the end, PG(2,7)'s time out
     adj = get_graph(q).adjacency_lists
-    jobs, _ = _frontier_jobs(adj, 1, [(0, 0)])
+    jobs = top_jobs(adj, 1, [(0, 0)])
     assert len(jobs) == 4
-    for job in jobs:
-        _assert_same_solve(adj, 1, job, max_nodes)
+    for path, *_ in jobs:
+        _assert_same_solve(adj, 1, [(0, 0)] + path, max_nodes)
 
 
 @settings(max_examples=200, deadline=None)
