@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .plane import BaerDecomposition, Plane, baer_decomposition
+from .plane import BaerDecomposition, Plane, baer_decomposition, vertex_ids
 
 
 @dataclass(eq=False)
@@ -65,25 +65,16 @@ class Partition:
 
 
 def _partition(pl: Plane, point_ids, line_ids, name: str, params: dict) -> Partition:
-    n = pl.n
-    side = np.ones(2 * n, dtype=np.uint8)
-    side[np.asarray(sorted(point_ids), dtype=np.int64)] = 0
-    if len(line_ids):
-        side[np.asarray(sorted(line_ids), dtype=np.int64) + n] = 0
+    """Class A = the point ids and the line ids, integer arrays of ``pl``."""
+    side = np.ones(2 * pl.n, dtype=np.uint8)
+    side[point_ids] = 0
+    side[pl.n + line_ids] = 0
     prov = {
         "construction": name,
         "parameters": dict(params),
         "field_modulus": list(pl.field.modulus),
     }
     return Partition(side=side, provenance=prov)
-
-
-def _vertex_id(pl: Plane, name: str, v) -> int:
-    """``v`` as a point or line id of ``pl``; ValueError unless an integer in ``[0, n)``."""
-    i = int(v)
-    if i != v or not 0 <= i < pl.n:
-        raise ValueError(f"{name} {v!r} is not an id in [0, {pl.n})")
-    return i
 
 
 # -- Baer subplane split -------------------------------------------------------
@@ -121,49 +112,35 @@ def construct_combinatorial(
     Take (q+1)/2 lines through a point P off a reference line ell.  A gets
     every point of those pencil lines, and every line through the (q+1)/2
     points where the pencil meets ell.  The drop variant removes P and ell
-    themselves from A.
+    themselves from A.  The point, the line and the pencil lines follow the
+    id rule of ``vertex_ids``: a repeated pencil line counts once.
     """
     q = pl.q
     if q % 2 == 0:
         raise ValueError(f"combinatorial construction requires odd q, got q={q}")
-    point = int(pl.index((0, 0, 1))) if point is None else _vertex_id(pl, "point", point)
-    line = int(pl.index((0, 0, 1))) if line is None else _vertex_id(pl, "line", line)
+    default = pl.index((0, 0, 1))
+    point = vertex_ids(default if point is None else point, pl.n, "point").item()
+    line = vertex_ids(default if line is None else line, pl.n, "line").item()
     if pl.is_incident(point, line):
         raise ValueError("combinatorial construction requires a point off the line")
     half = (q + 1) // 2
     if pencil is None:
-        pencil = pl.lines_through[point][:half].tolist()
-    pencil = [_vertex_id(pl, "pencil line", x) for x in pencil]
-    if len(set(pencil)) != half:
+        pencil = pl.lines_through[point][:half]
+    pencil = vertex_ids(pencil, pl.n, "pencil line")
+    if pencil.size != half:
         raise ValueError(f"pencil must hold {half} distinct lines")
-    if not all(pl.is_incident(point, ln) for ln in pencil):
+    if not np.isin(pencil, pl.lines_through[point]).all():
         raise ValueError("pencil lines must all pass through the chosen point")
 
-    p1: set[int] = set()
-    for ln in pencil:
-        p1.update(pl.points_on[ln].tolist())
-    meet = [pt for pt in pl.points_on[line].tolist() if pt in p1]
-    if len(meet) != half:
+    p1 = np.unique(pl.points_on[pencil])
+    meet = np.intersect1d(pl.points_on[line], p1, assume_unique=True)
+    if meet.size != half:
         raise RuntimeError("pencil does not meet the reference line correctly")
-    l1: set[int] = set()
-    for pt in meet:
-        l1.update(pl.lines_through[pt].tolist())
+    l1 = np.unique(pl.lines_through[meet])
     if drop_variant:
-        p1.discard(point)
-        l1.discard(line)
-    return _partition(
-        pl,
-        p1,
-        l1,
-        "combinatorial",
-        {
-            "q": q,
-            "point": point,
-            "line": line,
-            "pencil": sorted(pencil),
-            "drop_variant": drop_variant,
-        },
-    )
+        p1, l1 = p1[p1 != point], l1[l1 != line]
+    params = dict(q=q, point=point, line=line, pencil=pencil.tolist(), drop_variant=drop_variant)
+    return _partition(pl, p1, l1, "combinatorial", params)
 
 
 # -- algebraic constructions by residue class ----------------------------------
@@ -353,25 +330,24 @@ def construct_denniston(pl: Plane) -> ArcData:
     f = pl.field
     q = pl.q
     if f.p != 2 or f.h < 2:
-        raise ValueError(
-            f"Denniston arc requires q = 2^h with h > 1, got q={q}"
-        )
+        raise ValueError(f"Denniston arc requires q = 2^h with h > 1, got q={q}")
     add, mul, tr = f.add_table, f.mul_table, f.trace_table
     lam = next(x for x in range(1, q) if tr[f.inv_table[x]] == 1)
     x, y = (a.ravel() for a in np.meshgrid(np.arange(q), np.arange(q), indexing="ij"))
     val = add[add[mul[x, x], mul[mul[lam, x], y]], mul[y, y]]
     keep = tr[val] == 0
     arc = np.sort(pl.index(np.stack([x[keep], y[keep], np.ones_like(x[keep])], axis=1)))
-    profile = pl.hits(arc)
-    data = ArcData(arc=arc, degree=q // 2, secant_profile=profile)
     if not verify_maximal_arc(pl, arc, q // 2):
         raise RuntimeError("Denniston point set is not a maximal arc")
-    return data
+    return ArcData(arc=arc, degree=q // 2, secant_profile=pl.hits(arc))
 
 
 def verify_maximal_arc(pl: Plane, arc_points, degree: int) -> bool:
-    """Size is (degree-1)(q+1)+1 and every line meets the set in 0 or degree."""
-    arc = np.asarray(sorted(set(int(x) for x in arc_points)), dtype=np.int64)
+    """Size is (degree-1)(q+1)+1 and every line meets the set in 0 or degree.
+
+    ``arc_points`` is a set of point ids under ``vertex_ids``.
+    """
+    arc = vertex_ids(arc_points, pl.n, "arc point")
     if arc.size != (degree - 1) * (pl.q + 1) + 1:
         return False
     return bool(np.isin(pl.hits(arc), (0, degree)).all())
@@ -385,27 +361,21 @@ def construct_even(
     A gets the symmetric difference of the arc with a q/2-secant ell, plus
     every line that meets the arc and passes through a point of ell off the
     arc.  Every vertex ends with strictly more neighbors on its own side.
+    ``secant_line`` follows the id rule of ``vertex_ids``.
     """
     arc = arc or construct_denniston(pl)
     q = pl.q
     half = q // 2
-    secants = np.flatnonzero(arc.secant_profile == half)
     if secant_line is None:
-        secant_line = int(secants[0])
-    secant_line = _vertex_id(pl, "secant line", secant_line)
+        secant_line = np.flatnonzero(arc.secant_profile == half)[0]
+    secant_line = vertex_ids(secant_line, pl.n, "secant line").item()
     if arc.secant_profile[secant_line] != half:
         raise ValueError(
             f"line {secant_line} meets the arc in {int(arc.secant_profile[secant_line])} "
             f"points, need a {half}-secant"
         )
-    on_ell = set(pl.points_on[secant_line].tolist())
-    arc_set = set(arc.arc.tolist())
-    p1 = arc_set.symmetric_difference(on_ell)
-    l1: set[int] = set()
-    for pt in on_ell - arc_set:
-        for ln in pl.lines_through[pt].tolist():
-            if arc.secant_profile[ln] > 0:
-                l1.add(ln)
-    return _partition(
-        pl, p1, l1, "even", {"q": q, "secant_line": secant_line}
-    )
+    ell = pl.points_on[secant_line]
+    p1 = np.setxor1d(arc.arc, ell)
+    l1 = np.unique(pl.lines_through[np.setdiff1d(ell, arc.arc)])
+    l1 = l1[arc.secant_profile[l1] > 0]
+    return _partition(pl, p1, l1, "even", {"q": q, "secant_line": secant_line})

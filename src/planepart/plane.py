@@ -51,6 +51,34 @@ def _dot(f: Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return add[s, mul[u[..., 2], v[..., 2]]]
 
 
+def _off_ids(a: np.ndarray, hi: int) -> np.ndarray:
+    """Mask of the entries of ``a`` that are negative, ``>= hi`` or not integral."""
+    bad = (a < 0) | (a >= hi)
+    if a.dtype.kind not in "iu":
+        bad |= np.mod(a, 1) != 0
+    return bad
+
+
+def _checked_ids(ids, hi: int, what: str) -> np.ndarray:
+    """``ids`` as int64, in their order; ValueError on the first one ``_off_ids`` marks."""
+    a = np.asarray(ids)
+    # an integer array's least and largest entries decide its range
+    if a.dtype.kind not in "iu" or (a.size and (a.min() < 0 or a.max() >= hi)):
+        bad = _off_ids(a, hi)
+        if bad.any():
+            raise ValueError(f"{what} {a[bad][0].item()!r} is not an id in [0, {hi})")
+    return a.astype(np.int64, copy=False)
+
+
+def vertex_ids(ids, hi: int, what: str = "id") -> np.ndarray:
+    """The id rule for a set of points or lines: sorted, without repeats, as int64.
+
+    Raises ValueError on the first entry, in sorted order, that is negative,
+    ``>= hi`` or not integral; integral floats pass.
+    """
+    return _checked_ids(np.unique(ids), hi, what)
+
+
 _PENCIL_BLOCK = 512  # lines per block of the pencil build
 
 
@@ -135,10 +163,7 @@ class Plane:
         coordinate outside ``[0, q)`` or not an integer, and on the zero triple.
         """
         t = np.asarray(triples)
-        bad = (t < 0) | (t >= self.q)
-        if t.dtype.kind not in "iu":
-            bad |= np.mod(t, 1) != 0
-        bad = bad.any(axis=-1)
+        bad = _off_ids(t, self.q).any(axis=-1)
         if bad.any():
             raise ValueError(f"triple {t[bad][0].tolist()} has a coordinate outside GF({self.q})")
         return _triple_indices(self.field, t.astype(np.int64))
@@ -150,9 +175,10 @@ class Plane:
         """Per line, how many of the given points lie on it (repeats count).
 
         Points and lines share the pencils, so given line ids this counts,
-        per point, the given lines through it.
+        per point, the given lines through it.  An id outside the rule of
+        ``vertex_ids`` is a ValueError.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = _checked_ids(ids, self.n, "id")
         return np.bincount(self.lines_through[ids].ravel(), minlength=self.n)
 
     def point_label(self, i: int) -> str:
@@ -331,9 +357,9 @@ class BaerDecomposition:
 
 
 def verify_subplane(pl: Plane, pts, lns, m: int) -> bool:
-    """Check that (pts, lns) is a projective subplane of order m."""
-    pts = np.asarray(sorted(set(int(x) for x in pts)), dtype=np.int64)
-    lns = np.asarray(sorted(set(int(x) for x in lns)), dtype=np.int64)
+    """Check that (pts, lns), id sets under ``vertex_ids``, is a subplane of order m."""
+    pts = vertex_ids(pts, pl.n, "point")
+    lns = vertex_ids(lns, pl.n, "line")
     k = m * m + m + 1
     if pts.size != k or lns.size != k:
         return False
@@ -371,10 +397,8 @@ def baer_decomposition(pl: Plane, sc: SingerCycle | None = None) -> BaerDecompos
         cycle[k] = v
         v = sc.point_perm[v]
     size = n // e
-    orbits = [
-        np.sort(cycle[(j + e * np.arange(size)) % n]) for j in range(e)
-    ]
-    orbits.sort(key=lambda o: int(o[0]))
+    orbits = np.sort(cycle[(np.arange(e)[:, None] + e * np.arange(size)) % n], axis=1)
+    orbits = orbits[np.argsort(orbits[:, 0])]
     rich = r + 1
     subplanes: list[tuple[np.ndarray, np.ndarray]] = []
     for pts in orbits:

@@ -298,18 +298,10 @@ def _conic(outdir: str, orders: list):
             failures.append(f"q={q}: exterior count {od.exterior_points.size}")
         if od.interior_points.size != q * (q - 1) // 2:
             failures.append(f"q={q}: interior count {od.interior_points.size}")
-        interior = np.zeros(pl.n, dtype=bool)
-        interior[od.interior_points] = True
-        exterior = np.zeros(pl.n, dtype=bool)
-        exterior[od.exterior_points] = True
-        for ln in range(pl.n):
-            if od.line_class[ln] == LINE_TANGENT:
-                continue
-            pts = pl.points_on[ln]
-            off = pts[~od.on_oval[pts]]
-            if interior[off].sum() != exterior[off].sum():
-                failures.append(f"q={q}: line {ln} splits unevenly")
-                break
+        lines = np.flatnonzero(od.line_class != LINE_TANGENT)
+        uneven = lines[pl.hits(od.interior_points)[lines] != pl.hits(od.exterior_points)[lines]]
+        if uneven.size:
+            failures.append(f"q={q}: line {uneven[0]} splits unevenly")
     summary = (
         f"exterior/interior counts and even line splits hold for q in ({_listed(orders)})"
     )

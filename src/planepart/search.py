@@ -330,8 +330,9 @@ def _decide(adj, t, presets, max_nodes, deadline, imap):
     jobs (see ``_Solver.search``), and ``imap`` runs them on an equal share
     of the nodes the top leaves.  The jobs are read in the serial order,
     each after the top's tries before it, then the top's own result, up to
-    the first witness.  Without ``imap``, or when the top makes no job, the
-    search is serial.
+    the first witness.  Without ``imap``, when the top makes no job, or
+    when ``max_nodes`` leaves fewer nodes after the top than there are jobs,
+    the search is serial with the whole budget.
     """
     if len(adj) < 2 or any(max(0, (len(a) + 2 * t + 1) // 2) > len(a) for a in adj):
         return (EXHAUSTED, None, 0, 0, 0, 0)
@@ -339,11 +340,9 @@ def _decide(adj, t, presets, max_nodes, deadline, imap):
     if top is None or not top.assign_presets(presets):
         return _solve(adj, t, presets, max_nodes, deadline)
     top_status, top_side, top_nodes, top_conflicts, _, top_forced = top.search(None, None, 2)
-    if not top.jobs:
+    if not top.jobs or (max_nodes is not None and max_nodes - top_nodes < len(top.jobs)):
         return _solve(adj, t, presets, max_nodes, deadline)
-    share = None
-    if max_nodes is not None:
-        share = max(0, max_nodes - top_nodes) // len(top.jobs)
+    share = None if max_nodes is None else (max_nodes - top_nodes) // len(top.jobs)
     args = [(adj, t, presets + path, share, deadline) for path, *_ in top.jobs]
     # each result comes after the top's counts at its job; the top's own result last
     marks = [counts for _, *counts in top.jobs] + [(top_nodes, top_conflicts, top_forced)]
@@ -456,7 +455,8 @@ def exhaustive_exists(
     ``_scan``): one node budget, one deadline and at most one pool.  With
     ``workers > 1`` the top two branching levels below the presets fan
     out to a pool of at most one process per job, so at most four; a top of
-    the tree that yields no jobs is searched serially, as with one worker.
+    the tree that yields no jobs, or a ``max_nodes`` that leaves fewer than
+    one node per job after the top, is searched serially, as with one worker.
     Without budgets the status, witness and counts do not depend on
     ``workers``.  ``max_seconds`` is one deadline for the whole call, shared by every job
     (``time.monotonic`` is system-wide, so pool workers read the same

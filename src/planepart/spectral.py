@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import factor_prime_power
-from .plane import Plane
+from .plane import Plane, vertex_ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,34 +86,35 @@ def mixing_bound(n: int, d: int, lambda2: float, s: int, t: int) -> MixingBound:
     return MixingBound(s=s, t=t, expected=expected, deviation_cap=cap)
 
 
+def _vertex_sets(pl: Plane, point_set, line_set) -> tuple[np.ndarray, np.ndarray]:
+    """Point ids and line ids (graph ids less n) of two vertex sets, under ``vertex_ids``."""
+    n = pl.n
+    pts = vertex_ids(point_set, n, "point vertex")
+    lns = vertex_ids(line_set, 2 * n, "line vertex")
+    if lns.size and lns[0] < n:
+        raise ValueError("line set must hold line vertices (ids n..2n-1)")
+    return pts, lns - n
+
+
 def edges_between(pl: Plane, point_set, line_set) -> int:
     """Incidences between graph point vertices and graph line vertices.
 
-    Takes incidence-graph vertex ids: points in [0, n), lines in [n, 2n).
+    Takes sets of incidence-graph vertex ids under ``vertex_ids``: points
+    in [0, n), lines in [n, 2n).
     """
-    n = pl.n
-    pts = np.asarray(sorted(set(int(v) for v in point_set)), dtype=np.int64)
-    lns = np.asarray(sorted(set(int(v) for v in line_set)), dtype=np.int64)
-    if pts.size and not ((0 <= pts) & (pts < n)).all():
-        raise ValueError("point set must hold point vertices (ids below n)")
-    if lns.size and not ((n <= lns) & (lns < 2 * n)).all():
-        raise ValueError("line set must hold line vertices (ids n..2n-1)")
-    if pts.size == 0 or lns.size == 0:
-        return 0
-    return int(pl.hits(pts)[lns - n].sum())
+    pts, lns = _vertex_sets(pl, point_set, line_set)
+    return int(pl.hits(pts)[lns].sum())
 
 
 def check_mixing(pl: Plane, point_set, line_set) -> bool:
     """True when the actual incidence count sits inside the mixing window.
 
-    lambda2 enters symbolically as sqrt(q); a hair of float slack absorbs
-    rounding in the window ends.
+    The sets are those of ``edges_between``.  lambda2 enters symbolically
+    as sqrt(q); a hair of float slack absorbs rounding in the window ends.
     """
-    pts = set(int(v) for v in point_set)
-    lns = set(int(v) for v in line_set)
-    actual = edges_between(pl, pts, lns)
-    b = mixing_bound(pl.n, pl.q + 1, math.sqrt(pl.q), len(pts), len(lns))
-    return b.lower - 1e-9 <= actual <= b.upper + 1e-9
+    pts, lns = _vertex_sets(pl, point_set, line_set)
+    b = mixing_bound(pl.n, pl.q + 1, math.sqrt(pl.q), pts.size, lns.size)
+    return b.lower - 1e-9 <= int(pl.hits(pts)[lns].sum()) <= b.upper + 1e-9
 
 
 def intimacy_upper_bound(q: int) -> int:

@@ -123,6 +123,8 @@ def test_combinatorial_rejects_ids_outside_the_plane():
         {"point": -1},
         {"point": 2.5},
         {"pencil": [pencil[0] - pl.n] + pencil[1:]},
+        {"pencil": [pl.n] + pencil[1:]},
+        {"pencil": [0.5] + pencil[1:]},
     ]:
         with pytest.raises(ValueError, match=r"not an id in \[0, 31\)"):
             construct_combinatorial(pl, **kwargs)
@@ -311,6 +313,12 @@ def test_verify_maximal_arc_rejects_line():
 def test_verify_maximal_arc_single_point():
     pl = get_plane(4)
     assert verify_maximal_arc(pl, [3], 1)
+    assert verify_maximal_arc(pl, [3, 3.0], 1)  # repeats collapse
+    # PG(2,5): [-1] once passed as the one-point arc {30}
+    pl = get_plane(5)
+    for bad in (-1, pl.n, 0.5):
+        with pytest.raises(ValueError, match=r"not an id in \[0, 31\)"):
+            verify_maximal_arc(pl, [bad], 1)
 
 
 @pytest.mark.parametrize("q", [4, 8])

@@ -11,7 +11,7 @@ from planepart import plane as plane_module
 from planepart.constructions import construct_baer_partition
 from planepart.fields import MAX_FIELD_ORDER, prime_factors
 from planepart.graphs import _DIMACS_BLOCK, Graph
-from planepart.plane import least_primitive_cubic
+from planepart.plane import least_primitive_cubic, vertex_ids
 from planepart.verify import margins
 from oracles import (
     ReferenceField,
@@ -119,6 +119,25 @@ def test_index_rejects_non_integer_coordinates():
     for triple in [(1.5, 0, 1), (0, 0.25, 1), (float("nan"), 0, 1)]:
         with pytest.raises(ValueError):
             pl.index(triple)
+
+
+def test_vertex_ids_is_a_checked_sorted_set():
+    ids = vertex_ids([5, 3.0, 5, np.int32(0)], 31)
+    assert ids.dtype == np.int64 and ids.tolist() == [0, 3, 5]
+    assert vertex_ids([], 31).tolist() == []
+    # the first bad entry in sorted order is named
+    with pytest.raises(ValueError, match=r"^point -1 is not an id in \[0, 31\)$"):
+        vertex_ids([40, 2, -1], 31, "point")
+
+
+def test_hits_rejects_ids_outside_the_plane():
+    # PG(2,5): hits([-1]) once counted point 30 and hits([4.7]) point 4
+    pl = get_plane(5)
+    for bad in (-1, pl.n, 0.5, 4.7):
+        with pytest.raises(ValueError, match=r"^id .* is not an id in \[0, 31\)$"):
+            pl.hits([0, bad])
+    # repeats count, and an integral float names its id
+    assert (pl.hits([4, 4.0]) == 2 * pl.hits([4])).all()
 
 
 def test_labels_format():
@@ -380,6 +399,13 @@ def test_verify_subplane_rejects_random_pointset():
     assert verify_subplane(pl, pts, lns, 4)
     assert not verify_subplane(pl, np.append(pts[1:], outside[0]), lns, 4)
     assert not verify_subplane(pl, pts, other_lns, 4)
+    # the point and line sets follow the id rule: repeats collapse, bad ids raise
+    assert verify_subplane(pl, np.repeat(pts, 2), lns.astype(float), 4)
+    for bad in (-1, pl.n, 0.5):
+        with pytest.raises(ValueError, match=r"^point .* is not an id in \[0, 273\)$"):
+            verify_subplane(pl, np.append(pts[1:], bad), lns, 4)
+        with pytest.raises(ValueError, match=r"^line .* is not an id in \[0, 273\)$"):
+            verify_subplane(pl, pts, np.append(lns[1:], bad), 4)
 
 
 def test_baer_requires_square_order():

@@ -184,15 +184,21 @@ def test_search_needs_no_recursion():
     )
 
 
-def test_degenerate_frontier_runs_the_serial_search():
-    # K3 at t=0 has no jobs at the top of the tree, so the pooled call runs
-    # the serial search with the whole node budget
-    k3 = complete_graph(3)
-    assert top_jobs(k3.adjacency_lists, 0, [(0, 0)]) == []
-    solo = exhaustive_exists(k3, 0, max_nodes=10)
-    pooled = exhaustive_exists(k3, 0, workers=2, max_nodes=10)
-    assert pooled.status == solo.status == "exhausted_none"
-    assert pooled.nodes_explored == solo.nodes_explored
+def test_degenerate_frontier_runs_the_serial_search(monkeypatch):
+    # the pooled call starts no pool and runs the serial search with the
+    # whole node budget: K3 at t=0 has no jobs at the top of the tree, and
+    # PG(2,4) at t=0 has four, but its top takes 6 nodes, more than a
+    # budget of 3 leaves them
+    sizes = record_pools(monkeypatch)
+    cases = [(complete_graph(3), 10, 0, "exhausted_none"), (get_graph(4), 3, 4, "timeout")]
+    for g, max_nodes, jobs, status in cases:
+        assert len(top_jobs(g.adjacency_lists, 0, _presets(g, 0))) == jobs
+        solo = exhaustive_exists(g, 0, max_nodes=max_nodes)
+        pooled = exhaustive_exists(g, 0, workers=2, max_nodes=max_nodes)
+        assert pooled.status == solo.status == status
+        assert pooled.nodes_explored == solo.nodes_explored
+        assert {**pooled.details, "workers": 1} == solo.details
+    assert sizes == []
 
 
 def test_pool_is_sized_to_its_jobs(monkeypatch):

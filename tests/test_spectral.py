@@ -134,6 +134,21 @@ def test_edges_between_validates_vertex_ranges():
         edges_between(pl, [pl.n], [pl.n + 1])  # a line id in the point slot
     with pytest.raises(ValueError):
         edges_between(pl, [0], [1])  # a point id in the line slot
+    # PG(2,5): a point vertex 1.5 was once counted as point 1
+    pl = get_plane(5)
+    n = pl.n
+    lines = range(n, n + 6)
+    for f in (edges_between, check_mixing):
+        for bad in (-1, n, 0.5, 1.5):
+            with pytest.raises(ValueError, match=r"^point vertex .* is not an id in \[0, 31\)$"):
+                f(pl, [1, bad], lines)
+        for bad in (-1, 2 * n, n + 0.5):
+            with pytest.raises(ValueError, match=r"^line vertex .* is not an id in \[0, 62\)$"):
+                f(pl, [1], [n, bad])
+        with pytest.raises(ValueError, match="line set must hold line vertices"):
+            f(pl, [1], [n - 1, n])
+    # repeats collapse, and an integral float names its vertex
+    assert edges_between(pl, [0, 0.0, 0], [n + ln for ln in pl.lines_through[0]] * 2) == pl.q + 1
 
 
 def test_edges_between_totals():
