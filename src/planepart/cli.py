@@ -329,6 +329,7 @@ def cmd_reproduce(args) -> int:
     return reproduce.run(outdir=args.outdir, only=args.only)
 
 
+@functools.cache  # one parser per process, built at the first main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planepart",

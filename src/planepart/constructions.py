@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .plane import BaerDecomposition, Plane, baer_decomposition, vertex_ids
+from .plane import BaerDecomposition, Plane, baer_decomposition, distinct, vertex_ids
 
 
 @dataclass(eq=False)
@@ -132,11 +132,11 @@ def construct_combinatorial(
     if not np.isin(pencil, pl.lines_through[point]).all():
         raise ValueError("pencil lines must all pass through the chosen point")
 
-    p1 = np.unique(pl.points_on[pencil])
+    p1 = distinct(pl.points_on[pencil])
     meet = np.intersect1d(pl.points_on[line], p1, assume_unique=True)
     if meet.size != half:
         raise RuntimeError("pencil does not meet the reference line correctly")
-    l1 = np.unique(pl.lines_through[meet])
+    l1 = distinct(pl.lines_through[meet])
     if drop_variant:
         p1, l1 = p1[p1 != point], l1[l1 != line]
     params = dict(q=q, point=point, line=line, pencil=pencil.tolist(), drop_variant=drop_variant)
@@ -376,6 +376,6 @@ def construct_even(
         )
     ell = pl.points_on[secant_line]
     p1 = np.setxor1d(arc.arc, ell)
-    l1 = np.unique(pl.lines_through[np.setdiff1d(ell, arc.arc)])
+    l1 = distinct(pl.lines_through[np.setdiff1d(ell, arc.arc)])
     l1 = l1[arc.secant_profile[l1] > 0]
     return _partition(pl, p1, l1, "even", {"q": q, "secant_line": secant_line})

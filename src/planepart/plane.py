@@ -44,11 +44,17 @@ def _triple_indices(f: Field, t: np.ndarray) -> np.ndarray:
     return np.where(c != 0, 1 + q + q * y + x, np.where(b != 0, 1 + x, 0))
 
 
-def _dot(f: Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``u . v`` over GF(q) along the last axis, with broadcasting."""
-    add, mul = f.add_table, f.mul_table
-    s = add[mul[u[..., 0], v[..., 0]], mul[u[..., 1], v[..., 1]]]
-    return add[s, mul[u[..., 2], v[..., 2]]]
+def _dot(f: Field, u, v) -> np.ndarray:
+    """``u . v`` over GF(q), with broadcasting.
+
+    ``u`` and ``v`` each hold three coordinates along their first axis: a
+    length-3 sequence, or arrays of shape ``(3, ...)``.  The tables are read
+    flattened, ``add.ravel()[q*a + b]``, which is cheaper than 2-D indexing.
+    """
+    q = f.q
+    add, mul = f.add_table.ravel(), f.mul_table.ravel()
+    s = add[q * mul[q * u[0] + v[0]] + mul[q * u[1] + v[1]]]
+    return add[q * s + mul[q * u[2] + v[2]]]
 
 
 def _off_ids(a: np.ndarray, hi: int) -> np.ndarray:
@@ -70,53 +76,75 @@ def _checked_ids(ids, hi: int, what: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
+def distinct(a) -> np.ndarray:
+    """The distinct entries of ``a``, flattened, ascending, as ``np.unique``.
+
+    One sort and one neighbour comparison: numpy 2.4's ``np.unique`` hashes
+    integers, which takes about 20 times as long on a few thousand ids.
+    """
+    a = np.sort(np.ravel(a))
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
 def vertex_ids(ids, hi: int, what: str = "id") -> np.ndarray:
     """The id rule for a set of points or lines: sorted, without repeats, as int64.
 
     Raises ValueError on the first entry, in sorted order, that is negative,
     ``>= hi`` or not integral; integral floats pass.
     """
-    return _checked_ids(np.unique(ids), hi, what)
+    return _checked_ids(distinct(ids), hi, what)
 
 
-_PENCIL_BLOCK = 512  # lines per block of the pencil build
+_CHECK_BLOCK = 512  # lines per block of the pencil build and of its incidence check
 
 
-def _pencils(f: Field, lines: np.ndarray) -> np.ndarray:
+def _pencils(f: Field, coords: np.ndarray) -> np.ndarray:
     """Sorted ids of the q+1 points on each line, one int32 row per line.
 
-    For a line L with last nonzero coordinate L[k] = 1 and i < j the other
-    two positions, u = e_i - L[i] e_k and w = e_j - L[j] e_k are independent
-    points of L, so its points are u + lam*w for lam in GF(q), and w.
+    In affine terms, with (x : y : 1) the point of id 1+q+q*y+x:
+    - the line y = mx + c is [m : -1 : c] and holds the points (x : mx+c : 1)
+      and (1 : m : 0);
+    - the line x = c is [1 : 0 : -c] and holds (c : y : 1) and (0 : 1 : 0);
+    - the line at infinity [0 : 0 : 1] holds the points 0..q.
+    Each row is written at its line's canonical id, which ``inv``, ``neg``
+    and ``mul`` lookups give, with the point ids read off ``add`` and
+    ``mul``: no point is normalised.  The non-vertical lines are written a
+    block of slopes at a time, so no temporary grows with q^3, and the rows
+    are then sorted in place.
 
-    ``lines`` also holds the point triples.  The rows are filled a block of
-    ``_PENCIL_BLOCK`` lines at a time, so only one block's temporaries are
-    alive at once, and each block's points are checked against their line's
-    equation before they are stored: a RuntimeError names corrupt tables.
+    ``coords`` holds the triples.  Every stored point is then checked against
+    its line's equation, a block of ``_CHECK_BLOCK`` lines at a time: a
+    RuntimeError names corrupt tables.  A line id that no row reaches keeps
+    point 0 in every slot, which the constructor's repeat check rejects.
     """
-    q, n = f.q, len(lines)
-    out = np.empty((n, q + 1), dtype=np.int32)
-    minus = f.mul_table[f.p - 1]  # p - 1 encodes -1
-    lam = np.arange(q)[None, :, None]
-    for lo in range(0, n, _PENCIL_BLOCK):
-        blk = lines[lo : lo + _PENCIL_BLOCK]
-        m = len(blk)
-        rows = np.arange(m)
-        k = np.where(blk[:, 2] != 0, 2, np.where(blk[:, 1] != 0, 1, 0))
-        i = np.where(k == 0, 1, 0)
-        j = np.where(k == 2, 1, 2)
-        u = np.zeros((m, 3), dtype=np.int32)
-        w = np.zeros((m, 3), dtype=np.int32)
-        u[rows, i] = 1
-        u[rows, k] = minus[blk[rows, i]]
-        w[rows, j] = 1
-        w[rows, k] = minus[blk[rows, j]]
-        pts = f.add_table[u[:, None, :], f.mul_table[lam, w[:, None, :]]]
-        pts = np.concatenate([pts, w[:, None, :]], axis=1)
-        ids = np.sort(_triple_indices(f, pts), axis=1)
-        if _dot(f, lines[ids], blk[:, None, :]).any():
+    q, n = f.q, len(coords)
+    add, mul = f.add_table.ravel(), f.mul_table.ravel()
+    inv, neg = f.inv_table, f.neg_table
+    e = np.arange(q)
+    out = np.zeros((n, q + 1), dtype=np.int32)
+    out[1 + q] = np.arange(q + 1)
+    # x = c is [1 : 0 : 0] for c = 0, else [1/-c : 0 : 1]
+    vertical = np.concatenate([[0], 1 + q + inv[neg[e[1:]]]])
+    out[vertical, 0] = 1
+    out[vertical, 1:] = 1 + q + q * e + e[:, None]
+    # y = mx + c is [-m : 1 : 0] for c = 0, else [m/c : -1/c : 1]
+    ic = inv[e[1:]]
+    step = max(1, _CHECK_BLOCK // q)
+    for lo in range(0, q, step):
+        m = e[lo : lo + step, None]
+        lines = np.empty((len(m), q), dtype=np.int64)
+        lines[:, :1] = 1 + neg[m]
+        lines[:, 1:] = 1 + q + q * neg[ic] + mul[q * m + ic]
+        y = add[q * mul[q * m + e][:, None, :] + e[:, None]]  # (slope, c, x)
+        out[lines, :q] = 1 + q + q * y + e
+        out[lines, q] = np.where(m == 0, 0, 1 + inv[m])
+    out.sort(axis=1)
+    cols = coords.T
+    for lo in range(0, n, _CHECK_BLOCK):
+        blk = out[lo : lo + _CHECK_BLOCK]
+        at = slice(lo, lo + len(blk))
+        if _dot(f, [c[blk] for c in cols], [c[at, None] for c in cols]).any():
             raise RuntimeError("pencil point off its line; field tables corrupt")
-        out[lo : lo + m] = ids
     return out
 
 
@@ -130,9 +158,9 @@ class Plane:
     point-by-line matrix is kept: counts, the incidence graph and the
     spectrum's Gram check all read the pencils.
 
-    The pencils are built a block of lines at a time, and each block's
-    points are checked against their line's equation as it is built.  The
-    constructor then checks that no row repeats a point and that every
+    The pencils are written straight from each line's slope and intercept,
+    and every stored point is then checked against its line's equation.
+    The constructor then checks that no row repeats a point and that every
     point lies on q+1 lines; any failure is a RuntimeError.
     """
 
@@ -141,7 +169,6 @@ class Plane:
         self.field = field
         self.q = q
         self.n = q * q + q + 1
-        self.triples = canonical_triples(q)
         self.pencils = _pencils(field, self.coords)
         if (np.diff(self.pencils, axis=1) == 0).any():
             raise RuntimeError("pencil repeats a point; field tables corrupt")
@@ -151,9 +178,23 @@ class Plane:
         self.lines_through = self.pencils
 
     @cached_property
+    def triples(self) -> list[tuple[int, int, int]]:
+        """The normalized triples in index order, as ``canonical_triples``."""
+        return canonical_triples(self.q)
+
+    @cached_property
     def coords(self) -> np.ndarray:
-        """The triples as an ``(n, 3)`` array."""
-        return np.array(self.triples, dtype=np.int32)
+        """The triples as an ``(n, 3)`` int32 array."""
+        q = self.q
+        e = np.arange(q, dtype=np.int32)
+        c = np.zeros((self.n, 3), dtype=np.int32)
+        c[0, 0] = 1
+        c[1 : q + 1, 0] = e
+        c[1 : q + 1, 1] = 1
+        c[q + 1 :, 0] = np.tile(e, q)
+        c[q + 1 :, 1] = np.repeat(e, q)
+        c[q + 1 :, 2] = 1
+        return c
 
     def index(self, triples) -> np.ndarray:
         """Indices of nonzero coordinate triples, shape ``(..., 3)``.
@@ -192,9 +233,9 @@ class Plane:
     @cached_property
     def labels(self) -> list[str]:
         """Graph-order labels: all points, then all lines."""
-        pts = [self.point_label(i) for i in range(self.n)]
-        lns = [self.line_label(j) for j in range(self.n)]
-        return pts + lns
+        xs = [str(x) for x in range(self.q)]
+        names = ["1:0:0", *(f"{x}:1:0" for x in xs), *(f"{x}:{y}:1" for y in xs for x in xs)]
+        return [f"P({s})" for s in names] + [f"L[{s}]" for s in names]
 
     def to_json(self) -> dict:
         return {
@@ -303,7 +344,7 @@ def least_primitive_cubic(f: Field) -> tuple[int, int, int]:
 
 def _perm_from_action(pl: Plane, mat) -> np.ndarray:
     """Index permutation induced by the 3x3 matrix ``mat`` on the triples."""
-    t = pl.coords
+    t = pl.coords.T
     rows = np.array(mat, dtype=np.int32)
     image = np.stack([_dot(pl.field, r, t) for r in rows], axis=-1)
     return _triple_indices(pl.field, image)
@@ -374,7 +415,7 @@ def verify_subplane(pl: Plane, pts, lns, m: int) -> bool:
     sub = on[in_pts[on]].reshape(k, m + 1).astype(np.int64)
     a, b = np.triu_indices(m + 1, 1)
     pairs = sub[:, a] * pl.n + sub[:, b]
-    return bool(np.unique(pairs).size == k * (k - 1) // 2)
+    return bool(distinct(pairs).size == k * (k - 1) // 2)
 
 
 def baer_decomposition(pl: Plane, sc: SingerCycle | None = None) -> BaerDecomposition:
@@ -407,6 +448,6 @@ def baer_decomposition(pl: Plane, sc: SingerCycle | None = None) -> BaerDecompos
             raise RuntimeError("Singer power orbit is not a Baer subplane")
         subplanes.append((pts, lns))
     covered = np.concatenate([s[1] for s in subplanes])
-    if np.unique(covered).size != n:
+    if distinct(covered).size != n:
         raise RuntimeError("subplane line sets do not partition the lines")
     return BaerDecomposition(suborder=r, subplanes=subplanes)

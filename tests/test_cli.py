@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from planepart import reproduce
-from planepart.cli import _PIECE, _json_chunks, _partition_doc, _write_json, main
+from planepart.cli import _PIECE, _json_chunks, _partition_doc, _write_json, build_parser, main
 from planepart.constructions import Partition, construct_baer_partition
 from planepart.plane import incidence_graph, plane_of_order
 from planepart.search import (
@@ -150,6 +150,18 @@ def test_construct_reports_the_first_flag_that_does_not_apply(capsys):
         code, _, err = run(capsys, "construct", name, "--q", _ORDER_OF[name], *flags)
         assert code == 2
         assert err == f"error: --{first} does not apply to construction {name!r}\n"
+
+
+def test_consecutive_main_calls_share_one_parser_but_no_flags(tmp_path, capsys):
+    # the parser is built once per process; a flag of one call leaks into no later one
+    for flags, drop in (("--drop",), True), ((), False):
+        path = tmp_path / f"drop{drop}.json"
+        code, _, _ = run(
+            capsys, "construct", "combinatorial", "--q", "5", *flags, "--out", str(path)
+        )
+        assert code == 0
+        assert json.loads(path.read_text())["provenance"]["parameters"]["drop_variant"] is drop
+    assert build_parser() is build_parser()
 
 
 def test_an_empty_coordinate_flag_is_given_not_absent(capsys):

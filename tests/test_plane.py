@@ -11,7 +11,7 @@ from planepart import plane as plane_module
 from planepart.constructions import construct_baer_partition
 from planepart.fields import MAX_FIELD_ORDER, prime_factors
 from planepart.graphs import _DIMACS_BLOCK, Graph
-from planepart.plane import least_primitive_cubic, vertex_ids
+from planepart.plane import canonical_triples, least_primitive_cubic, vertex_ids
 from planepart.verify import margins
 from oracles import (
     ReferenceField,
@@ -188,6 +188,41 @@ def test_corrupt_tables_rejected():
     # the line check in the block loop fires before the whole-array checks
     with pytest.raises(RuntimeError, match="off its line"):
         pp.Plane(f)
+
+
+def _swap(t, a, b):
+    t[[a, b]] = t[[b, a]]
+
+
+def _bump(t, a, b):
+    t[a, b] = (t[a, b] + 1) % len(t)
+
+
+# every swap of two entries of a 1-D table and every bump of one entry of a 2-D one
+_CORRUPTIONS = {"inv_table": _swap, "neg_table": _swap, "add_table": _bump, "mul_table": _bump}
+
+
+@pytest.mark.parametrize("p,h", [(2, 2), (5, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("table", _CORRUPTIONS)
+def test_every_single_table_corruption_is_rejected(p, h, table):
+    q, corrupt = p**h, _CORRUPTIONS[table]
+    entries = [(a, b) for a in range(q) for b in range(q) if corrupt is _bump or a < b]
+    for a, b in entries:
+        f = pp.make_field(p, h)
+        t = getattr(f, table).copy()
+        corrupt(t, a, b)
+        setattr(f, table, t)
+        with pytest.raises(RuntimeError, match="field tables corrupt"):
+            pp.Plane(f)
+
+
+@pytest.mark.parametrize("q", _prime_powers(2, MAX_FIELD_ORDER))
+def test_labels_and_coords_follow_the_canonical_order(q):
+    pl = get_plane(q)
+    expect = [pl.point_label(i) for i in range(pl.n)] + [pl.line_label(j) for j in range(pl.n)]
+    assert pl.labels == expect
+    assert pl.coords.dtype == np.int32
+    assert (pl.coords == np.array(canonical_triples(q), dtype=np.int32)).all()
 
 
 # q=32 has 69,762 adjacency entries: to_dimacs writes four blocks of 496
