@@ -16,8 +16,12 @@ import argparse
 import dataclasses
 import functools
 import json
+import operator
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import __version__
 from .constructions import (
@@ -31,7 +35,7 @@ from .constructions import (
     construct_even,
     construct_oval,
 )
-from .graphs import Graph
+from .graphs import Graph, LabelMap, json_default
 from .plane import Plane, incidence_graph, plane_of_order
 from .search import (
     TIMEOUT,
@@ -68,8 +72,10 @@ _CONSTRUCTIONS = {
 }
 
 
-_CONTAINERS = (dict, list, tuple)
+_FORMS = (np.ndarray, LabelMap)  # what json_default turns into lists and dicts
+_CONTAINERS = (dict, list, tuple, *_FORMS)
 _PIECE = 256
+_BLOCK = 1024  # entries of an integer array per lookup, tolist and join
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,14 +85,18 @@ def _encoder(level: int) -> json.JSONEncoder:
 
 
 def _json_chunks(obj, level: int = 0):
-    """The text of ``json.dumps(obj, indent=2)``, piece by piece.
+    """The text of ``json.dumps(obj, indent=2, default=json_default)``, piece by piece.
 
     Scalars, empty containers and up to ``_PIECE`` entries of a container of
     scalars are each one call of the stdlib C encoder, whose item separator
     carries the indent of ``level``; only a container that holds containers
     recurses.  ``indent`` itself would select the pure-Python encoder, which
-    makes a call per token.
+    makes a call per token.  Integer arrays and label maps are written by
+    ``_form_chunks``.
     """
+    if isinstance(obj, _FORMS):
+        yield from _form_chunks(obj, level)
+        return
     encoder = _encoder(level)
     encode = encoder.encode
     if not isinstance(obj, _CONTAINERS) or not obj:
@@ -111,8 +121,76 @@ def _json_chunks(obj, level: int = 0):
     yield "\n" + "  " * level + ("}" if is_dict else "]")
 
 
+def _text_table(values: np.ndarray, text) -> np.ndarray | None:
+    """An object array with ``table[v] == text(v)`` for every entry v of ``values``.
+
+    The table runs from 0 to the largest entry and then from the least entry
+    to -1, which negative indices reach, so ``table[values]`` holds the texts
+    of ``values``.  None when ``values`` is empty or not of integers, or when
+    the table would be longer than both ``values`` and ``_PIECE``.
+    """
+    if values.dtype.kind not in "iu" or not values.size:
+        return None
+    lo, hi = int(values.min()), int(values.max())
+    if max(hi + 1, 0) + max(-lo, 0) > max(values.size, _PIECE):
+        return None
+    return np.array([*map(text, range(hi + 1)), *map(text, range(lo, 0))], dtype=object)
+
+
+def _form_chunks(obj, level: int):
+    """``_json_chunks`` of an array or a ``LabelMap``, from a table of value texts.
+
+    The entries of a 1-D or 2-D integer array, and the codes of a label map,
+    index one table of their texts: a block of entries is one lookup, one
+    ``tolist`` and one join, and each label's key text is one call of the C
+    string encoder.  Any other array, and a table that would outgrow its
+    array, goes through ``json_default``.
+    """
+    if isinstance(obj, LabelMap):
+        texts = _text_table(obj.codes, lambda c: ": " + "".join(_json_chunks(obj.value(c), level + 1)))
+        if texts is not None:
+            return _label_map_chunks(obj, texts, level)
+    elif obj.ndim in (1, 2):
+        texts = _text_table(obj, str)  # an int's JSON text
+        if texts is not None:
+            return _array_chunks(obj, texts, level)
+    return _json_chunks(json_default(obj), level)
+
+
+def _label_map_chunks(m: LabelMap, texts: np.ndarray, level: int):
+    sep = _encoder(level).item_separator
+    lead = "{" + sep[1:]
+    for start in range(0, len(m.labels), _PIECE):
+        # the encoder's own key text, which raises TypeError on a label that is not a str
+        keys = map(encode_basestring_ascii, m.labels[start:start + _PIECE])
+        yield lead + sep.join(map(operator.add, keys, texts[m.codes[start:start + _PIECE]].tolist()))
+        lead = sep
+    yield "\n" + "  " * level + "}"
+
+
+def _array_chunks(a: np.ndarray, texts: np.ndarray, level: int):
+    sep = _encoder(level).item_separator
+    if a.ndim == 1:
+        row_open = row_close = ""
+        step = _BLOCK
+    else:  # each row is an array one level in
+        inner = _encoder(level + 1).item_separator
+        row_open, row_close = "[" + inner[1:], "\n" + "  " * (level + 1) + "]"
+        step = max(1, _BLOCK // a.shape[1])
+    between = row_close + sep + row_open
+    lead = "[" + sep[1:] + row_open
+    for start in range(0, len(a), step):
+        block = texts[a[start:start + step]].tolist()
+        yield lead + (sep.join(block) if a.ndim == 1 else between.join(map(inner.join, block)))
+        lead = between
+    yield row_close + "\n" + "  " * level + "]"
+
+
 def _write_json(path: str, doc: dict):
-    """Write ``json.dumps(doc, indent=2)`` and a newline, without building one string."""
+    """Write ``json.dumps(doc, indent=2, default=json_default)`` and a newline.
+
+    The text goes to the file piece by piece, without building one string.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for chunk in _json_chunks(doc):
             fh.write(chunk)

@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .graphs import LabelMap
 from .plane import BaerDecomposition, Plane, baer_decomposition, distinct, vertex_ids
 
 
@@ -41,9 +42,7 @@ class Partition:
 
     def to_json(self, labels) -> dict:
         return {
-            "assignment": {
-                labels[v]: ("A" if s == 0 else "B") for v, s in enumerate(self.side.tolist())
-            },
+            "assignment": LabelMap(labels, self.side, ("A", "B")),
             "provenance": self.provenance,
         }
 
@@ -375,7 +374,12 @@ def construct_even(
             f"points, need a {half}-secant"
         )
     ell = pl.points_on[secant_line]
-    p1 = np.setxor1d(arc.arc, ell)
-    l1 = distinct(pl.lines_through[np.setdiff1d(ell, arc.arc)])
+    on_arc = np.zeros(pl.n, dtype=bool)
+    on_arc[arc.arc] = True
+    on_ell = np.zeros(pl.n, dtype=bool)
+    on_ell[ell] = True
+    # masks, not np.setxor1d and np.setdiff1d: their np.unique imports numpy.ma
+    p1 = np.flatnonzero(on_arc ^ on_ell)
+    l1 = distinct(pl.lines_through[ell[~on_arc[ell]]])
     l1 = l1[arc.secant_profile[l1] > 0]
     return _partition(pl, p1, l1, "even", {"q": q, "secant_line": secant_line})

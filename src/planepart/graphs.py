@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 
 import numpy as np
@@ -114,3 +115,52 @@ class Graph:
                     parts.append(head + f"\n{head}".join([ids[u] for u in tails[a:b]]) + "\n")
             fh.write("".join(parts))
             lo = hi
+
+
+class LabelMap(Mapping):
+    """The JSON object ``{labels[v]: value of v}`` over the vertices, kept as arrays.
+
+    ``labels`` are distinct strings and ``codes`` an integer array with one
+    entry per label; the value of v is ``names[codes[v]]``, or ``codes[v]``
+    itself when ``names`` is None.  The arrays are not copied.  The CLI's JSON
+    writer writes the object from them, without building the dict that
+    ``dict(m)`` builds.
+    """
+
+    def __init__(self, labels, codes, names=None):
+        self.labels = labels
+        self.codes = np.asarray(codes)
+        self.names = names
+        if self.codes.shape != (len(labels),):
+            raise ValueError(f"{len(labels)} labels, but codes of shape {self.codes.shape}")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        return iter(self.labels)
+
+    def __getitem__(self, label):
+        return self.value(int(self.codes[self._ids[label]]))
+
+    def value(self, code: int):
+        """The JSON value that ``code`` stands for."""
+        return code if self.names is None else self.names[code]
+
+    @cached_property
+    def _ids(self) -> dict:
+        return {label: v for v, label in enumerate(self.labels)}
+
+
+def json_default(obj):
+    """The ``default`` of ``json.dumps`` for the package's documents.
+
+    An array becomes its ``tolist()`` and a :class:`LabelMap` its dict.  The
+    CLI writes every document as ``json.dumps(doc, indent=2,
+    default=json_default)`` would write it.
+    """
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, LabelMap):
+        return dict(zip(obj.labels, map(obj.value, obj.codes.tolist())))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

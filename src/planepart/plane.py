@@ -238,6 +238,9 @@ class Plane:
         return [f"P({s})" for s in names] + [f"L[{s}]" for s in names]
 
     def to_json(self) -> dict:
+        """The plane document; ``lines_points`` is a read-only view of the pencils."""
+        rows = self.points_on.view()
+        rows.flags.writeable = False
         return {
             "order": self.q,
             "field": {
@@ -247,8 +250,7 @@ class Plane:
             },
             "points": self.labels[: self.n],
             "lines": self.labels[self.n :],
-            # one shared int object per point id, not one per incidence
-            "lines_points": np.arange(self.n).astype(object)[self.points_on].tolist(),
+            "lines_points": rows,
         }
 
     def __repr__(self) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, LabelMap
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +28,7 @@ class MarginReport:
         if labels is None:
             labels = [f"v{v}" for v in range(len(self.margin))]
         return {
-            "margins": {labels[v]: m for v, m in enumerate(self.margin.tolist())},
+            "margins": LabelMap(labels, self.margin),
             "summary": {
                 "class_sizes": {"A": self.class_sizes[0], "B": self.class_sizes[1]},
                 "min_margin_A": self.min_margin_a,

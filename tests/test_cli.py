@@ -3,13 +3,20 @@
 import dataclasses
 import enum
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from planepart import reproduce
-from planepart.cli import _PIECE, _json_chunks, _partition_doc, _write_json, build_parser, main
+import planepart
+from planepart import cli, reproduce
+from planepart.cli import _BLOCK, _PIECE, _json_chunks, _partition_doc, _write_json, build_parser, main
 from planepart.constructions import Partition, construct_baer_partition
+from planepart.graphs import LabelMap, json_default
 from planepart.plane import incidence_graph, plane_of_order
 from planepart.search import (
     AnnealParams,
@@ -443,7 +450,7 @@ def _assert_written_as_json_dump(tmp_path, doc):
     path = tmp_path / "doc.json"
     _write_json(str(path), doc)
     got = path.read_bytes()
-    want = (json.dumps(doc, indent=2) + "\n").encode("ascii")
+    want = (json.dumps(doc, indent=2, default=json_default) + "\n").encode("ascii")
     # a plain == would make pytest diff two large documents
     same = got == want
     assert same, f"first difference at byte {_first_difference(got, want)}"
@@ -549,32 +556,148 @@ def test_json_writer_rejects_what_json_rejects(tmp_path):
 
 
 def test_json_writer_streams_the_plane_document():
-    # one string per run of scalars, so no piece is close to the whole file
+    # one string per block of rows, so no piece is close to the whole file
     pieces = list(_json_chunks(get_plane(16).to_json()))
-    same = "".join(pieces) == json.dumps(get_plane(16).to_json(), indent=2)
+    same = "".join(pieces) == json.dumps(get_plane(16).to_json(), indent=2, default=json_default)
     assert same
     assert max(map(len, pieces)) < sum(map(len, pieces)) / 4
 
 
+def _peak_mb(step) -> float:
+    """The peak of ``step()`` above what was traced when it started, in MB."""
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    step()
+    return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+
+
 def test_json_writer_holds_a_piece_at_a_time(tmp_path):
-    # the q=64 plane and Baer partition documents; their 4,161 rows of 65
-    # points and the 8,322-entry assignment and margins dicts each peak
-    # within 0.15 MB of tracemalloc's start
+    # q=64: the Baer document's 8,322-entry assignment and margins objects
+    # are written within 0.15 MB; the plane document's rows are the pencils
+    # themselves, so its whole step, document and write, is bounded: its
+    # 4,161 rows of 65 points peaked at 4.8 MB as a list of lists
     pl = plane_of_order(64)
     g = incidence_graph(pl)
     baer = construct_baer_partition(pl)
-    docs = {"plane": pl.to_json(), "baer": _partition_doc(g, baer, margins(g, baer))}
-    peaks = {}
+    doc = _partition_doc(g, baer, margins(g, baer))
     tracemalloc.start()
     try:
-        for name, doc in docs.items():
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            _write_json(str(tmp_path / f"{name}.json"), doc)
-            peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        baer_mb = _peak_mb(lambda: _write_json(str(tmp_path / "baer.json"), doc))
+        plane_mb = _peak_mb(lambda: _write_json(str(tmp_path / "plane.json"), pl.to_json()))
     finally:
         tracemalloc.stop()
-    assert max(peaks.values()) < 0.15, peaks
+    assert baer_mb < 0.15, baer_mb
+    assert plane_mb < 1, plane_mb
+
+
+def _refused(obj):
+    raise AssertionError(f"{type(obj).__name__} went through json_default")
+
+
+def test_json_writer_writes_package_documents_from_text_tables(tmp_path, monkeypatch):
+    # the plane, partition and search documents never take the fallback
+    monkeypatch.setattr(cli, "json_default", _refused)
+    g = get_graph(9)
+    baer = construct_baer_partition(get_plane(9))
+    for doc in (get_plane(9).to_json(), _partition_doc(g, baer, margins(g, baer)), *_search_docs()):
+        _write_json(str(tmp_path / "doc.json"), doc)
+
+
+_ROWS = _BLOCK // 5  # rows of 5 entries per block of a 2-D array
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8, np.uint64])
+@pytest.mark.parametrize("shape", [
+    (0,), (1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (3 * _BLOCK + 2,),
+    (0, 5), (3, 0), (1, 5), (_ROWS - 1, 5), (_ROWS, 5), (_ROWS + 1, 5), (4 * _ROWS + 3, 5),
+    (3, 2 * _BLOCK + 1),  # a row wider than a block
+])
+def test_json_writer_matches_json_dump_on_integer_arrays(tmp_path, monkeypatch, dtype, shape):
+    rng = np.random.default_rng(sum(shape))
+    size = int(np.prod(shape))
+    lo = 0 if np.dtype(dtype).kind == "u" else -size // 3  # negatives reach the table's tail
+    a = rng.integers(lo, lo + max(size, 1), size=shape).astype(dtype)
+    if size:  # written from the table
+        monkeypatch.setattr(cli, "json_default", _refused)
+    _assert_written_as_json_dump(tmp_path, {"level": [{"a": a}], "top": a, "same": [a, a[::-1]]})
+    _assert_written_as_json_dump(tmp_path, a)
+
+
+@pytest.mark.parametrize("a", [
+    np.array([0, 2**40, -(2**40)], dtype=np.int64),  # a table as wide as the range would not fit
+    np.array([[True, False]]),
+    np.array([0.5, -1.25]),
+    np.arange(8).reshape(2, 2, 2),
+    np.array(3),
+])
+def test_json_writer_writes_other_arrays_through_the_fallback(tmp_path, a):
+    _assert_written_as_json_dump(tmp_path, {"a": a, "b": [a]})
+
+
+_ESCAPED = ['quote"', "back\\slash", "new\nline", "é", "\u2603 \U0001F600", "", "\x00"]
+
+
+@pytest.mark.parametrize("n", [0, 1, _PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE + 3])
+def test_json_writer_matches_json_dump_on_label_maps(tmp_path, monkeypatch, n):
+    if n:  # written from the table
+        monkeypatch.setattr(cli, "json_default", _refused)
+    labels = [_ESCAPED[i % len(_ESCAPED)] + str(i) for i in range(n)]
+    rng = np.random.default_rng(n)
+    side = rng.integers(0, 2, size=n, dtype=np.uint8)
+    margin = rng.integers(-n // 4 - 1, n // 4 + 1, size=n)
+    doc = {
+        "assignment": LabelMap(labels, side, ("A", "B")),
+        "margins": LabelMap(labels, margin),
+        "nested": [LabelMap(labels, margin, [[], {"k": None}, "x"] * n)] if n else [],
+    }
+    _assert_written_as_json_dump(tmp_path, doc)
+    assert dict(doc["assignment"]) == {lab: "AB"[s] for lab, s in zip(labels, side.tolist())}
+
+
+def test_label_maps_are_read_only_mappings():
+    m = LabelMap(["a", "b", "c"], np.array([1, 0, 1]), ("A", "B"))
+    assert (len(m), list(m), m["b"], "c" in m, "d" in m) == (3, ["a", "b", "c"], "A", True, False)
+    assert m == {"a": "B", "b": "A", "c": "B"}
+    assert json.dumps(m, default=json_default) == '{"a": "B", "b": "A", "c": "B"}'
+    with pytest.raises(ValueError):
+        LabelMap(["a", "b"], np.array([1, 0, 1]))
+
+
+def test_json_writer_rejects_labels_that_are_not_strings(tmp_path):
+    with pytest.raises(TypeError):
+        _write_json(str(tmp_path / "a.json"), {"m": LabelMap(["a", 2], np.array([0, 1]))})
+
+
+def test_construct_writes_negative_margins_and_exits_1(tmp_path, capsys, monkeypatch):
+    # a partition below 0-internal is still written, margins and all, before the exit code 1
+    pl = get_plane(4)
+    side = np.zeros(2 * pl.n, dtype=np.uint8)
+    side[[0, pl.n]] = 1  # point 0 and line 0 alone on B
+    monkeypatch.setattr(cli, "construct_baer_partition", lambda pl: Partition(side))
+    path = tmp_path / "low.json"
+    code, out, _ = run(capsys, "construct", "baer", "--q", "4", "--out", str(path))
+    assert code == 1
+    assert "not internal" in out
+    g = get_graph(4)
+    doc = _partition_doc(g, Partition(side), margins(g, side))
+    assert min(doc["margin_report"]["margins"].values()) < 0
+    want = json.dumps(doc, indent=2, default=json_default) + "\n"
+    same = path.read_text(encoding="ascii") == want
+    assert same
+
+
+def test_construct_even_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique, behind np.setxor1d and np.setdiff1d, imports numpy.ma (14-21 ms)
+    code = (
+        "import sys\n"
+        "from planepart import cli\n"
+        f"assert cli.main(['construct', 'even', '--q', '16', '--out', {str(tmp_path / 'e.json')!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    # the child imports the planepart that this test imports
+    src = str(Path(planepart.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, env=env)
 
 
 def test_reproduce_manifest_is_written_as_json_dump(tmp_path, capsys):

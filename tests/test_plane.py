@@ -455,3 +455,7 @@ def test_plane_json_export():
     assert doc["field"]["modulus"] == [0, 1]  # prime field: modulus is x
     assert len(doc["points"]) == 7
     assert len(doc["lines_points"]) == 7
+    # the rows are the pencils themselves, which the document cannot write to
+    assert np.shares_memory(doc["lines_points"], pl.pencils)
+    with pytest.raises(ValueError):
+        doc["lines_points"][0, 0] = 1
