@@ -18,7 +18,6 @@ import functools
 import json
 import operator
 import sys
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -74,7 +73,7 @@ _CONSTRUCTIONS = {
 
 _FORMS = (np.ndarray, LabelMap)  # what json_default turns into lists and dicts
 _CONTAINERS = (dict, list, tuple, *_FORMS)
-_PIECE = 256
+_PIECE = 256  # labels of a label map per block
 _BLOCK = 1024  # entries of an integer array per lookup, tolist and join
 
 
@@ -87,12 +86,11 @@ def _encoder(level: int) -> json.JSONEncoder:
 def _json_chunks(obj, level: int = 0):
     """The text of ``json.dumps(obj, indent=2, default=json_default)``, piece by piece.
 
-    Scalars, empty containers and up to ``_PIECE`` entries of a container of
-    scalars are each one call of the stdlib C encoder, whose item separator
-    carries the indent of ``level``; only a container that holds containers
-    recurses.  ``indent`` itself would select the pure-Python encoder, which
-    makes a call per token.  Integer arrays and label maps are written by
-    ``_form_chunks``.
+    A scalar, and a container that holds no container, is one call of the
+    stdlib C encoder, whose item separator carries the indent of ``level``;
+    only a container that holds containers recurses.  ``indent`` itself
+    would select the pure-Python encoder, which makes a call per token.
+    Integer arrays and label maps are written by ``_form_chunks``.
     """
     if isinstance(obj, _FORMS):
         yield from _form_chunks(obj, level)
@@ -113,11 +111,7 @@ def _json_chunks(obj, level: int = 0):
             yield from _json_chunks(value, level + 1)
             lead = sep
     else:
-        items = iter(obj.items()) if is_dict else None
-        for start in range(0, len(obj), _PIECE):
-            piece = dict(islice(items, _PIECE)) if is_dict else obj[start:start + _PIECE]
-            yield lead + encode(piece)[1:-1]
-            lead = sep
+        yield lead + encode(obj)[1:-1]
     yield "\n" + "  " * level + ("}" if is_dict else "]")
 
 
@@ -299,7 +293,7 @@ def cmd_verify(args) -> int:
         v for v in range(g.n) if report.margin[v] // 2 < args.t
     )
     print(
-        f"violation: vertex {g.label(bad)} has margin {int(report.margin[bad])}, "
+        f"violation: vertex {g.labels[bad]} has margin {int(report.margin[bad])}, "
         f"needs at least {2 * args.t}"
     )
     return 1

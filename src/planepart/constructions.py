@@ -19,7 +19,11 @@ from .plane import BaerDecomposition, Plane, baer_decomposition, distinct, verte
 
 @dataclass(eq=False)
 class Partition:
-    """Two-class vertex assignment: side 0 is class A, side 1 is class B."""
+    """Two-class vertex assignment: side 0 is class A, side 1 is class B.
+
+    Building one is the package's one check of a side: a 1-D array of 0
+    and 1 with both classes nonempty, else ValueError.
+    """
 
     side: np.ndarray
     provenance: dict = dc_field(default_factory=dict)

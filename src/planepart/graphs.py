@@ -14,8 +14,9 @@ class Graph:
     """Simple undirected graph.
 
     Vertices are ``0..n-1``.  ``n_left`` marks a bipartition boundary when
-    the graph is a point/line incidence graph (points first).  Labels are
-    optional; unlabeled vertices print as ``v<id>``.  ``plane_order`` is q
+    the graph is a point/line incidence graph (points first).  ``labels``
+    holds one text per vertex; a graph built without them labels vertex v
+    ``v<v>``.  ``plane_order`` is q
     when the graph is the incidence graph of PG(2,q), as built by
     ``plane.incidence_graph``, and None otherwise; the exhaustive search
     uses it to cut the plane's symmetry from its tree.
@@ -25,7 +26,7 @@ class Graph:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int32)
         self.n_left = n_left
-        self.labels = labels
+        self.labels = [f"v{v}" for v in range(self.n)] if labels is None else labels
         self.plane_order = plane_order
 
     @classmethod
@@ -77,15 +78,10 @@ class Graph:
     def adjacency_lists(self) -> list[list[int]]:
         return [self.neighbors(v).tolist() for v in range(self.n)]
 
-    def label(self, v: int) -> str:
-        if self.labels is not None:
-            return self.labels[v]
-        return f"v{v}"
-
     @cached_property
     def label_ids(self) -> dict[str, int]:
-        """The vertex id of each label: the inverse of ``label``."""
-        return {self.label(v): v for v in range(self.n)}
+        """The vertex id of each label: the inverse of ``labels``."""
+        return {label: v for v, label in enumerate(self.labels)}
 
     def to_dimacs(self, fh) -> None:
         """Write DIMACS-like text to ``fh``: ``p edge n m``, one ``e u v`` per edge.

@@ -4,7 +4,9 @@ Points and lines carry homogeneous coordinate triples normalized so the
 last nonzero coordinate is 1; the point ``(a:b:c)`` lies on the line
 ``[x:y:z]`` exactly when ``ax + by + cz = 0``.  Both index sets are sorted
 by the normalized triple with the last coordinate most significant,
-coordinates compared by their canonical integer encodings.
+coordinates compared by their canonical integer encodings: (1:0:0), then
+(x:1:0), then (x:y:1).  ``Plane.coords`` is that order, and ``Plane.labels``
+its text.
 """
 
 from __future__ import annotations
@@ -19,16 +21,8 @@ from .fields import Field, factor_prime_power, make_field, prime_factors
 from .graphs import Graph
 
 
-def canonical_triples(q: int) -> list[tuple[int, int, int]]:
-    """Normalized triples in index order: (1:0:0), (x:1:0), then (x:y:1)."""
-    out: list[tuple[int, int, int]] = [(1, 0, 0)]
-    out.extend((x, 1, 0) for x in range(q))
-    out.extend((x, y, 1) for y in range(q) for x in range(q))
-    return out
-
-
 def _triple_indices(f: Field, t: np.ndarray) -> np.ndarray:
-    """Indices in ``canonical_triples`` order of a batch of nonzero triples.
+    """Indices in ``Plane.coords`` order of a batch of nonzero triples.
 
     ``t`` has shape ``(..., 3)``; each triple is scaled by the inverse of its
     last nonzero coordinate before its index is read off.
@@ -178,13 +172,12 @@ class Plane:
         self.lines_through = self.pencils
 
     @cached_property
-    def triples(self) -> list[tuple[int, int, int]]:
-        """The normalized triples in index order, as ``canonical_triples``."""
-        return canonical_triples(self.q)
-
-    @cached_property
     def coords(self) -> np.ndarray:
-        """The triples as an ``(n, 3)`` int32 array."""
+        """The normalized triples in index order, as an ``(n, 3)`` int32 array.
+
+        This is the canonical order: row 0 is (1:0:0), row 1 + x is (x:1:0)
+        and row 1 + q + q*y + x is (x:y:1).  Point i and line i share row i.
+        """
         q = self.q
         e = np.arange(q, dtype=np.int32)
         c = np.zeros((self.n, 3), dtype=np.int32)
@@ -222,17 +215,9 @@ class Plane:
         ids = _checked_ids(ids, self.n, "id")
         return np.bincount(self.lines_through[ids].ravel(), minlength=self.n)
 
-    def point_label(self, i: int) -> str:
-        a, b, c = self.triples[i]
-        return f"P({a}:{b}:{c})"
-
-    def line_label(self, j: int) -> str:
-        x, y, z = self.triples[j]
-        return f"L[{x}:{y}:{z}]"
-
     @cached_property
     def labels(self) -> list[str]:
-        """Graph-order labels: all points, then all lines."""
+        """Graph-order labels: ``P(a:b:c)`` for each row of ``coords``, then ``L[a:b:c]``."""
         xs = [str(x) for x in range(self.q)]
         names = ["1:0:0", *(f"{x}:1:0" for x in xs), *(f"{x}:{y}:1" for y in xs for x in xs)]
         return [f"P({s})" for s in names] + [f"L[{s}]" for s in names]

@@ -61,7 +61,7 @@ class SearchResult:
     wall_time: float
     details: dict = dc_field(default_factory=dict)
 
-    def to_json(self, labels=None) -> dict:
+    def to_json(self, labels) -> dict:
         doc = {
             "status": self.status,
             "nodes_explored": self.nodes_explored,
@@ -70,9 +70,7 @@ class SearchResult:
             "witness": None,
         }
         if self.witness is not None:
-            doc["witness"] = self.witness.to_json(
-                labels or [f"v{v}" for v in range(self.witness.n)]
-            )
+            doc["witness"] = self.witness.to_json(labels)
         return doc
 
 

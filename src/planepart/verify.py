@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constructions import Partition
 from .graphs import Graph, LabelMap
 
 
@@ -24,9 +25,7 @@ class MarginReport:
     min_margin_b: int
     partition_intimacy: int
 
-    def to_json(self, labels=None) -> dict:
-        if labels is None:
-            labels = [f"v{v}" for v in range(len(self.margin))]
+    def to_json(self, labels) -> dict:
         return {
             "margins": LabelMap(labels, self.margin),
             "summary": {
@@ -38,22 +37,19 @@ class MarginReport:
         }
 
 
-def _side_array(partition, n: int) -> np.ndarray:
-    side = np.asarray(getattr(partition, "side", partition))
-    if side.shape != (n,):
-        raise ValueError(f"partition covers {side.size} vertices, graph has {n}")
-    if not np.isin(side, (0, 1)).all():
-        raise ValueError("partition sides must be 0 (A) or 1 (B)")
-    return side.astype(np.int8)
-
-
 def margins(g: Graph, partition) -> MarginReport:
-    """Exact margin report; raises ValueError if either class is empty."""
-    side = _side_array(partition, g.n)
+    """Exact margin report of a :class:`Partition` or of its ``side`` array.
+
+    A side that is not a ``Partition`` is checked by building one; a
+    partition that does not cover the graph's vertices is a ValueError.
+    """
+    if not isinstance(partition, Partition):
+        partition = Partition(partition)
+    side = partition.side
+    if side.size != g.n:
+        raise ValueError(f"partition covers {side.size} vertices, graph has {g.n}")
     size_a = int(np.count_nonzero(side == 0))
     size_b = g.n - size_a
-    if size_a == 0 or size_b == 0:
-        raise ValueError("both partition classes must be nonempty")
     same = side[g.indices] == np.repeat(side, g.degrees)
     cum = np.zeros(same.size + 1, dtype=np.int32)
     cum[1:] = same

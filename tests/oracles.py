@@ -1,5 +1,6 @@
 """Independent reference implementations the tests check the package against."""
 
+import itertools
 import random
 import sys
 import time
@@ -9,7 +10,6 @@ import numpy as np
 
 from planepart.fields import least_irreducible, prime_factors
 from planepart.graphs import Graph
-from planepart.plane import canonical_triples
 # the package's one cache of planes, graphs and Baer decompositions
 from planepart.reproduce import _baer as get_baer, _graph as get_graph, _plane as get_plane
 from planepart.reproduce import _random_bipartite as random_bipartite
@@ -32,10 +32,27 @@ def naive_intimacy(g: Graph, side) -> int:
     return min(m // 2 if m >= 0 or m % 2 == 0 else (m - 1) // 2 for m in ms)
 
 
+def reference_triples(q: int) -> list[tuple[int, int, int]]:
+    """The normalized triples of PG(2,q) in index order, by filter and sort.
+
+    Every triple in [0, q)^3 whose last nonzero coordinate is 1, sorted with
+    the last coordinate most significant.
+    """
+    cube = itertools.product(range(q), repeat=3)
+    normal = [t for t in cube if any(t) and next(c for c in reversed(t) if c) == 1]
+    return sorted(normal, key=lambda t: t[::-1])
+
+
+def reference_labels(q: int) -> list[str]:
+    """Graph-order vertex labels: ``P(a:b:c)`` for each point, then ``L[x:y:z]``."""
+    names = [":".join(map(str, t)) for t in reference_triples(q)]
+    return [f"P({s})" for s in names] + [f"L[{s}]" for s in names]
+
+
 def dense_incidence(pl) -> np.ndarray:
     """Point-by-line boolean matrix by testing every point against every line."""
     f = pl.field
-    t = np.array(pl.triples, dtype=np.int32)
+    t = np.array(reference_triples(pl.q), dtype=np.int32)
     mul, add = f.mul_table, f.add_table
     inc = np.empty((pl.n, pl.n), dtype=bool)
     for lo in range(0, pl.n, 1024):
@@ -80,9 +97,10 @@ def reference_perm_from_action(pl, mat) -> np.ndarray:
         s = f.inv(next(c for c in reversed(triple) if c))
         return tuple(f.mul(s, c) for c in triple)
 
-    index_of = {t: i for i, t in enumerate(canonical_triples(pl.q))}
+    triples = reference_triples(pl.q)
+    index_of = {t: i for i, t in enumerate(triples)}
     perm = np.empty(pl.n, dtype=np.int64)
-    for i, t in enumerate(pl.triples):
+    for i, t in enumerate(triples):
         perm[i] = index_of[normalize(mat_vec(t))]
     return perm
 

@@ -184,7 +184,7 @@ def test_algebraic_1mod4_slope_classes():
             continue
         pts = pl.points_on[ln]
         out = [p for p in pts.tolist() if side[p] != 0]
-        if len(out) == 1 and pl.triples[out[0]][2] == 0:
+        if len(out) == 1 and pl.coords[out[0], 2] == 0:
             count += 1
     assert count == (q - 1) // 2
 

@@ -11,7 +11,7 @@ from planepart import plane as plane_module
 from planepart.constructions import construct_baer_partition
 from planepart.fields import MAX_FIELD_ORDER, prime_factors
 from planepart.graphs import _DIMACS_BLOCK, Graph
-from planepart.plane import canonical_triples, least_primitive_cubic, vertex_ids
+from planepart.plane import least_primitive_cubic, vertex_ids
 from planepart.verify import margins
 from oracles import (
     ReferenceField,
@@ -23,8 +23,10 @@ from oracles import (
     random_bipartite,
     reference_dimacs,
     reference_least_primitive_cubic,
+    reference_labels,
     reference_mat_inv,
     reference_perm_from_action,
+    reference_triples,
 )
 
 
@@ -93,7 +95,7 @@ def test_per_line_and_per_point_counts(q):
 
 def test_normalization_last_nonzero_one():
     pl = get_plane(9)
-    for t in pl.triples:
+    for t in pl.coords.tolist():
         last = next(c for c in reversed(t) if c != 0)
         assert last == 1
 
@@ -155,7 +157,7 @@ def test_incidence_symmetric_roles():
     for i in (0, 5, 12):
         for j in (1, 4, 9):
             dot = 0
-            for a, b in zip(pl.triples[i], pl.triples[j]):
+            for a, b in zip(pl.coords[i].tolist(), pl.coords[j].tolist()):
                 dot = f.add(dot, f.mul(a, b))
             assert pl.is_incident(i, j) == (dot == 0)
 
@@ -219,10 +221,9 @@ def test_every_single_table_corruption_is_rejected(p, h, table):
 @pytest.mark.parametrize("q", _prime_powers(2, MAX_FIELD_ORDER))
 def test_labels_and_coords_follow_the_canonical_order(q):
     pl = get_plane(q)
-    expect = [pl.point_label(i) for i in range(pl.n)] + [pl.line_label(j) for j in range(pl.n)]
-    assert pl.labels == expect
+    assert pl.labels == reference_labels(q)
     assert pl.coords.dtype == np.int32
-    assert (pl.coords == np.array(canonical_triples(q), dtype=np.int32)).all()
+    assert pl.coords.tolist() == [list(t) for t in reference_triples(q)]
 
 
 # q=32 has 69,762 adjacency entries: to_dimacs writes four blocks of 496

@@ -612,12 +612,12 @@ def test_regular_graphs_admit_near_internal():
 
 def test_search_result_json_schema():
     g = get_graph(2)
-    doc = exhaustive_exists(g, 0).to_json()
+    doc = exhaustive_exists(g, 0).to_json(g.labels)
     assert set(doc) == {"status", "nodes_explored", "wall_time", "details", "witness"}
     assert doc["status"] == "found"
     assert isinstance(doc["nodes_explored"], int)
     assert doc["witness"]["assignment"]
-    empty = exhaustive_exists(g, 2).to_json()
+    empty = exhaustive_exists(g, 2).to_json(g.labels)
     assert empty["witness"] is None
 
 
@@ -699,10 +699,13 @@ def test_anneal_seed_changes_trajectory():
 
 
 def test_anneal_rejects_mismatched_init():
-    g = get_graph(2)
-    init = pp.construct_baer_partition(get_plane(4))
-    with pytest.raises(ValueError):
-        anneal_search(g, 0, AnnealParams(restarts=1, steps=1), init=init)
+    g = get_graph(2)  # 14 vertices
+    short = np.zeros(g.n - 1, dtype=np.uint8)
+    short[0] = 1
+    for init in (pp.construct_baer_partition(get_plane(4)), pp.Partition(short)):
+        for search in (anneal_search, reference_anneal):
+            with pytest.raises(ValueError, match="init partition does not match the graph"):
+                search(g, 0, AnnealParams(restarts=1, steps=1), init=init)
 
 
 def test_witness_provenance_labels():

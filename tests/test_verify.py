@@ -149,6 +149,23 @@ def test_margins_rejects_text_and_short_sides():
         margins(g, np.zeros(g.n - 1, dtype=np.uint8))
 
 
+def test_margins_rejects_a_partition_of_another_graph():
+    # a Partition is checked once, when it is built; margins checks its length
+    part = pp.construct_baer_partition(get_plane(4))
+    with pytest.raises(ValueError, match="covers 42 vertices, graph has 26"):
+        margins(get_graph(3), part)
+
+
+def test_margins_rejects_a_2d_side():
+    g = get_graph(2)
+    side = np.zeros((2, g.n // 2), dtype=np.uint8)
+    side[0, 0] = 1
+    with pytest.raises(ValueError, match="1-D array"):
+        margins(g, side)
+    with pytest.raises(ValueError, match="1-D array"):
+        margins(g, side.reshape(g.n, 1))
+
+
 def test_report_json_schema():
     g = get_graph(2)
     pl = get_plane(2)
@@ -167,13 +184,17 @@ def test_report_json_schema():
     assert all(isinstance(v, int) for v in doc["margins"].values())
 
 
-def test_report_json_default_labels():
-    g = get_graph(2)
-    side = np.zeros(g.n, dtype=np.uint8)
-    side[3] = 1
-    doc = margins(g, side).to_json()
-    assert "v0" in doc["margins"]
-    assert f"v{g.n - 1}" in doc["margins"]
+def test_graph_labels_default_to_vertex_ids():
+    # a graph built without labels names vertex v "v<v>"; the report's keys
+    # are the labels it is handed
+    g = pp.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert g.labels == ["v0", "v1", "v2", "v3"]
+    assert g.label_ids == {"v0": 0, "v1": 1, "v2": 2, "v3": 3}
+    assert pp.Graph(g.indptr, g.indices).labels == g.labels
+    named = pp.Graph.from_edges(2, [(0, 1)], n_left=1, labels=["P", "L"])
+    assert named.labels == ["P", "L"] and named.n_left == 1
+    doc = margins(g, [0, 0, 1, 1]).to_json(g.labels)
+    assert list(doc["margins"]) == g.labels
 
 
 @settings(max_examples=60)
