@@ -26,7 +26,11 @@ to A, which quotients out the swap of A and B.  On the incidence graph of
 PG(2,q), at a t where every vertex needs at least two neighbours on its
 own side, a flag triangle is put on A as well: point 0, two lines L0 and
 L1 through it, and a second point on each line (see ``_presets`` for why
-no partition is lost).  ``exhaustive_exists`` and ``exhaustive_max_intimacy``
+no partition is lost).  The collineations that fix that triangle, the
+diagonal torus of the frame P0, P1, P2, still act on the tree: they move
+the (q-1)^2 lines through none of the three points regularly.  So the
+search splits in two cases (``_cases``): the least of those lines on A,
+then all of them on B.  ``exhaustive_exists`` and ``exhaustive_max_intimacy``
 are one scan over t (``_scan``) with one node budget, one deadline and at
 most one process pool; the first decides a single t.
 """
@@ -320,6 +324,30 @@ def _presets(g: Graph, t: int) -> list[tuple[int, int]]:
     return [(0, 0), (l0, 0), (l1, 0), (p1, 0), (p2, 0)]
 
 
+def _cases(g: Graph, presets) -> list[list[tuple[int, int]]]:
+    """The preset lists whose searches together decide a t, in search order.
+
+    ``[presets]`` unless ``presets`` is the flag triangle of ``_presets``.
+    Then the collineations that fix P0, P1 and P2 form the diagonal torus
+    in that frame, of order (q-1)^2; they fix L0 = P0P1 and L1 = P0P2 too,
+    so they keep all five presets.  The lines through none of P0, P1, P2
+    have all three coordinates nonzero in that frame, so there are (q-1)^2
+    of them, and the torus acts on them regularly: one element maps any of
+    them onto M, the least line id among them.  So a partition that meets
+    the presets either has one of those lines on A, and an image of it has
+    M on A (case i), or has all of them on B (case ii).  Case i goes first:
+    case ii presets (q-1)^2 lines, which at q=64 costs more than a small
+    node budget.
+    """
+    if len(presets) < 5:
+        return [presets]
+    adj = g.adjacency_lists
+    p0, _, _, p1, p2 = (v for v, _ in presets)
+    through = set(adj[p0]) | set(adj[p1]) | set(adj[p2])
+    off = [v for v in range(g.n_left, g.n) if v not in through]
+    return [presets + [(off[0], 0)], presets + [(v, 1) for v in off]]
+
+
 def _decide(adj, t, presets, max_nodes, deadline, imap):
     """Decide one t: ``(status, witness side, nodes, conflicts, max_depth, propagations)``.
 
@@ -328,7 +356,8 @@ def _decide(adj, t, presets, max_nodes, deadline, imap):
     jobs (see ``_Solver.search``), and ``imap`` runs them on an equal share
     of the nodes the top leaves.  The jobs are read in the serial order,
     each after the top's tries before it, then the top's own result, up to
-    the first witness.  Without ``imap``, when the top makes no job, or
+    the first witness.  Without ``imap``, when the top makes fewer than two
+    jobs (one job would gain no parallelism for the start-up of a pool), or
     when ``max_nodes`` leaves fewer nodes after the top than there are jobs,
     the search is serial with the whole budget.
     """
@@ -338,7 +367,7 @@ def _decide(adj, t, presets, max_nodes, deadline, imap):
     if top is None or not top.assign_presets(presets):
         return _solve(adj, t, presets, max_nodes, deadline)
     top_status, top_side, top_nodes, top_conflicts, _, top_forced = top.search(None, None, 2)
-    if not top.jobs or (max_nodes is not None and max_nodes - top_nodes < len(top.jobs)):
+    if len(top.jobs) < 2 or (max_nodes is not None and max_nodes - top_nodes < len(top.jobs)):
         return _solve(adj, t, presets, max_nodes, deadline)
     share = None if max_nodes is None else (max_nodes - top_nodes) // len(top.jobs)
     args = [(adj, t, presets + path, share, deadline) for path, *_ in top.jobs]
@@ -381,13 +410,16 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
 
     t is the one the scan stopped at.  ``max_nodes`` and ``max_seconds`` are
     each one budget for the scan: every t gets what the ones before it left
-    and starts only while some is left.  ``nodes_explored``, ``conflicts``,
-    ``propagations`` and ``wall_time`` cover the scan, ``max_depth`` is its
-    deepest path and ``presets`` counts the last t's.  With ``workers > 1``
-    the first t that fans out starts one pool of ``min(workers, jobs)``
-    processes, which serves every later t and is terminated when the scan
-    ends, also on an error.  A t that ends ``found`` or ``timeout`` ends the
-    scan, so no job of one t is queued when the next starts.  Raises
+    and starts only while some is left.  A t is one ``_decide`` per case of
+    ``_cases``, in order up to the first case that is not exhausted; each
+    case gets what the ones before it left, which may be no node.
+    ``nodes_explored``, ``conflicts``, ``propagations`` and ``wall_time``
+    cover the scan, ``max_depth`` is its deepest path and ``presets``
+    counts the last t's ``_presets``.  With ``workers > 1`` the first case
+    that fans out starts one pool of ``min(workers, jobs)`` processes, which
+    serves every later case and t and is terminated when the scan ends,
+    also on an error.  A case that ends ``found`` or ``timeout`` ends the
+    scan, so no job of one case is queued when the next starts.  Raises
     ValueError when ``max_nodes < 1``, ``max_seconds <= 0`` or ``workers < 1``.
     """
     if max_nodes is not None and max_nodes < 1:
@@ -410,19 +442,22 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
     try:
         for t in ts:
             presets = _presets(g, t)
-            nodes_left = None if max_nodes is None else max_nodes - nodes
-            if (nodes_left is not None and nodes_left < 1) or (
+            if (max_nodes is not None and max_nodes - nodes < 1) or (
                 deadline is not None and time.monotonic() >= deadline
             ):
                 status, side = TIMEOUT, None
                 break
-            status, side, t_nodes, t_conflicts, t_depth, t_forced = _decide(
-                g.adjacency_lists, t, presets, nodes_left, deadline, imap if workers > 1 else None
-            )
-            nodes += t_nodes
-            conflicts += t_conflicts
-            max_depth = max(max_depth, t_depth)
-            forced += t_forced
+            for case in _cases(g, presets):
+                nodes_left = None if max_nodes is None else max_nodes - nodes
+                status, side, c_nodes, c_conflicts, c_depth, c_forced = _decide(
+                    g.adjacency_lists, t, case, nodes_left, deadline, imap if workers > 1 else None
+                )
+                nodes += c_nodes
+                conflicts += c_conflicts
+                max_depth = max(max_depth, c_depth)
+                forced += c_forced
+                if status != EXHAUSTED:
+                    break
             if status != EXHAUSTED:
                 break
         details = {
@@ -451,17 +486,20 @@ def exhaustive_exists(
 
     The one-t case of the scan that ``exhaustive_max_intimacy`` runs (see
     ``_scan``): one node budget, one deadline and at most one pool.  With
-    ``workers > 1`` the top two branching levels below the presets fan
-    out to a pool of at most one process per job, so at most four; a top of
-    the tree that yields no jobs, or a ``max_nodes`` that leaves fewer than
-    one node per job after the top, is searched serially, as with one worker.
+    ``workers > 1`` the top two branching levels below each case's presets
+    fan out to a pool of at most one process per job, so at most four; a
+    top that yields fewer than two jobs, or a ``max_nodes`` that leaves
+    fewer than one node per job after the top, is searched serially, as
+    with one worker.
     Without budgets the status, witness and counts do not depend on
     ``workers``.  ``max_seconds`` is one deadline for the whole call, shared by every job
     (``time.monotonic`` is system-wide, so pool workers read the same
     clock).  ``max_nodes`` is one budget too: each of the k jobs gets a k-th
     of what the tries above the jobs leave and, like a single worker, stops
-    at its share plus one.  ``details`` carries ``presets`` (how many assignments the
-    search started from, 1 or 5; see ``_presets``), ``conflicts`` (branches
+    at its share plus one.  ``details`` carries ``presets`` (the size of the
+    symmetry presets, 1 or 5, see ``_presets``; the torus cases of
+    ``_cases`` add one line, or (q-1)^2 lines, to the 5 and are not
+    counted), ``conflicts`` (branches
     whose propagation failed), ``propagations`` (vertices forced in the
     other branches) and ``max_depth`` (the most branching levels on one
     path, counting the two fanned-out levels above each pool job).

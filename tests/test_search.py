@@ -18,6 +18,7 @@ from planepart.search import (
     AnnealParams,
     SearchResult,
     _Solver,
+    _cases,
     _presets,
     _solve,
     anneal_search,
@@ -71,10 +72,14 @@ def record_pools(monkeypatch):
 
 
 def test_pg2_3_no_1_internal():
-    res = exhaustive_exists(get_graph(3), 1)
-    assert res.status == "exhausted_none"
-    assert res.witness is None
-    assert res.nodes_explored > 0
+    # both torus cases are decided by propagating their presets, so the
+    # search from the flag triangle takes no node; from vertex 0 alone it takes 48
+    g = get_graph(3)
+    res = exhaustive_exists(g, 1)
+    assert (res.status, res.witness, res.nodes_explored) == ("exhausted_none", None, 0)
+    assert res.details["presets"] == 5
+    res = exhaustive_exists(untagged(g), 1)
+    assert (res.status, res.witness, res.nodes_explored) == ("exhausted_none", None, 48)
 
 
 def test_pg2_3_0_internal_found():
@@ -110,9 +115,10 @@ def test_k33_no_0_internal():
 def test_workers_agree_with_single(monkeypatch):
     sizes = record_pools(monkeypatch)
     # at t = 0 the 5-vertex graph's first level holds a leaf beside two
-    # jobs, and the jobs still go to a pool
+    # jobs, and the jobs still go to a pool; PG(2,2) at t = 0 fans out only
+    # in the second torus case, the first being exhausted by its presets
     leaf = Graph.from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 3)])
-    for g, t in [(get_graph(3), 0), (get_graph(3), 1), (leaf, 0)]:
+    for g, t in [(get_graph(2), 0), (get_graph(3), 0), (get_graph(5), 1), (leaf, 0)]:
         solo = exhaustive_exists(g, t)
         pooled = exhaustive_exists(g, t, workers=2)
         assert (pooled.status, pooled.nodes_explored) == (solo.status, solo.nodes_explored)
@@ -124,7 +130,7 @@ def test_workers_agree_with_single(monkeypatch):
             assert margins(g, pooled.witness).partition_intimacy >= t
     assert (solo.status, solo.nodes_explored) == ("found", 2)
     # one pool per call, the leaf case included
-    assert sizes == [2, 2, 2]
+    assert sizes == [2, 2, 2, 2]
 
 
 def test_node_budget_times_out():
@@ -204,14 +210,35 @@ def test_degenerate_frontier_runs_the_serial_search(monkeypatch):
 def test_pool_is_sized_to_its_jobs(monkeypatch):
     sizes = record_pools(monkeypatch)
     # PG(2,3) at t=1 has four jobs below vertex 0 alone: six workers start
-    # four processes; below the flag triangle two of the four tries at the
-    # second level conflict, which leaves two jobs
+    # four processes; PG(2,5) at t=1 has four in its first torus case, and
+    # its second fails at its presets; the leaf graph at t=0 has two jobs
     res = exhaustive_exists(untagged(get_graph(3)), 1, workers=6)
     assert res.status == "exhausted_none"
     assert sizes == [4]
-    res = exhaustive_exists(get_graph(3), 1, workers=6)
+    res = exhaustive_exists(get_graph(5), 1, workers=6)
     assert res.status == "exhausted_none"
-    assert sizes == [4, 2]
+    assert sizes == [4, 4]
+    leaf = Graph.from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 3)])
+    assert len(top_jobs(leaf.adjacency_lists, 0, [(0, 0)])) == 2
+    res = exhaustive_exists(leaf, 0, workers=6)
+    assert res.status == "found"
+    assert sizes == [4, 4, 2]
+
+
+def test_a_one_job_top_runs_the_serial_search(monkeypatch):
+    # the top of this graph's tree makes one job: a pool would run it in one
+    # process beside this one, so the pooled call runs the serial search
+    sizes = record_pools(monkeypatch)
+    edges = [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 5), (3, 4), (4, 5)]
+    g = Graph.from_edges(6, edges)
+    (path, *counts), = top_jobs(g.adjacency_lists, 0, [(0, 0)])
+    solo = exhaustive_exists(g, 0)
+    # the job's own subtree takes nodes beyond the top's tries
+    assert _counts(solo) == ("found", 5, 2, 3, 2) and counts[0] < 5
+    pooled = exhaustive_exists(g, 0, workers=2)
+    assert _counts(pooled) == _counts(solo)
+    assert pooled.witness.side.tolist() == solo.witness.side.tolist()
+    assert sizes == []
 
 
 def test_max_intimacy_scan_starts_one_pool(monkeypatch):
@@ -279,13 +306,37 @@ def test_max_intimacy_scan_has_one_node_budget():
     # one node short: t = 0 gets the 16 nodes that t = 1 left, and stops at its 17th
     best, res = exhaustive_max_intimacy(g, max_nodes=64)
     assert (best, res.status, res.nodes_explored) == (None, "timeout", 65)
-    # with the flag triangle: 0 + 10 + 14 nodes and 0 + 5 + 0 conflicts
-    g = get_graph(3)
-    best, res = exhaustive_max_intimacy(g, max_nodes=24)
-    assert (best, res.status, res.nodes_explored) == (0, "found", 24)
-    assert res.details["conflicts"] == 5
-    best, res = exhaustive_max_intimacy(g, max_nodes=23)
-    assert (best, res.status, res.nodes_explored) == (None, "timeout", 24)
+    # PG(2,5) with the flag triangle: t = 3, 2, 1, 0 take 0 + 0 + 1,744 + 27
+    # nodes and 0 + 0 + 872 + 0 conflicts
+    g = get_graph(5)
+    best, res = exhaustive_max_intimacy(g, max_nodes=1771)
+    assert (best, res.status, res.nodes_explored) == (0, "found", 1771)
+    assert res.details["conflicts"] == 872
+    best, res = exhaustive_max_intimacy(g, max_nodes=1770)
+    assert (best, res.status, res.nodes_explored) == (None, "timeout", 1771)
+
+
+def test_torus_cases_share_one_node_budget(monkeypatch):
+    # PG(2,5) t=1: the first case takes 1,744 nodes and the second, which
+    # fails at its presets, none; the second gets what the first left
+    budgets = []
+    decide = search_module._decide
+
+    def spy(*args):
+        budgets.append(args[3])
+        return decide(*args)
+
+    monkeypatch.setattr(search_module, "_decide", spy)
+    g = get_graph(5)
+    for max_nodes, left, status, nodes in [
+        (2000, 256, "exhausted_none", 1744),
+        (1744, 0, "exhausted_none", 1744),
+        (1743, None, "timeout", 1744),
+    ]:
+        budgets.clear()
+        res = exhaustive_exists(g, 1, max_nodes=max_nodes)
+        assert (res.status, res.nodes_explored) == (status, nodes)
+        assert budgets == [max_nodes] + ([] if left is None else [left])
 
 
 def test_max_intimacy_scan_has_one_deadline(monkeypatch):
@@ -299,7 +350,8 @@ def test_max_intimacy_scan_has_one_deadline(monkeypatch):
     monkeypatch.setattr(search_module, "_decide", spy)
     before = time.monotonic()
     best, res = exhaustive_max_intimacy(get_graph(3), max_seconds=30.0)
-    assert best == 0 and len(deadlines) == 3
+    # two torus cases at t = 2 and t = 1 (both exhausted), the first one found at t = 0
+    assert best == 0 and len(deadlines) == 5
     assert len(set(deadlines)) == 1
     assert before <= deadlines[0] - 30.0 <= before + res.wall_time
 
@@ -322,10 +374,10 @@ def test_solver_counters():
         # reaches the all-A leaf, which is no witness, and the other 24 fail
         # to propagate
         (untagged(get_graph(3)), (48, 24, 7)),
-        # five frames below the flag triangle: four tries open the other
-        # frames, five fail to propagate, and the last try, side A at every
-        # level, reaches the all-A leaf
-        (get_graph(3), (10, 5, 3)),
+        # 872 frames below the flag triangle and M on A: 871 tries open the
+        # other frames, one reaches a leaf that is no witness, and the other
+        # 872 fail to propagate; the second torus case fails at its presets
+        (get_graph(5), (1744, 872, 20)),
     ]:
         res = exhaustive_exists(g, 1)
         assert res.status == "exhausted_none"
@@ -346,14 +398,17 @@ def test_pooled_counts_are_the_serial_counts():
 
 
 def test_pooled_witness_is_the_serial_witness():
-    # PG(2,7) t=1 is found: the pool reads its jobs in the order the serial
-    # search visits them, so the first job with a witness holds the serial one
-    g = get_graph(7)
-    solo = exhaustive_exists(g, 1)
-    pooled = exhaustive_exists(g, 1, workers=2)
-    assert _counts(pooled) == _counts(solo) == ("found", 312, 137, 48, 378)
-    assert pooled.witness.side.tolist() == solo.witness.side.tolist()
-    assert margins(g, pooled.witness).partition_intimacy >= 1
+    # PG(2,7) and PG(2,9) t=1 are found in the first torus case: the pool
+    # reads its jobs in the order the serial search visits them, so the
+    # first job with a witness holds the serial one
+    for q, counts in [(7, ("found", 52, 20, 21, 170)), (9, ("found", 489, 211, 88, 563))]:
+        g = get_graph(q)
+        assert len(top_jobs(g.adjacency_lists, 1, _cases(g, _presets(g, 1))[0])) == 4
+        solo = exhaustive_exists(g, 1)
+        pooled = exhaustive_exists(g, 1, workers=2)
+        assert _counts(pooled) == _counts(solo) == counts
+        assert pooled.witness.side.tolist() == solo.witness.side.tolist()
+        assert margins(g, pooled.witness).partition_intimacy >= 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -364,7 +419,7 @@ def test_one_t_scan_is_the_single_t_search(workers):
     single = exhaustive_exists(g, 1, workers=workers)
     best, scan = exhaustive_max_intimacy(g, t_hi=1, workers=workers)
     assert best == 1
-    assert _counts(scan) == _counts(single) == ("found", 312, 137, 48, 378)
+    assert _counts(scan) == _counts(single) == ("found", 52, 20, 21, 170)
     assert scan.witness.side.tolist() == single.witness.side.tolist()
     assert scan.details == single.details
 
@@ -381,26 +436,28 @@ def test_pool_stops_when_a_pooled_search_raises(monkeypatch):
         lambda g: exhaustive_max_intimacy(g, workers=2),
     ):
         with pytest.raises(RuntimeError, match="planted"):
-            scan(get_graph(3))
+            scan(get_graph(5))
         assert multiprocessing.active_children() == []
     assert sizes == [2, 2]
 
 
 def test_propagations_sum_over_pool_jobs_and_scans():
-    # a pooled search adds the top's propagations to its jobs'
-    g = get_graph(3)
+    # a pooled search adds the top's propagations to its jobs': PG(2,5) t=1
+    # fans out in its first torus case, and its second fails at its presets
+    g = get_graph(5)
     adj = g.adjacency_lists
-    presets = _presets(g, 1)
+    first, second = _cases(g, _presets(g, 1))
+    assert not _Solver(adj, 1).assign_presets(second)
     top = _Solver(adj, 1)
-    assert top.assign_presets(presets)
+    assert top.assign_presets(first)
     top_propagations = top.search(None, None, split=2)[5]
     pooled = exhaustive_exists(g, 1, workers=2)
-    per_job = [_solve(adj, 1, presets + path, None, None)[5] for path, *_ in top.jobs]
-    assert len(per_job) == 2
+    per_job = [_solve(adj, 1, first + path, None, None)[5] for path, *_ in top.jobs]
+    assert len(per_job) == 4
     assert pooled.details["propagations"] == top_propagations + sum(per_job)
-    # the scan decides t = 2, 1 and 0
+    # the scan decides t = 3, 2, 1 and 0
     best, res = exhaustive_max_intimacy(g)
-    per_t = [exhaustive_exists(g, t).details["propagations"] for t in (2, 1, 0)]
+    per_t = [exhaustive_exists(g, t).details["propagations"] for t in (3, 2, 1, 0)]
     assert best == 0 and res.details["propagations"] == sum(per_t) > 0
 
 
@@ -441,6 +498,50 @@ def test_flag_triangle_keeps_every_status(q):
     g = get_graph(q)
     for t in range(-2, 3):
         assert exhaustive_exists(g, t).status == exhaustive_exists(untagged(g), t).status
+
+
+def scan_range(g):
+    """Every t from the degree cap down to the trivial floor."""
+    return range(int(g.degrees.min()) // 2, -((int(g.degrees.max()) + 1) // 2) - 1, -1)
+
+
+def test_torus_split_matches_brute_force_on_pg2_2():
+    g = get_graph(2)
+    split = [t for t in scan_range(g) if len(_cases(g, _presets(g, t))) == 2]
+    assert split == [1, 0]
+    for t in scan_range(g):
+        assert (exhaustive_exists(g, t).status == "found") is brute_force_exists(g, t)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_torus_split_keeps_every_status(q):
+    # the split decides each t as the search from the bare flag triangle does
+    g = get_graph(q)
+    for t in scan_range(g):
+        max_nodes = 50_000 if (q, t) == (7, 1) else None
+        bare = _solve(g.adjacency_lists, t, _presets(g, t), max_nodes, None)[0]
+        assert exhaustive_exists(g, t).status == bare
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_frame_torus_carries_m_onto_every_off_triangle_line(q):
+    pl, g = get_plane(q), get_graph(q)
+    n = pl.n
+    presets = _presets(g, 1)
+    first, second = _cases(g, presets)
+    p0, l0, l1, p1, p2 = [v for v, _ in presets]
+    off = [n + j for j, line in enumerate(pl.pencils.tolist()) if not {p0, p1, p2} & set(line)]
+    assert len(off) == (q - 1) ** 2
+    assert first == presets + [(off[0], 0)]
+    assert second == presets + [(v, 1) for v in off]
+    images = []
+    for point_perm, line_perm in oracles.frame_torus(pl, (p0, p1, p2)):
+        # a collineation: each line's points go onto its image's points
+        assert (np.sort(point_perm[pl.pencils], axis=1) == pl.pencils[line_perm]).all()
+        perm = np.concatenate([point_perm, n + line_perm])
+        assert perm[[p0, p1, p2, l0, l1]].tolist() == [p0, p1, p2, l0, l1]
+        images.append(int(perm[off[0]]))
+    assert sorted(images) == off
 
 
 @pytest.mark.parametrize("t", [0, 1, 2])
