@@ -289,9 +289,7 @@ def cmd_verify(args) -> int:
     if report.partition_intimacy >= args.t:
         print(f"OK: partition is {args.t}-internal")
         return 0
-    bad = next(
-        v for v in range(g.n) if report.margin[v] // 2 < args.t
-    )
+    bad = np.flatnonzero(report.margin < 2 * args.t)[0]
     print(
         f"violation: vertex {g.labels[bad]} has margin {int(report.margin[bad])}, "
         f"needs at least {2 * args.t}"

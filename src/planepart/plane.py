@@ -245,6 +245,7 @@ class Plane:
 def plane_of_order(q: int) -> Plane:
     """Build PG(2,q) from a prime-power order."""
     p, h = factor_prime_power(q)
+    # through make_field, which a traced benchmark run rebinds here to time fields.field
     return Plane(make_field(p, h))
 
 

@@ -79,18 +79,20 @@ class SearchResult:
 
 
 class _Solver:
-    """The packed state of one branch and bound, and its search.
+    """The packed graph at one t, from which any number of searches start.
 
     A state is ``(ca, cb, ma, mb)``.  Field v of ``ca``, bits ``W*v`` to
     ``W*v + W - 1``, holds ``H - 1 - cap[v] + a``, H = 2**(W-1) and a the
     neighbours of v on A, so its top bit is set exactly above the cap and it
     is ``H - 1`` exactly at it; ``cb`` counts B alike.  ``ma`` and ``mb``
     hold the vertices on A and on B at their fields' top bits.  The graph
-    must be simple: a repeated neighbour would carry out of a field.
+    must be simple: a repeated neighbour would carry out of a field.  A
+    search writes nothing on the solver but the rows it builds on first use.
     """
 
     def __init__(self, adj, t):
         self.adj = adj
+        self.t = t
         deg = [len(a) for a in adj]
         # the most neighbours a vertex may have on the other side: d - ceil((d + 2t)/2)
         cap = [d - max(0, (d + 2 * t + 1) // 2) for d in deg]
@@ -108,10 +110,8 @@ class _Solver:
         self.hi = self.ones << top
         self.low = self.hi - self.ones
         bias = b"".join(((1 << top) - 1 - c).to_bytes(step, "little") for c in cap)
-        self.state = (int.from_bytes(bias, "little"),) * 2 + (0, 0)
+        self.base = (int.from_bytes(bias, "little"),) * 2 + (0, 0)
         self.rows = [None] * len(adj)
-        self.forced = 0
-        self.witness: list[int] | None = None
 
     def _row(self, v):
         """v's row, 1 in the field of each neighbour; shifted by W - 1, its neighbour mask."""
@@ -133,7 +133,7 @@ class _Solver:
         the free neighbours of each vertex on Y that it brought to its cap on
         X, or that joined Y at it, to Y.  Only the vertices a wave touches are
         judged, so a free vertex with cap < 0 and no neighbour assigned is
-        not forced.  A success adds the vertices it forced to ``self.forced``.
+        not forced.
         """
         ca, cb, ma, mb = state
         rows, row, ones, hi = self.rows, self._row, self.ones, self.hi
@@ -180,7 +180,6 @@ class _Solver:
                 p = y.bit_length() - 1
                 y ^= 1 << p
                 na |= (rows[p // width] << top) & free
-        self.forced += ((ma | mb) ^ (state[2] | state[3])).bit_count() - 1
         return (ca, cb, ma, mb)
 
     def _select(self, state):
@@ -211,40 +210,38 @@ class _Solver:
             k += 1
         return keys.index(k)
 
-    def assign_presets(self, presets) -> bool:
-        state = self.state
+    def assign_presets(self, presets):
+        """The base state with ``presets`` assigned, at the fixpoint; None on a conflict."""
+        state = self.base
         for v, s in presets:
             bit = 1 << (v * self.width + self.top)
             if state and not state[2 + s] & bit:  # state[2 + s]: the side-s mask
                 state = None if state[3 - s] & bit else self._assign(state, v, s)
-        self.state = state
-        return state is not None
+        return state
 
-    def _complete(self, state) -> bool:
-        if state[2] and state[3]:
-            self.witness = list(self._fields(state[3] >> self.top))
-        return self.witness is not None
+    def _complete(self, state):
+        return list(self._fields(state[3] >> self.top)) if state[2] and state[3] else None
 
-    def search(self, max_nodes, deadline, split=None):
-        """Depth first over an explicit stack of (vertex, next side, state) levels.
+    def search(self, state, max_nodes, deadline, split=None):
+        """Depth first from ``state``, over a stack of (vertex, next side, state) levels.
 
         One node per try of side 1 (B), then side 0 (A), of each branching
         vertex (see the module docstring); a level drops its state at its
-        second try.  Returns ``(status, witness side, nodes,
-        conflicts, max_depth, propagations)``, status FOUND, EXHAUSTED or TIMEOUT.
-        A try that succeeds at depth ``split`` descends no further: it
-        appends ``(path, nodes, conflicts, propagations)`` to ``self.jobs``,
-        the ``(vertex, side)`` tries on the stack and the counts so far.
+        second try.  Returns ``(status, witness side, nodes, conflicts,
+        max_depth, propagations, jobs)``, status FOUND, EXHAUSTED or TIMEOUT;
+        a None ``state`` (presets that conflict) takes no node.  A try that
+        succeeds at depth ``split`` descends no further: it appends ``(path,
+        nodes, conflicts, propagations)`` to ``jobs``, the ``(vertex, side)``
+        tries on the stack and the counts so far.
         """
-        self.forced = 0
-        self.jobs = []
-        v = self._select(self.state)
-        if v is None:
-            return (FOUND if self._complete(self.state) else EXHAUSTED, self.witness, 0, 0, 0, 0)
-        assign, select = self._assign, self._select
+        jobs = []
+        if state is None or (v := self._select(state)) is None:
+            side = state and self._complete(state)
+            return (FOUND if side else EXHAUSTED, side, 0, 0, 0, 0, jobs)
+        assign, select, complete = self._assign, self._select, self._complete
         max_nodes = math.inf if max_nodes is None else max_nodes
-        nodes, conflicts, max_depth, status = 0, 0, 1, EXHAUSTED
-        stack = [(v, 0, self.state)]
+        nodes, conflicts, max_depth, forced, status, side = 0, 0, 1, 0, EXHAUSTED, None
+        stack = [(v, 0, state)]
         while stack:
             v, s, state = stack[-1]
             if s == 2:
@@ -259,36 +256,35 @@ class _Solver:
             ):
                 status = TIMEOUT
                 break
-            state = assign(state, v, s ^ 1)
-            if state is None:
+            after = assign(state, v, s ^ 1)
+            if after is None:
                 conflicts += 1
                 continue
+            forced += ((after[2] | after[3]) ^ (state[2] | state[3])).bit_count() - 1
             if len(stack) == split:
                 # a level's next side is 1 while it tries B and 2 while it tries A
                 path = [(u, 2 - k) for u, k, _ in stack]
-                self.jobs.append((path, nodes, conflicts, self.forced))
+                jobs.append((path, nodes, conflicts, forced))
                 continue
-            w = select(state)
+            w = select(after)
             if w is None:
-                if self._complete(state):
+                if side := complete(after):
                     status = FOUND
                     break
                 continue
-            stack.append((w, 0, state))
+            stack.append((w, 0, after))
             if len(stack) > max_depth:
                 max_depth = len(stack)
-        return (status, self.witness, nodes, conflicts, max_depth, self.forced)
+        return (status, side, nodes, conflicts, max_depth, forced, jobs)
 
 
 def _solve(adj, t, presets, max_nodes, deadline):
-    """One solver run from ``presets``, as ``_Solver.search`` returns it.
+    """One solver run from ``presets``, as ``_Solver.search`` returns it, without its jobs.
 
     A run whose presets fail takes no node.  Pool workers run this too.
     """
     solver = _Solver(adj, t)
-    if not solver.assign_presets(presets):
-        return (EXHAUSTED, None, 0, 0, 0, 0)
-    return solver.search(max_nodes, deadline)
+    return solver.search(solver.assign_presets(presets), max_nodes, deadline)[:6]
 
 
 def _run_job(args):
@@ -348,31 +344,32 @@ def _cases(g: Graph, presets) -> list[list[tuple[int, int]]]:
     return [presets + [(off[0], 0)], presets + [(v, 1) for v in off]]
 
 
-def _decide(adj, t, presets, max_nodes, deadline, imap):
-    """Decide one t: ``(status, witness side, nodes, conflicts, max_depth, propagations)``.
+def _decide(solver, presets, max_nodes, deadline, imap):
+    """Decide the solver's t: ``(status, witness side, nodes, conflicts, max_depth, propagations)``.
 
-    A t that a vertex's degree rules out takes no node.  With ``imap``, the
-    serial search of the top two branching levels, unbudgeted, cuts the
-    jobs (see ``_Solver.search``), and ``imap`` runs them on an equal share
-    of the nodes the top leaves.  The jobs are read in the serial order,
-    each after the top's tries before it, then the top's own result, up to
-    the first witness.  Without ``imap``, when the top makes fewer than two
-    jobs (one job would gain no parallelism for the start-up of a pool), or
-    when ``max_nodes`` leaves fewer nodes after the top than there are jobs,
-    the search is serial with the whole budget.
+    A t that a vertex's degree rules out (``solver.neg_first``) takes no
+    node.  With ``imap``, the search of the top two branching levels,
+    unbudgeted, cuts the jobs (see ``_Solver.search``), and ``imap`` runs
+    them on an equal share of the nodes the top leaves.  The jobs are read
+    in the serial order, each after the top's tries before it, then the
+    top's own result, up to the first witness.  Without ``imap``, when the
+    top makes fewer than two jobs (one job would gain no parallelism for the
+    start-up of a pool), or when ``max_nodes`` leaves fewer nodes after the
+    top than there are jobs, the search is serial with the whole budget.
     """
-    if len(adj) < 2 or any(max(0, (len(a) + 2 * t + 1) // 2) > len(a) for a in adj):
-        return (EXHAUSTED, None, 0, 0, 0, 0)
-    top = _Solver(adj, t) if imap is not None else None
-    if top is None or not top.assign_presets(presets):
-        return _solve(adj, t, presets, max_nodes, deadline)
-    top_status, top_side, top_nodes, top_conflicts, _, top_forced = top.search(None, None, 2)
-    if len(top.jobs) < 2 or (max_nodes is not None and max_nodes - top_nodes < len(top.jobs)):
-        return _solve(adj, t, presets, max_nodes, deadline)
-    share = None if max_nodes is None else (max_nodes - top_nodes) // len(top.jobs)
-    args = [(adj, t, presets + path, share, deadline) for path, *_ in top.jobs]
+    ok = len(solver.adj) > 1 and solver.neg_first is None
+    state = solver.assign_presets(presets) if ok else None
+    jobs = []
+    if imap is not None:
+        top_status, top_side, top_nodes, top_conflicts, _, top_forced, jobs = solver.search(
+            state, None, None, 2
+        )
+    if len(jobs) < 2 or (max_nodes is not None and max_nodes - top_nodes < len(jobs)):
+        return solver.search(state, max_nodes, deadline)[:6]
+    share = None if max_nodes is None else (max_nodes - top_nodes) // len(jobs)
+    args = [(solver.adj, solver.t, presets + path, share, deadline) for path, *_ in jobs]
     # each result comes after the top's counts at its job; the top's own result last
-    marks = [counts for _, *counts in top.jobs] + [(top_nodes, top_conflicts, top_forced)]
+    marks = [counts for _, *counts in jobs] + [(top_nodes, top_conflicts, top_forced)]
     results = itertools.chain(imap(args), [(top_status, top_side, 0, 0, 0, 0)])
     status, nodes, conflicts, max_depth, forced = EXHAUSTED, 0, 0, 0, 0
     for (at_nodes, at_conflicts, at_forced), result in zip(marks, results):
@@ -412,7 +409,8 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
     each one budget for the scan: every t gets what the ones before it left
     and starts only while some is left.  A t is one ``_decide`` per case of
     ``_cases``, in order up to the first case that is not exhausted; each
-    case gets what the ones before it left, which may be no node.
+    case gets what the ones before it left, which may be no node, and one
+    ``_Solver`` per t serves every case (pool jobs build their own).
     ``nodes_explored``, ``conflicts``, ``propagations`` and ``wall_time``
     cover the scan, ``max_depth`` is its deepest path and ``presets``
     counts the last t's ``_presets``.  With ``workers > 1`` the first case
@@ -447,10 +445,11 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
             ):
                 status, side = TIMEOUT, None
                 break
+            solver = _Solver(g.adjacency_lists, t)
             for case in _cases(g, presets):
                 nodes_left = None if max_nodes is None else max_nodes - nodes
                 status, side, c_nodes, c_conflicts, c_depth, c_forced = _decide(
-                    g.adjacency_lists, t, case, nodes_left, deadline, imap if workers > 1 else None
+                    solver, case, nodes_left, deadline, imap if workers > 1 else None
                 )
                 nodes += c_nodes
                 conflicts += c_conflicts
@@ -485,24 +484,24 @@ def exhaustive_exists(
     """Decide whether a t-internal partition exists, with optional budgets.
 
     The one-t case of the scan that ``exhaustive_max_intimacy`` runs (see
-    ``_scan``): one node budget, one deadline and at most one pool.  With
-    ``workers > 1`` the top two branching levels below each case's presets
-    fan out to a pool of at most one process per job, so at most four; a
-    top that yields fewer than two jobs, or a ``max_nodes`` that leaves
-    fewer than one node per job after the top, is searched serially, as
-    with one worker.
-    Without budgets the status, witness and counts do not depend on
-    ``workers``.  ``max_seconds`` is one deadline for the whole call, shared by every job
-    (``time.monotonic`` is system-wide, so pool workers read the same
-    clock).  ``max_nodes`` is one budget too: each of the k jobs gets a k-th
-    of what the tries above the jobs leave and, like a single worker, stops
-    at its share plus one.  ``details`` carries ``presets`` (the size of the
-    symmetry presets, 1 or 5, see ``_presets``; the torus cases of
-    ``_cases`` add one line, or (q-1)^2 lines, to the 5 and are not
-    counted), ``conflicts`` (branches
-    whose propagation failed), ``propagations`` (vertices forced in the
-    other branches) and ``max_depth`` (the most branching levels on one
-    path, counting the two fanned-out levels above each pool job).
+    ``_scan``): one node budget, one deadline, at most one pool and one
+    ``_Solver``, which serves both torus cases.  With ``workers > 1`` the
+    top two branching levels below each case's presets fan out to a pool of
+    at most one process per job, so at most four; a top that yields fewer
+    than two jobs, or a ``max_nodes`` that leaves fewer than one node per
+    job after the top, is searched serially on the same solver, as with one
+    worker.  Without budgets the status, witness and counts do not depend
+    on ``workers``.  ``max_seconds`` is one deadline for the whole call,
+    shared by every job (``time.monotonic`` is system-wide, so pool workers
+    read the same clock).  ``max_nodes`` is one budget too: each of the k
+    jobs gets a k-th of what the tries above the jobs leave and, like a
+    single worker, stops at its share plus one.  ``details`` carries
+    ``presets`` (the size of the symmetry presets, 1 or 5, see
+    ``_presets``; the torus cases of ``_cases`` add one line, or (q-1)^2
+    lines, to the 5 and are not counted), ``conflicts`` (branches whose
+    propagation failed), ``propagations`` (vertices forced in the other
+    branches) and ``max_depth`` (the most branching levels on one path,
+    counting the two fanned-out levels above each pool job).
 
     Raises ValueError when ``max_nodes < 1``, ``max_seconds <= 0`` or
     ``workers < 1``.

@@ -39,10 +39,7 @@ def complete_graph(n):
 def top_jobs(adj, t, presets):
     """The jobs a pooled search fans out: a ``(path, nodes, conflicts, propagations)`` each."""
     solver = _Solver(adj, t)
-    if not solver.assign_presets(presets):
-        return []
-    solver.search(None, None, split=2)
-    return solver.jobs
+    return solver.search(solver.assign_presets(presets), None, None, split=2)[6]
 
 
 def untagged(g):
@@ -323,7 +320,7 @@ def test_torus_cases_share_one_node_budget(monkeypatch):
     decide = search_module._decide
 
     def spy(*args):
-        budgets.append(args[3])
+        budgets.append(args[2])
         return decide(*args)
 
     monkeypatch.setattr(search_module, "_decide", spy)
@@ -344,7 +341,7 @@ def test_max_intimacy_scan_has_one_deadline(monkeypatch):
     decide = search_module._decide
 
     def spy(*args):
-        deadlines.append(args[4])
+        deadlines.append(args[3])
         return decide(*args)
 
     monkeypatch.setattr(search_module, "_decide", spy)
@@ -447,18 +444,91 @@ def test_propagations_sum_over_pool_jobs_and_scans():
     g = get_graph(5)
     adj = g.adjacency_lists
     first, second = _cases(g, _presets(g, 1))
-    assert not _Solver(adj, 1).assign_presets(second)
-    top = _Solver(adj, 1)
-    assert top.assign_presets(first)
-    top_propagations = top.search(None, None, split=2)[5]
+    solver = _Solver(adj, 1)
+    assert solver.assign_presets(second) is None
+    *top, jobs = solver.search(solver.assign_presets(first), None, None, split=2)
+    top_propagations = top[5]
     pooled = exhaustive_exists(g, 1, workers=2)
-    per_job = [_solve(adj, 1, first + path, None, None)[5] for path, *_ in top.jobs]
+    per_job = [_solve(adj, 1, first + path, None, None)[5] for path, *_ in jobs]
     assert len(per_job) == 4
     assert pooled.details["propagations"] == top_propagations + sum(per_job)
     # the scan decides t = 3, 2, 1 and 0
     best, res = exhaustive_max_intimacy(g)
     per_t = [exhaustive_exists(g, t).details["propagations"] for t in (3, 2, 1, 0)]
     assert best == 0 and res.details["propagations"] == sum(per_t) > 0
+
+
+def _fresh_search(adj, t, presets, max_nodes, split):
+    solver = _Solver(adj, t)
+    return solver.search(solver.assign_presets(presets), max_nodes, None, split)
+
+
+def _reuse_one_solver(adj, t, runs):
+    """Run ``(presets, max_nodes, split)`` searches in order on one solver at t.
+
+    Each must return what a fresh solver returns, witness, counts and jobs
+    included, and no search may write on the solver but its row cache.
+    Returns how many searches ran right after one that found.
+    """
+    solver = _Solver(adj, t)
+    built = dict(vars(solver), rows=None)
+    after_found, last = 0, None
+    for presets, max_nodes, split in runs:
+        got = solver.search(solver.assign_presets(presets), max_nodes, None, split)
+        assert got == _fresh_search(adj, t, presets, max_nodes, split)
+        after_found += last == "found"
+        last = got[0]
+    assert dict(vars(solver), rows=None) == built
+    return after_found
+
+
+def test_one_solver_runs_every_search_at_its_t():
+    after_found = 0
+    # both torus cases at every t of the scan, and searches with the first
+    # vertices on A, which end on the all-A leaf when they exhaust: whole,
+    # cut at two levels, without a budget and on five nodes
+    for q in (3, 4, 5, 7):
+        g = get_graph(q)
+        for t in scan_range(g):
+            cases = _cases(g, _presets(g, t))
+            on_a = [[(v, 0) for v in range(k)] for k in (g.n // 4, g.n // 2)]
+            runs = [(p, m, s) for p in cases + on_a + cases for m in (None, 5) for s in (None, 2)]
+            after_found += _reuse_one_solver(g.adjacency_lists, t, runs)
+    rng = random.Random(2027)
+    for _ in range(40):
+        g = random_bipartite(rng, rng.randint(2, 7), rng.randint(2, 7), p=0.5)
+        on_a = [(v, 0) for v in range(g.n // 2)]
+        for t in (-1, 0, 1):
+            presets = [[(0, 0)], on_a, [(0, 0), (g.n - 1, 1)], [(0, 0)]]
+            runs = [(p, m, None) for p in presets for m in (None, 3)]
+            after_found += _reuse_one_solver(g.adjacency_lists, t, runs)
+    assert after_found > 100
+
+
+def test_one_solver_per_t_in_the_calling_process(monkeypatch):
+    # the t of each solver this process builds; pool jobs build theirs elsewhere
+    built = []
+    init = _Solver.__init__
+
+    def spy(self, adj, t):
+        built.append(t)
+        init(self, adj, t)
+
+    monkeypatch.setattr(_Solver, "__init__", spy)
+    # PG(2,5) t=1: both torus cases, serial and fanned out
+    for workers in (1, 2):
+        built.clear()
+        assert exhaustive_exists(get_graph(5), 1, workers=workers).status == "exhausted_none"
+        assert built == [1]
+    # the top of PG(2,4) t=0 takes more than the 3 nodes, so the search
+    # falls back to serial on the top's solver
+    built.clear()
+    res = exhaustive_exists(get_graph(4), 0, max_nodes=3, workers=2)
+    assert (res.status, res.nodes_explored) == ("timeout", 4)
+    assert built == [0]
+    built.clear()
+    assert exhaustive_max_intimacy(get_graph(3))[0] == 0
+    assert built == [2, 1, 0]
 
 
 def _assert_same_solve(adj, t, presets, max_nodes):
