@@ -128,18 +128,18 @@ def construct_combinatorial(
         raise ValueError("combinatorial construction requires a point off the line")
     half = (q + 1) // 2
     if pencil is None:
-        pencil = pl.lines_through[point][:half]
+        pencil = pl.pencils[point][:half]
     pencil = vertex_ids(pencil, pl.n, "pencil line")
     if pencil.size != half:
         raise ValueError(f"pencil must hold {half} distinct lines")
-    if not np.isin(pencil, pl.lines_through[point]).all():
+    if not np.isin(pencil, pl.pencils[point]).all():
         raise ValueError("pencil lines must all pass through the chosen point")
 
-    p1 = distinct(pl.points_on[pencil])
-    meet = np.intersect1d(pl.points_on[line], p1, assume_unique=True)
+    p1 = distinct(pl.pencils[pencil])
+    meet = np.intersect1d(pl.pencils[line], p1, assume_unique=True)
     if meet.size != half:
         raise RuntimeError("pencil does not meet the reference line correctly")
-    l1 = distinct(pl.lines_through[meet])
+    l1 = distinct(pl.pencils[meet])
     if drop_variant:
         p1, l1 = p1[p1 != point], l1[l1 != line]
     params = dict(q=q, point=point, line=line, pencil=pencil.tolist(), drop_variant=drop_variant)
@@ -377,13 +377,13 @@ def construct_even(
             f"line {secant_line} meets the arc in {int(arc.secant_profile[secant_line])} "
             f"points, need a {half}-secant"
         )
-    ell = pl.points_on[secant_line]
+    ell = pl.pencils[secant_line]
     on_arc = np.zeros(pl.n, dtype=bool)
     on_arc[arc.arc] = True
     on_ell = np.zeros(pl.n, dtype=bool)
     on_ell[ell] = True
     # masks, not np.setxor1d and np.setdiff1d: their np.unique imports numpy.ma
     p1 = np.flatnonzero(on_arc ^ on_ell)
-    l1 = distinct(pl.lines_through[ell[~on_arc[ell]]])
+    l1 = distinct(pl.pencils[ell[~on_arc[ell]]])
     l1 = l1[arc.secant_profile[l1] > 0]
     return _partition(pl, p1, l1, "even", {"q": q, "secant_line": secant_line})

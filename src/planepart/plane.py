@@ -147,10 +147,9 @@ class Plane:
 
     The one stored incidence is ``pencils``: row j lists, ascending, the
     q+1 points on line j, as int32.  Point and line triples coincide and the
-    pairing is symmetric, so the same rows also list the lines through each
-    point; ``points_on`` and ``lines_through`` are that one array.  No dense
-    point-by-line matrix is kept: counts, the incidence graph and the
-    spectrum's Gram check all read the pencils.
+    pairing is symmetric, so row i also lists, ascending, the q+1 lines
+    through point i.  No dense point-by-line matrix is kept: counts, the
+    incidence graph and the spectrum's Gram check all read the pencils.
 
     The pencils are written straight from each line's slope and intercept,
     and every stored point is then checked against its line's equation.
@@ -168,8 +167,6 @@ class Plane:
             raise RuntimeError("pencil repeats a point; field tables corrupt")
         if (np.bincount(self.pencils.ravel(), minlength=self.n) != q + 1).any():
             raise RuntimeError("point on a wrong number of lines; field tables corrupt")
-        self.points_on = self.pencils
-        self.lines_through = self.pencils
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -203,7 +200,9 @@ class Plane:
         return _triple_indices(self.field, t.astype(np.int64))
 
     def is_incident(self, point: int, line: int) -> bool:
-        return bool((self.points_on[line] == point).any())
+        """Whether the point lies on the line; each id follows the rule of ``vertex_ids``."""
+        line = _checked_ids(line, self.n, "line")
+        return bool((self.pencils[line] == _checked_ids(point, self.n, "point")).any())
 
     def hits(self, ids) -> np.ndarray:
         """Per line, how many of the given points lie on it (repeats count).
@@ -213,7 +212,7 @@ class Plane:
         ``vertex_ids`` is a ValueError.
         """
         ids = _checked_ids(ids, self.n, "id")
-        return np.bincount(self.lines_through[ids].ravel(), minlength=self.n)
+        return np.bincount(self.pencils[ids].ravel(), minlength=self.n)
 
     @cached_property
     def labels(self) -> list[str]:
@@ -224,7 +223,7 @@ class Plane:
 
     def to_json(self) -> dict:
         """The plane document; ``lines_points`` is a read-only view of the pencils."""
-        rows = self.points_on.view()
+        rows = self.pencils.view()
         rows.flags.writeable = False
         return {
             "order": self.q,
@@ -258,8 +257,8 @@ def incidence_graph(pl: Plane) -> Graph:
     n, r = pl.n, pl.q + 1
     indptr = np.arange(2 * n + 1, dtype=np.int64) * r
     indices = np.empty(2 * n * r, dtype=np.int32)
-    np.add(pl.lines_through, n, out=indices[: n * r].reshape(n, r))
-    indices[n * r :] = pl.points_on.ravel()
+    np.add(pl.pencils, n, out=indices[: n * r].reshape(n, r))
+    indices[n * r :] = pl.pencils.ravel()
     return Graph(indptr, indices, n_left=n, labels=pl.labels, plane_order=pl.q)
 
 
@@ -268,12 +267,11 @@ def incidence_graph(pl: Plane) -> Graph:
 
 @dataclass(frozen=True, eq=False)
 class SingerCycle:
-    """A cyclic collineation acting regularly on points and on lines."""
+    """A cyclic collineation, regular on points and on lines; ``perm`` is its collineation_perm."""
 
     poly: tuple[int, int, int]  # x^3 + c2 x^2 + c1 x + c0 as (c0, c1, c2)
     matrix: tuple[tuple[int, int, int], ...]
-    point_perm: np.ndarray
-    line_perm: np.ndarray
+    perm: np.ndarray
 
 
 def _mulmod_cubic(add, mul, neg, a, b, m):
@@ -330,32 +328,39 @@ def least_primitive_cubic(f: Field) -> tuple[int, int, int]:
     raise RuntimeError(f"no primitive cubic over GF({q})")
 
 
-def _perm_from_action(pl: Plane, mat) -> np.ndarray:
-    """Index permutation induced by the 3x3 matrix ``mat`` on the triples."""
-    t = pl.coords.T
+def collineation_perm(pl: Plane, mat) -> np.ndarray:
+    """The int64 permutation of the 2n incidence graph vertices that ``mat`` induces.
+
+    ``perm[:n]`` moves the points by the invertible 3x3 ``mat``; ``perm[n:]`` is
+    ``n +`` the move of the lines by its inverse transpose, the inverse of the
+    transpose's action.  A singular ``mat`` sends a point to zero: ValueError.
+    """
+    f, t = pl.field, pl.coords.T
     rows = np.array(mat, dtype=np.int32)
-    image = np.stack([_dot(pl.field, r, t) for r in rows], axis=-1)
-    return _triple_indices(pl.field, image)
+    points, by_transpose = (
+        _triple_indices(f, np.stack([_dot(f, r, t) for r in m], axis=-1)) for m in (rows, rows.T)
+    )
+    return np.concatenate([points, pl.n + np.argsort(by_transpose)])
 
 
-def _require_single_cycle(perm: np.ndarray, what: str):
-    n = len(perm)
-    seen = 0
-    v = 0
-    for _ in range(n):
-        v = perm[v]
-        seen += 1
-        if v == 0:
-            break
-    if v != 0 or seen != n:
+def _single_cycle(perm: np.ndarray, what: str) -> np.ndarray:
+    """The orbit 0, perm[0], perm[perm[0]], ...; RuntimeError unless it is all of perm's ids."""
+    step = perm.tolist()
+    n = len(step)
+    orbit, v = [0], step[0]
+    while v and len(orbit) < n:
+        orbit.append(v)
+        v = step[v]
+    if v or len(orbit) != n:
         raise RuntimeError(f"{what} does not act as a single {n}-cycle")
+    return np.array(orbit, dtype=np.int64)
 
 
 def singer_cycle(pl: Plane) -> SingerCycle:
     """Cyclic collineation of order q^2+q+1 from the least primitive cubic.
 
     Points map by the companion matrix, lines by its inverse transpose, so
-    incidence is preserved.
+    incidence is preserved; each must act as one n-cycle.
     """
     c0, c1, c2 = least_primitive_cubic(pl.field)
     neg = pl.field.neg_table.tolist()
@@ -364,14 +369,10 @@ def singer_cycle(pl: Plane) -> SingerCycle:
         (1, 0, neg[c1]),
         (0, 1, neg[c2]),
     )
-    point_perm = _perm_from_action(pl, mat)
-    # lines map by the inverse transpose, whose action inverts the transpose's
-    line_perm = np.argsort(_perm_from_action(pl, tuple(zip(*mat))))
-    _require_single_cycle(point_perm, "point action")
-    _require_single_cycle(line_perm, "line action")
-    return SingerCycle(
-        poly=(c0, c1, c2), matrix=mat, point_perm=point_perm, line_perm=line_perm
-    )
+    perm = collineation_perm(pl, mat)
+    _single_cycle(perm[: pl.n], "point action")
+    _single_cycle(perm[pl.n :] - pl.n, "line action")
+    return SingerCycle(poly=(c0, c1, c2), matrix=mat, perm=perm)
 
 
 # -- Baer subplane decomposition ---------------------------------------------
@@ -398,7 +399,7 @@ def verify_subplane(pl: Plane, pts, lns, m: int) -> bool:
     # cover all k(k-1)/2 pairs
     in_pts = np.zeros(pl.n, dtype=bool)
     in_pts[pts] = True
-    on = pl.points_on[lns]
+    on = pl.pencils[lns]
     # int64: the pair codes reach n*n, which passes int32 once q > 214
     sub = on[in_pts[on]].reshape(k, m + 1).astype(np.int64)
     a, b = np.triu_indices(m + 1, 1)
@@ -420,11 +421,7 @@ def baer_decomposition(pl: Plane, sc: SingerCycle | None = None) -> BaerDecompos
     sc = sc or singer_cycle(pl)
     n = pl.n
     e = q - r + 1  # subplane count; orbit length is n // e = q + r + 1
-    cycle = np.empty(n, dtype=np.int64)
-    v = 0
-    for k in range(n):
-        cycle[k] = v
-        v = sc.point_perm[v]
+    cycle = _single_cycle(sc.perm[:n], "point action")
     size = n // e
     orbits = np.sort(cycle[(np.arange(e)[:, None] + e * np.arange(size)) % n], axis=1)
     orbits = orbits[np.argsort(orbits[:, 0])]

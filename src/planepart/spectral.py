@@ -36,7 +36,7 @@ class SpectralReport:
 def singular_spectrum(pl: Plane) -> SpectralReport:
     """Singular values of M from the exact Gram residual max |M M^T - qI - J|.
 
-    Row P of M M^T is ``pl.hits(pl.lines_through[P])``, read with one
+    Row P of M M^T is ``pl.hits(pl.pencils[P])``, read with one
     bincount per block of points; points and lines share the pencils, so
     the rows are those of M^T M too.  A zero residual gives q+1 once and
     sqrt(q) q^2+q times; otherwise the report holds no values.
@@ -45,7 +45,7 @@ def singular_spectrum(pl: Plane) -> SpectralReport:
     residual = 0
     for lo in range(0, n, block):
         rows = np.arange(lo, min(lo + block, n))
-        on = pl.points_on[pl.lines_through[rows]].reshape(rows.size, -1)
+        on = pl.pencils[pl.pencils[rows]].reshape(rows.size, -1)
         on += (np.arange(rows.size) * n)[:, None]
         gram = np.bincount(on.ravel(), minlength=rows.size * n).reshape(rows.size, n)
         gram[np.arange(rows.size), rows] -= q

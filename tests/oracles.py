@@ -10,7 +10,6 @@ import numpy as np
 
 from planepart.fields import least_irreducible, prime_factors
 from planepart.graphs import Graph
-from planepart.plane import _perm_from_action
 # the package's one cache of planes, graphs and Baer decompositions
 from planepart.reproduce import _baer as get_baer, _graph as get_graph, _plane as get_plane
 from planepart.reproduce import _random_bipartite as random_bipartite
@@ -84,7 +83,7 @@ def reference_spectrum(pl) -> list[tuple[float, int]]:
     return [(v, c) for v, c in groups]
 
 
-def reference_perm_from_action(pl, mat) -> np.ndarray:
+def reference_action(pl, mat) -> np.ndarray:
     """Permutation of triple indices under a 3x3 matrix, one triple at a time."""
     f = ReferenceField(pl.field.p, pl.field.h)
 
@@ -106,39 +105,33 @@ def reference_perm_from_action(pl, mat) -> np.ndarray:
     return perm
 
 
-def frame_torus(pl, frame) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(point perm, line perm)`` of B diag(a, b, 1) adj(B) for every nonzero a, b.
+def frame_torus(pl, frame) -> list[tuple[list, np.ndarray]]:
+    """``(matrix, perm)`` of B diag(a, b, 1) B^-1 for every nonzero a, b.
 
     B's columns are the coordinates of the three points of ``frame``, so each
-    map scales each of them and fixes it.  The products are taken over the
-    field's add and mul tables.  Points move through
-    ``plane._perm_from_action`` and lines through the inverse of the
-    transpose's action, as ``plane.singer_cycle`` moves them.
+    map scales each of them and fixes it.  The products and inverses are
+    taken in ``ReferenceField``.  ``perm`` moves the 2n graph vertices,
+    points first: points by the matrix and lines by its inverse transpose,
+    each through ``reference_action``.
     """
-    f = pl.field
-    add, mul, neg = f.add_table.tolist(), f.mul_table.tolist(), f.neg_table.tolist()
+    f = ReferenceField(pl.field.p, pl.field.h)
 
     def matmul(x, y):
         out = [[0] * 3 for _ in range(3)]
         for i, j, k in itertools.product(range(3), repeat=3):
-            out[i][j] = add[out[i][j]][mul[x[i][k]][y[k][j]]]
+            out[i][j] = f.add(out[i][j], f.mul(x[i][k], y[k][j]))
         return out
 
     triples = reference_triples(pl.q)
     b = [[triples[p][i] for p in frame] for i in range(3)]
-    adj = [[0] * 3 for _ in range(3)]
-    for i, j in itertools.product(range(3), repeat=2):
-        # adj(B)[i][j] is the cofactor of B[j][i]
-        r = [k for k in range(3) if k != j]
-        c = [k for k in range(3) if k != i]
-        minor = add[mul[b[r[0]][c[0]]][b[r[1]][c[1]]]][neg[mul[b[r[0]][c[1]]][b[r[1]][c[0]]]]]
-        adj[i][j] = minor if (i + j) % 2 == 0 else neg[minor]
+    b_inv = reference_mat_inv(f, b)
     maps = []
-    for x, y in itertools.product(range(1, pl.q), repeat=2):
-        mat = matmul(matmul(b, [[x, 0, 0], [0, y, 0], [0, 0, 1]]), adj)
-        point_perm = _perm_from_action(pl, mat)
-        line_perm = np.argsort(_perm_from_action(pl, [list(col) for col in zip(*mat)]))
-        maps.append((point_perm, line_perm))
+    for x, y in itertools.product(f.units(), repeat=2):
+        mat = matmul(matmul(b, [[x, 0, 0], [0, y, 0], [0, 0, 1]]), b_inv)
+        inv_t = [list(col) for col in zip(*reference_mat_inv(f, mat))]
+        points = reference_action(pl, mat)
+        lines = reference_action(pl, inv_t)
+        maps.append((mat, np.concatenate([points, pl.n + lines])))
     return maps
 
 

@@ -83,7 +83,7 @@ def test_combinatorial_own_degree_facts():
         own = sum(1 for u in g.neighbors(v) if side[u] == 0)
         assert own >= (q + 1) // 2
     # points of ell outside A see every non-ell line in their own class
-    off = [p for p in pl.points_on[ell].tolist() if side[p] == 1]
+    off = [p for p in pl.pencils[ell].tolist() if side[p] == 1]
     assert len(off) == (q + 1) // 2
     for p in off:
         own = sum(1 for u in g.neighbors(p) if side[u] == 1)
@@ -97,7 +97,7 @@ def test_combinatorial_rejects_even_q():
 
 def test_combinatorial_rejects_incident_point_line():
     pl = get_plane(3)
-    ln = int(pl.lines_through[0][0])
+    ln = int(pl.pencils[0][0])
     with pytest.raises(ValueError):
         construct_combinatorial(pl, point=0, line=ln)
 
@@ -116,7 +116,7 @@ def test_combinatorial_rejects_ids_outside_the_plane():
     # PG(2,5) has 31 points and 31 lines; -1 once aliased point or line 30
     pl = get_plane(5)
     point = int(pl.index((0, 0, 1)))
-    pencil = pl.lines_through[point][:3].tolist()
+    pencil = pl.pencils[point][:3].tolist()
     for kwargs in [
         {"line": -1, "drop_variant": True},
         {"line": 31},
@@ -179,10 +179,10 @@ def test_algebraic_1mod4_slope_classes():
     side = part.side
     origin = int(pl.index((0, 0, 1)))
     count = 0
-    for ln in pl.lines_through[origin]:
+    for ln in pl.pencils[origin]:
         if side[pl.n + ln] != 0:
             continue
-        pts = pl.points_on[ln]
+        pts = pl.pencils[ln]
         out = [p for p in pts.tolist() if side[p] != 0]
         if len(out) == 1 and pl.coords[out[0], 2] == 0:
             count += 1
@@ -233,7 +233,7 @@ def test_non_tangent_lines_split_evenly(q):
     for ln in range(pl.n):
         if od.line_class[ln] == LINE_TANGENT:
             continue
-        pts = [p for p in pl.points_on[ln].tolist() if p not in oval]
+        pts = [p for p in pl.pencils[ln].tolist() if p not in oval]
         ni = sum(1 for p in pts if p in interior)
         ne = sum(1 for p in pts if p in exterior)
         assert ni == ne
@@ -300,7 +300,7 @@ def test_denniston_rejects_odd_and_q2():
 
 def test_verify_maximal_arc_rejects_line():
     pl = get_plane(4)
-    line_pts = pl.points_on[0].tolist()
+    line_pts = pl.pencils[0].tolist()
     assert not verify_maximal_arc(pl, line_pts, 2)
     # at q=16: the Denniston arc with one point swapped for a point off it
     pl = get_plane(16)
@@ -330,7 +330,7 @@ def test_arc_double_counting_facts(q):
     marc = np.zeros(pl.n, dtype=bool)
     marc[arc.arc] = True
     for p in np.flatnonzero(~marc):
-        through = pl.lines_through[p]
+        through = pl.pencils[p]
         profile = arc.secant_profile[through]
         assert (profile == half).sum() == q - 1
         assert (profile == 0).sum() == 2

@@ -11,7 +11,7 @@ from planepart import plane as plane_module
 from planepart.constructions import construct_baer_partition
 from planepart.fields import MAX_FIELD_ORDER, prime_factors
 from planepart.graphs import _DIMACS_BLOCK, Graph
-from planepart.plane import least_primitive_cubic, vertex_ids
+from planepart.plane import collineation_perm, least_primitive_cubic, vertex_ids
 from planepart.verify import margins
 from oracles import (
     ReferenceField,
@@ -21,11 +21,11 @@ from oracles import (
     get_plane,
     girth,
     random_bipartite,
+    reference_action,
     reference_dimacs,
     reference_least_primitive_cubic,
     reference_labels,
     reference_mat_inv,
-    reference_perm_from_action,
     reference_triples,
 )
 
@@ -160,6 +160,17 @@ def test_incidence_symmetric_roles():
             for a, b in zip(pl.coords[i].tolist(), pl.coords[j].tolist()):
                 dot = f.add(dot, f.mul(a, b))
             assert pl.is_incident(i, j) == (dot == 0)
+
+
+@pytest.mark.parametrize("bad", [-1, 13, 0.5])
+def test_is_incident_follows_the_id_rule(bad):
+    pl = get_plane(3)
+    with pytest.raises(ValueError, match=r"^point .* is not an id in \[0, 13\)$"):
+        pl.is_incident(bad, 0)
+    with pytest.raises(ValueError, match=r"^line .* is not an id in \[0, 13\)$"):
+        pl.is_incident(0, bad)
+    # integral floats pass, as everywhere in the id rule
+    assert pl.is_incident(0.0, 1.0) == pl.is_incident(0, 1)
 
 
 def test_dimacs_export_shape():
@@ -329,8 +340,16 @@ def test_singer_single_orbit(q, orbit):
     seen = set()
     for _ in range(orbit):
         seen.add(v)
-        v = int(sc.point_perm[v])
+        v = int(sc.perm[v])
     assert v == 0 and len(seen) == orbit
+
+
+def test_single_cycle_walks_the_orbit_of_zero():
+    assert plane_module._single_cycle(np.array([2, 0, 1]), "walk").tolist() == [0, 2, 1]
+    # two cycles, a fixed 0, and a map that is not a permutation
+    for perm in ([1, 0, 2], [0, 1, 2], [1, 1, 0]):
+        with pytest.raises(RuntimeError, match="^walk does not act as a single 3-cycle$"):
+            plane_module._single_cycle(np.array(perm), "walk")
 
 
 @pytest.mark.parametrize("q", _prime_powers(2, MAX_FIELD_ORDER))
@@ -344,21 +363,18 @@ def test_singer_perms_match_reference(q):
     pl = get_plane(q)
     sc = singer_cycle(pl)
     inv_t = tuple(zip(*reference_mat_inv(ReferenceField(pl.field.p, pl.field.h), sc.matrix)))
-    assert (sc.point_perm == reference_perm_from_action(pl, sc.matrix)).all()
-    assert (sc.line_perm == reference_perm_from_action(pl, inv_t)).all()
+    assert (sc.perm[: pl.n] == reference_action(pl, sc.matrix)).all()
+    assert (sc.perm[pl.n :] == pl.n + reference_action(pl, inv_t)).all()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_singer_order_is_plane_size(q):
     pl = get_plane(q)
     sc = singer_cycle(pl)
-    pperm = np.arange(pl.n)
-    lperm = np.arange(pl.n)
+    perm = np.arange(2 * pl.n)
     for _ in range(pl.n):
-        pperm = sc.point_perm[pperm]
-        lperm = sc.line_perm[lperm]
-    assert (pperm == np.arange(pl.n)).all()
-    assert (lperm == np.arange(pl.n)).all()
+        perm = sc.perm[perm]
+    assert (perm == np.arange(2 * pl.n)).all()
 
 
 def test_singer_preserves_incidence():
@@ -368,9 +384,36 @@ def test_singer_preserves_incidence():
     for _ in range(1000):
         p = rng.randrange(pl.n)
         ln = rng.randrange(pl.n)
-        assert pl.is_incident(p, ln) == pl.is_incident(
-            int(sc.point_perm[p]), int(sc.line_perm[ln])
-        )
+        assert pl.is_incident(p, ln) == pl.is_incident(sc.perm[p], sc.perm[pl.n + ln] - pl.n)
+
+
+def _random_invertible(f, rng):
+    while True:
+        m = [[rng.randrange(f.q) for _ in range(3)] for _ in range(3)]
+        try:
+            reference_mat_inv(f, m)
+        except ZeroDivisionError:
+            continue
+        return m
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25])
+def test_collineation_perm_is_a_graph_automorphism(q):
+    pl, g = get_plane(q), get_graph(q)
+    rng = random.Random(q)
+    f = ReferenceField(pl.field.p, pl.field.h)
+    nbrs = np.sort(g.indices.reshape(g.n, -1), axis=1)
+    for mat in [singer_cycle(pl).matrix] + [_random_invertible(f, rng) for _ in range(5)]:
+        perm = collineation_perm(pl, mat)
+        assert perm.dtype == np.int64
+        assert (np.sort(perm) == np.arange(g.n)).all()
+        # each vertex's neighbours go onto its image's neighbours
+        assert (np.sort(perm[nbrs], axis=1) == nbrs[perm]).all()
+
+
+def test_collineation_perm_rejects_a_singular_matrix():
+    with pytest.raises(ValueError, match="zero triple"):
+        collineation_perm(get_plane(5), [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
 
 
 # -- Baer decomposition -----------------------------------------------------
@@ -404,14 +447,14 @@ def test_baer_covering_property(q):
         rich = inc.T @ mask  # per line: meets in
         outside = np.setdiff1d(np.arange(pl.n), pts)
         for p in outside:
-            through = pl.lines_through[p]
+            through = pl.pencils[p]
             assert (rich[through] == r + 1).sum() == 1
         # dual: each outside line meets exactly one point of high line-degree
         lmask = np.zeros(pl.n, dtype=np.int64)
         lmask[lns] = 1
         richp = inc @ lmask
         for ln in np.setdiff1d(np.arange(pl.n), lns):
-            on = pl.points_on[ln]
+            on = pl.pencils[ln]
             assert (richp[on] == r + 1).sum() == 1
 
 

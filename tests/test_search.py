@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import planepart as pp
 import planepart.search as search_module
 from planepart.graphs import Graph
+from planepart.plane import collineation_perm
 from planepart.search import (
     AnnealParams,
     SearchResult,
@@ -605,10 +606,10 @@ def test_frame_torus_carries_m_onto_every_off_triangle_line(q):
     assert first == presets + [(off[0], 0)]
     assert second == presets + [(v, 1) for v in off]
     images = []
-    for point_perm, line_perm in oracles.frame_torus(pl, (p0, p1, p2)):
+    for mat, perm in oracles.frame_torus(pl, (p0, p1, p2)):
+        assert (collineation_perm(pl, mat) == perm).all()
         # a collineation: each line's points go onto its image's points
-        assert (np.sort(point_perm[pl.pencils], axis=1) == pl.pencils[line_perm]).all()
-        perm = np.concatenate([point_perm, n + line_perm])
+        assert (np.sort(perm[pl.pencils], axis=1) == pl.pencils[perm[n:] - n]).all()
         assert perm[[p0, p1, p2, l0, l1]].tolist() == [p0, p1, p2, l0, l1]
         images.append(int(perm[off[0]]))
     assert sorted(images) == off

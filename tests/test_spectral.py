@@ -82,7 +82,7 @@ def test_corrupt_pencil_has_no_spectrum(monkeypatch, capsys, tmp_path):
     bad = copy.copy(pl)
     pencils = pl.pencils.copy()
     pencils[0, 0] = next(p for p in range(pl.n) if p not in pl.pencils[0])
-    bad.pencils = bad.points_on = bad.lines_through = pencils
+    bad.pencils = pencils
     rep = singular_spectrum(bad)
     assert rep.max_residual > 0
     assert rep.singular_values == []
@@ -122,9 +122,9 @@ def test_edges_between_pencil():
     pl = get_plane(5)
     n = pl.n
     p = 0
-    its_lines = [n + ln for ln in pl.lines_through[p]]
+    its_lines = [n + ln for ln in pl.pencils[p]]
     assert edges_between(pl, [p], its_lines) == pl.q + 1
-    missing = [n + j for j in range(n) if j not in set(pl.lines_through[p])][: pl.q + 1]
+    missing = [n + j for j in range(n) if j not in set(pl.pencils[p])][: pl.q + 1]
     assert edges_between(pl, [p], missing) == 0
 
 
@@ -148,7 +148,7 @@ def test_edges_between_validates_vertex_ranges():
         with pytest.raises(ValueError, match="line set must hold line vertices"):
             f(pl, [1], [n - 1, n])
     # repeats collapse, and an integral float names its vertex
-    assert edges_between(pl, [0, 0.0, 0], [n + ln for ln in pl.lines_through[0]] * 2) == pl.q + 1
+    assert edges_between(pl, [0, 0.0, 0], [n + ln for ln in pl.pencils[0]] * 2) == pl.q + 1
 
 
 def test_edges_between_totals():
@@ -175,9 +175,9 @@ def test_check_mixing_pencil_cases():
     pl = get_plane(5)
     n = pl.n
     p = 3
-    its = [n + ln for ln in pl.lines_through[p]]
+    its = [n + ln for ln in pl.pencils[p]]
     assert check_mixing(pl, [p], its)
-    rest = [n + j for j in range(n) if j not in set(pl.lines_through[p])]
+    rest = [n + j for j in range(n) if j not in set(pl.pencils[p])]
     assert check_mixing(pl, [p], rest[:6])
 
 
