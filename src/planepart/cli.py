@@ -43,7 +43,7 @@ from .search import (
     exhaustive_exists,
     exhaustive_max_intimacy,
 )
-from .spectral import intimacy_upper_bound, singular_spectrum
+from .spectral import parity_intimacy_bound, singular_spectrum
 from .verify import MarginReport, margins
 
 # each construction: the construct flags it reads (any other is a usage error)
@@ -310,7 +310,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    print(intimacy_upper_bound(args.q))
+    print(parity_intimacy_bound(args.q))
     return 0
 
 
@@ -337,7 +337,7 @@ def _search_exhaustive(pl: Plane, g: Graph, args) -> int:
             raise ValueError("--t does not apply to --max-intimacy, which scans every t")
         best, res = exhaustive_max_intimacy(
             g,
-            t_hi=intimacy_upper_bound(pl.q),
+            t_hi=parity_intimacy_bound(pl.q),
             max_nodes=args.max_nodes,
             max_seconds=args.max_seconds,
             workers=args.workers,
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write spectrum JSON here")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("bound", help="spectral upper bound on intimacy")
+    p = sub.add_parser("bound", help="spectral upper bound on intimacy, with the margins' parity")
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(func=cmd_bound)
 

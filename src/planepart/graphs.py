@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-_DIMACS_BLOCK = 1 << 14
+_DIMACS_BLOCK = 1 << 13  # adjacency entries per block of the DIMACS export
 
 
 class Graph:
@@ -74,6 +74,23 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
+    def vertex_blocks(self, entries: int) -> list[tuple[int, int]]:
+        """Consecutive vertex ranges ``(lo, hi)`` that cover ``0..n-1`` in order.
+
+        A range holds at most ``entries`` adjacency entries, or is one vertex
+        whose row alone holds more.  A graph of at most ``entries`` entries is
+        one range, found without a search of ``indptr``.
+        """
+        indptr, n = self.indptr, self.n
+        total = int(indptr[-1])
+        blocks, lo = [], 0
+        while lo < n:
+            end = int(indptr[lo]) + entries
+            hi = n if end >= total else max(lo + 1, int(np.searchsorted(indptr, end, "right")) - 1)
+            blocks.append((lo, hi))
+            lo = hi
+        return blocks
+
     @cached_property
     def adjacency_lists(self) -> list[list[int]]:
         return [self.neighbors(v).tolist() for v in range(self.n)]
@@ -87,17 +104,14 @@ class Graph:
         """Write DIMACS-like text to ``fh``: ``p edge n m``, one ``e u v`` per edge.
 
         Each edge is written once, from its lower end, in that end's
-        neighbour order.  The text goes out a block of vertices at a time, a
-        block holding about ``_DIMACS_BLOCK`` adjacency entries, so only one
-        block's lines, not the text of the whole graph, are alive at once.
+        neighbour order.  The text goes out a block of vertices at a time,
+        ``vertex_blocks(_DIMACS_BLOCK)``, so only one block's lines, not the
+        text of the whole graph, are alive at once.
         """
         n, indptr = self.n, self.indptr
         fh.write(f"p edge {n} {self.edge_count}\n")
         ids = [str(v) for v in range(1, n + 1)]  # the 1-based text of each vertex
-        lo = 0
-        while lo < n:
-            end = int(indptr[lo]) + _DIMACS_BLOCK
-            hi = max(lo + 1, int(np.searchsorted(indptr, end, "right")) - 1)
+        for lo, hi in self.vertex_blocks(_DIMACS_BLOCK):
             nbrs = self.indices[indptr[lo] : indptr[hi]]
             src = np.repeat(np.arange(lo, hi, dtype=np.int32), self.degrees[lo:hi])
             keep = nbrs > src
@@ -110,7 +124,6 @@ class Graph:
                     head = f"e {ids[v]} "
                     parts.append(head + f"\n{head}".join([ids[u] for u in tails[a:b]]) + "\n")
             fh.write("".join(parts))
-            lo = hi
 
 
 class LabelMap(Mapping):

@@ -89,7 +89,7 @@ def vertex_ids(ids, hi: int, what: str = "id") -> np.ndarray:
     return _checked_ids(distinct(ids), hi, what)
 
 
-_CHECK_BLOCK = 512  # lines per block of the pencil build and of its incidence check
+_CHECK_BLOCK = 512  # lines per block of the pencil build and of its checks
 
 
 def _pencils(f: Field, coords: np.ndarray) -> np.ndarray:
@@ -106,10 +106,9 @@ def _pencils(f: Field, coords: np.ndarray) -> np.ndarray:
     block of slopes at a time, so no temporary grows with q^3, and the rows
     are then sorted in place.
 
-    ``coords`` holds the triples.  Every stored point is then checked against
-    its line's equation, a block of ``_CHECK_BLOCK`` lines at a time: a
-    RuntimeError names corrupt tables.  A line id that no row reaches keeps
-    point 0 in every slot, which the constructor's repeat check rejects.
+    ``coords`` holds the triples, which ``_check_pencils`` reads to check
+    the rows: a RuntimeError names corrupt tables.  A line id that no row
+    reaches keeps point 0 in every slot, which its repeat check rejects.
     """
     q, n = f.q, len(coords)
     add, mul = f.add_table.ravel(), f.mul_table.ravel()
@@ -133,13 +132,29 @@ def _pencils(f: Field, coords: np.ndarray) -> np.ndarray:
         out[lines, :q] = 1 + q + q * y + e
         out[lines, q] = np.where(m == 0, 0, 1 + inv[m])
     out.sort(axis=1)
-    cols = coords.T
+    _check_pencils(f, coords, out)
+    return out
+
+
+def _check_pencils(f: Field, coords: np.ndarray, pencils: np.ndarray) -> None:
+    """RuntimeError unless the rows are the pencils of the plane over ``f``.
+
+    A block of ``_CHECK_BLOCK`` rows at a time: every point of row j lies
+    on line j (``coords`` holds the triples), no row repeats a point, and,
+    summing one bincount per block, every point lies on q+1 lines.
+    """
+    n, cols = len(pencils), coords.T
+    lines_on = np.zeros(n, dtype=np.int64)  # per point, the rows that hold it
     for lo in range(0, n, _CHECK_BLOCK):
-        blk = out[lo : lo + _CHECK_BLOCK]
+        blk = pencils[lo : lo + _CHECK_BLOCK]
         at = slice(lo, lo + len(blk))
         if _dot(f, [c[blk] for c in cols], [c[at, None] for c in cols]).any():
             raise RuntimeError("pencil point off its line; field tables corrupt")
-    return out
+        if (np.diff(blk, axis=1) == 0).any():
+            raise RuntimeError("pencil repeats a point; field tables corrupt")
+        lines_on += np.bincount(blk.ravel(), minlength=n)
+    if (lines_on != f.q + 1).any():
+        raise RuntimeError("point on a wrong number of lines; field tables corrupt")
 
 
 class Plane:
@@ -152,9 +167,9 @@ class Plane:
     incidence graph and the spectrum's Gram check all read the pencils.
 
     The pencils are written straight from each line's slope and intercept,
-    and every stored point is then checked against its line's equation.
-    The constructor then checks that no row repeats a point and that every
-    point lies on q+1 lines; any failure is a RuntimeError.
+    and then checked a block of lines at a time: every stored point lies on
+    its line's equation, no row repeats a point and every point lies on q+1
+    lines; any failure is a RuntimeError.
     """
 
     def __init__(self, field: Field):
@@ -163,10 +178,6 @@ class Plane:
         self.q = q
         self.n = q * q + q + 1
         self.pencils = _pencils(field, self.coords)
-        if (np.diff(self.pencils, axis=1) == 0).any():
-            raise RuntimeError("pencil repeats a point; field tables corrupt")
-        if (np.bincount(self.pencils.ravel(), minlength=self.n) != q + 1).any():
-            raise RuntimeError("point on a wrong number of lines; field tables corrupt")
 
     @cached_property
     def coords(self) -> np.ndarray:

@@ -287,8 +287,18 @@ def _solve(adj, t, presets, max_nodes, deadline):
     return solver.search(solver.assign_presets(presets), max_nodes, deadline)[:6]
 
 
+_pool_adj = None  # in a pool worker, the adjacency lists of the scan's graph
+
+
+def _pool_init(adj):
+    """Pool initializer: keep the graph, so each job carries only its own arguments."""
+    global _pool_adj
+    _pool_adj = adj
+
+
 def _run_job(args):
-    return _solve(*args)
+    """One pool job, ``(t, presets, max_nodes, deadline)``, on the worker's graph."""
+    return _solve(_pool_adj, *args)
 
 
 def _presets(g: Graph, t: int) -> list[tuple[int, int]]:
@@ -367,7 +377,7 @@ def _decide(solver, presets, max_nodes, deadline, imap):
     if len(jobs) < 2 or (max_nodes is not None and max_nodes - top_nodes < len(jobs)):
         return solver.search(state, max_nodes, deadline)[:6]
     share = None if max_nodes is None else (max_nodes - top_nodes) // len(jobs)
-    args = [(solver.adj, solver.t, presets + path, share, deadline) for path, *_ in jobs]
+    args = [(solver.t, presets + path, share, deadline) for path, *_ in jobs]
     # each result comes after the top's counts at its job; the top's own result last
     marks = [counts for _, *counts in jobs] + [(top_nodes, top_conflicts, top_forced)]
     results = itertools.chain(imap(args), [(top_status, top_side, 0, 0, 0, 0)])
@@ -416,7 +426,9 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
     counts the last t's ``_presets``.  With ``workers > 1`` the first case
     that fans out starts one pool of ``min(workers, jobs)`` processes, which
     serves every later case and t and is terminated when the scan ends,
-    also on an error.  A case that ends ``found`` or ``timeout`` ends the
+    also on an error.  Each worker gets the graph once, at its start
+    (``_pool_init``); a job carries only its t, presets, node share and
+    deadline.  A case that ends ``found`` or ``timeout`` ends the
     scan, so no job of one case is queued when the next starts.  Raises
     ValueError when ``max_nodes < 1``, ``max_seconds <= 0`` or ``workers < 1``.
     """
@@ -433,7 +445,11 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
     def imap(args):
         nonlocal pool
         if pool is None:
-            pool = multiprocessing.get_context().Pool(processes=min(workers, len(args)))
+            pool = multiprocessing.get_context().Pool(
+                processes=min(workers, len(args)),
+                initializer=_pool_init,
+                initargs=(g.adjacency_lists,),
+            )
         return pool.imap(_run_job, args)
 
     nodes = conflicts = max_depth = forced = 0

@@ -5,7 +5,8 @@ For PG(2,q) the point-line incidence matrix M satisfies
 sqrt(q) with multiplicity q^2+q.  ``singular_spectrum`` checks that
 identity over the integers from the pencils; no dense matrix is built.
 The expander mixing bound with lambda_2 = sqrt(q) caps the intimacy of
-any partition at the largest integer strictly below sqrt(q)/2.
+any partition at the largest integer strictly below sqrt(q)/2, the
+paper's cap; the parity of the margins lowers it for some even q.
 """
 
 from __future__ import annotations
@@ -118,6 +119,21 @@ def check_mixing(pl: Plane, point_set, line_set) -> bool:
 
 
 def intimacy_upper_bound(q: int) -> int:
-    """Largest integer strictly below sqrt(q)/2, i.e. max t with 4t^2 < q."""
+    """The paper's cap: the largest integer strictly below sqrt(q)/2, i.e. max t with 4t^2 < q."""
     factor_prime_power(q)  # plane orders are prime powers
     return math.isqrt((q - 1) // 4)
+
+
+def parity_intimacy_bound(q: int) -> int:
+    """The parity cap: the largest t with (2t + [q even])^2 < q.
+
+    The mixing bound leaves some margin of every partition at most sqrt(q).
+    A margin ``2*d_own - (q+1)`` has the parity of q+1, so it is not sqrt(q),
+    an integer only when q is a square, of q's parity; hence the least
+    margin is below sqrt(q).  A t-internal partition has every margin at
+    least 2t, and at least 2t+1 when q is even, as margins are then odd.
+    This is ``intimacy_upper_bound`` on every odd and every square q; among
+    prime powers up to 64 it is lower only at q=8, where it is 0.
+    """
+    factor_prime_power(q)  # plane orders are prime powers
+    return (math.isqrt(q - 1) - (q % 2 == 0)) // 2

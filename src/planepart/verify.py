@@ -16,6 +16,8 @@ import numpy as np
 from .constructions import Partition
 from .graphs import Graph, LabelMap
 
+_MARGIN_BLOCK = 1 << 14  # adjacency entries per block of the own-side count
+
 
 @dataclass(frozen=True, eq=False)
 class MarginReport:
@@ -37,11 +39,31 @@ class MarginReport:
         }
 
 
+def _own_counts(g: Graph, side, lo: int, hi: int) -> np.ndarray:
+    """Per vertex of ``lo..hi-1``, its neighbours on its own side, as int32.
+
+    Reads only the adjacency entries of those vertices: a bool comparison
+    and an int32 running count of that slice.
+    """
+    a, b = g.indptr[lo], g.indptr[hi]
+    same = side[g.indices[a:b]] == np.repeat(side[lo:hi], g.degrees[lo:hi])
+    cum = np.zeros(same.size + 1, dtype=np.int32)
+    cum[1:] = same
+    np.cumsum(cum[1:], out=cum[1:])  # in place: cumsum would copy a bool input to int32
+    ends = g.indptr[lo : hi + 1]
+    if a:
+        ends = ends - a
+    return cum[ends[1:]] - cum[ends[:-1]]
+
+
 def margins(g: Graph, partition) -> MarginReport:
     """Exact margin report of a :class:`Partition` or of its ``side`` array.
 
     A side that is not a ``Partition`` is checked by building one; a
     partition that does not cover the graph's vertices is a ValueError.
+    The own-side neighbours are counted a block of vertices at a time,
+    ``g.vertex_blocks(_MARGIN_BLOCK)``, so no temporary is as long as the
+    adjacency of a graph of more than one block.
     """
     if not isinstance(partition, Partition):
         partition = Partition(partition)
@@ -50,11 +72,13 @@ def margins(g: Graph, partition) -> MarginReport:
         raise ValueError(f"partition covers {side.size} vertices, graph has {g.n}")
     size_a = int(np.count_nonzero(side == 0))
     size_b = g.n - size_a
-    same = side[g.indices] == np.repeat(side, g.degrees)
-    cum = np.zeros(same.size + 1, dtype=np.int32)
-    cum[1:] = same
-    np.cumsum(cum[1:], out=cum[1:])  # in place: cumsum would copy a bool input to int32
-    d_own = cum[g.indptr[1:]] - cum[g.indptr[:-1]]
+    blocks = g.vertex_blocks(_MARGIN_BLOCK)
+    if len(blocks) == 1:
+        d_own = _own_counts(g, side, 0, g.n)
+    else:
+        d_own = np.empty(g.n, dtype=np.int32)
+        for lo, hi in blocks:
+            d_own[lo:hi] = _own_counts(g, side, lo, hi)
     margin = 2 * d_own - g.degrees
     return MarginReport(
         margin=margin,

@@ -294,11 +294,20 @@ def test_spectrum_q5(tmp_path, capsys):
     assert doc["singular_values"][1][1] == 30
 
 
-@pytest.mark.parametrize("q,expect", [(3, "0"), (9, "1"), (25, "2")])
+@pytest.mark.parametrize("q,expect", [(3, "0"), (8, "0"), (9, "1"), (25, "2"), (64, "3")])
 def test_bound_prints_plain_integer(capsys, q, expect):
     code, out, _ = run(capsys, "bound", "--q", str(q))
     assert code == 0
     assert out.strip() == expect
+
+
+def test_max_intimacy_scan_of_pg2_8_starts_at_the_parity_cap(capsys):
+    # the paper's cap is 1 at q=8, where t=1 is left undecided after
+    # millions of nodes; the parity cap is 0, which a witness settles
+    code, out, _ = run(capsys, "search", "exhaustive", "--q", "8", "--max-intimacy")
+    assert code == 0
+    assert "max intimacy: 0" in out.splitlines()
+    assert "nodes explored: 119" in out.splitlines()
 
 
 def test_bound_rejects_non_prime_power(capsys):

@@ -198,9 +198,29 @@ def test_corrupt_tables_rejected():
     f = pp.make_field(2, 2)
     f.mul_table = f.mul_table.copy()
     f.mul_table[2, 3] = f.mul_table[3, 2] = 2
-    # the line check in the block loop fires before the whole-array checks
+    # the line check fires before the repeat and count checks of its block
     with pytest.raises(RuntimeError, match="off its line"):
         pp.Plane(f)
+
+
+def test_corrupt_pencils_past_the_first_block_are_rejected():
+    pl = get_plane(25)
+    assert pl.n > 600 > plane_module._CHECK_BLOCK
+    rows = pl.pencils.copy()
+    rows[600, 1] = rows[600, 0]  # a point of line 600, so on its line
+    with pytest.raises(RuntimeError, match="^pencil repeats a point; field tables corrupt$"):
+        plane_module._check_pencils(pl.field, pl.coords, rows)
+    # with every product 0, every point passes every line's equation: a row
+    # whose least point is swapped for a smaller id passes the line and
+    # repeat checks, and two points then lie on q and q+2 lines
+    f = pp.make_field(5, 2)
+    f.mul_table = np.zeros_like(f.mul_table)
+    rows = pl.pencils.copy()
+    j = 512 + int(np.argmax(rows[512:, 0] > 0))
+    rows[j, 0] -= 1
+    with pytest.raises(RuntimeError, match="^point on a wrong number of lines; field tables corrupt$"):
+        plane_module._check_pencils(f, pl.coords, rows)
+    plane_module._check_pencils(pl.field, pl.coords, pl.pencils)
 
 
 def _swap(t, a, b):
@@ -289,9 +309,18 @@ def _transient_mb(step):
     return out, (tracemalloc.get_traced_memory()[1] - base) / 1e6
 
 
+class _Discard:
+    """A text sink that keeps nothing, so an export's reading is the exporter's own."""
+
+    def write(self, text):
+        pass
+
+
 def test_plane_request_steps_hold_a_block_of_temporaries(monkeypatch):
     # each step of a q=64 plane, Baer or export request keeps its temporaries
-    # to a block; whole-plane int64 temporaries read 6.8-17.4 MB per step
+    # to a block; whole-plane int64 temporaries read 6.8-17.4 MB per step,
+    # and adjacency-length ones in the build, margins and export 3.4, 3.0
+    # and 2.2 MB (the build's reading includes the 1.1 MB pencils it returns)
     handed = []
 
     def recording_graph(indptr, indices, **kw):
@@ -305,12 +334,13 @@ def test_plane_request_steps_hold_a_block_of_temporaries(monkeypatch):
         g, graph = _transient_mb(lambda: incidence_graph(pl))
         part = construct_baer_partition(pl)
         _, margin = _transient_mb(lambda: margins(g, part))
-        _, export = _transient_mb(lambda: g.to_dimacs(io.StringIO()))
+        _, export = _transient_mb(lambda: g.to_dimacs(_Discard()))
         _, doc = _transient_mb(pl.to_json)
     finally:
         tracemalloc.stop()
     peaks = {"build": build, "graph": graph, "margins": margin, "export": export, "json": doc}
     assert max(peaks.values()) < 6, peaks
+    assert build < 2.6 and margin < 0.5 and export < 1.6, peaks
     assert pl.pencils.dtype == np.int32
     assert np.shares_memory(g.indices, handed[0])
 

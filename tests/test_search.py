@@ -2,6 +2,7 @@
 
 import itertools
 import multiprocessing
+import pickle
 import random
 import sys
 import time
@@ -55,9 +56,9 @@ class RecordingContext:
         self.ctx = ctx
         self.sizes = sizes
 
-    def Pool(self, processes):
+    def Pool(self, processes, **kwargs):
         self.sizes.append(processes)
-        return self.ctx.Pool(processes=processes)
+        return self.ctx.Pool(processes=processes, **kwargs)
 
 
 def record_pools(monkeypatch):
@@ -393,6 +394,25 @@ def test_pooled_counts_are_the_serial_counts():
     solo = exhaustive_exists(g, 1)
     assert solo.status == "exhausted_none"
     assert _counts(exhaustive_exists(g, 1, workers=2)) == _counts(solo)
+
+
+def test_pool_jobs_carry_no_graph(monkeypatch):
+    # a pool worker holds the adjacency from the pool's initializer, so a job
+    # is only (t, presets, node share, deadline); run here in this process
+    g = untagged(get_graph(3))
+    monkeypatch.setattr(search_module, "_pool_adj", g.adjacency_lists)
+    jobs = []
+
+    def imap(args):
+        jobs.extend(args)
+        return map(search_module._run_job, args)
+
+    solver = _Solver(g.adjacency_lists, 1)
+    pooled = search_module._decide(solver, [(0, 0)], None, None, imap)
+    assert pooled == search_module._decide(solver, [(0, 0)], None, None, None)
+    assert len(jobs) == 4
+    assert all(len(job) == 4 and job[0] == 1 and job[2:] == (None, None) for job in jobs)
+    assert max(len(pickle.dumps(job)) for job in jobs) < 200
 
 
 def test_pooled_witness_is_the_serial_witness():

@@ -3,6 +3,7 @@
 import copy
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,9 +14,11 @@ from planepart.spectral import (
     edges_between,
     intimacy_upper_bound,
     mixing_bound,
+    parity_intimacy_bound,
     singular_spectrum,
 )
 
+from planepart.fields import prime_factors
 from oracles import get_plane, reference_spectrum
 
 ALL_SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -197,6 +200,41 @@ def test_intimacy_upper_bound_rejects_non_prime_power():
         intimacy_upper_bound(6)
     with pytest.raises(ValueError):
         intimacy_upper_bound(1)
+
+
+def test_parity_cap_against_the_papers_cap():
+    for q in [q for q in range(2, 65) if len(prime_factors(q)) == 1]:
+        t, even = parity_intimacy_bound(q), q % 2 == 0
+        # defining property: largest t with (2t + [q even])^2 < q
+        assert (2 * t + even) ** 2 < q <= (2 * t + 2 + even) ** 2
+        if not even or math.isqrt(q) ** 2 == q:
+            assert t == intimacy_upper_bound(q)
+        assert t == intimacy_upper_bound(q) - (q == 8)
+    with pytest.raises(ValueError):
+        parity_intimacy_bound(6)
+
+
+def test_no_1_internal_size_pair_fits_the_mixing_window_at_q8():
+    # a 1-internal partition of PG(2,8) has odd margins of at least 3: every
+    # vertex has at least 6 of its 9 neighbours on its side.  With s points
+    # and k lines on A, that forces e = e(P_A, L_A) into [lo, hi]; no e there
+    # is within sqrt(8) * sqrt(s k (1 - s/n) (1 - k/n)) of 9 s k / n, the
+    # window of mixing_bound, checked exactly; only the one-class splits fit
+    q, n, d, own = 8, 73, 9, 6
+    fits = []
+    for s in range(n + 1):
+        for k in range(n + 1):
+            lo = max(own * s, own * k, d * k - (d - own) * (n - s), d * s - (d - own) * (n - k))
+            hi = min(d * s, d * k)
+            expected = Fraction(d * s * k, n)
+            cap_sq = q * Fraction(s * k * (n - s) * (n - k), n * n)
+            b = mixing_bound(n, d, math.sqrt(q), s, k)
+            assert b.expected == pytest.approx(float(expected), abs=1e-9)
+            assert b.deviation_cap**2 == pytest.approx(float(cap_sq), abs=1e-6)
+            if any((e - expected) ** 2 <= cap_sq for e in range(lo, hi + 1)):
+                fits.append((s, k))
+    assert fits == [(0, 0), (n, n)]
+    assert parity_intimacy_bound(q) == 0
 
 
 def test_baer_edge_audit_q9():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planepart as pp
-from planepart.verify import is_internal, is_strict, margins
+from planepart.verify import _MARGIN_BLOCK, is_internal, is_strict, margins
 
 from oracles import get_graph, get_plane, naive_intimacy, naive_margins, random_partition
 
@@ -46,6 +46,91 @@ def test_margins_match_oracle_off_the_plane():
         edges = [(u, v) for u in inner for v in inner if u < v and rng.random() < 0.4]
         g = pp.Graph.from_edges(n, edges)  # vertices 0 and n-1 isolated
         _check_against_oracle(g, rng, 30)
+
+
+def _whole_array_margin(g, side):
+    """The margins from one comparison and one running count over the whole adjacency."""
+    same = side[g.indices] == np.repeat(side, g.degrees)
+    cum = np.zeros(same.size + 1, dtype=np.int32)
+    np.cumsum(same, out=cum[1:])
+    return 2 * (cum[g.indptr[1:]] - cum[g.indptr[:-1]]) - g.degrees
+
+
+def _check_against_whole_array(g, side):
+    rep = margins(g, side)
+    want = _whole_array_margin(g, side)
+    assert rep.margin.dtype == want.dtype and (rep.margin == want).all()
+    assert rep.min_margin_a == want[side == 0].min()
+    assert rep.min_margin_b == want[side == 1].min()
+    assert rep.partition_intimacy == (want // 2).min()
+
+
+def _rows(rng, n, entries):
+    """``n`` neighbour rows holding ``entries`` entries in all, each row kept as made.
+
+    Rows need not be symmetric, so any entry count is possible; with about
+    four entries a row, a few dozen rows are empty.
+    """
+    sizes = [0] * n
+    for _ in range(entries):
+        sizes[rng.randrange(n)] += 1
+    return [[u for u in rng.sample(range(n), k + 1) if u != v][:k] for v, k in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, _MARGIN_BLOCK + 3])
+def test_margins_match_the_whole_array_count_at_block_ends(extra):
+    # B-1 and B entries are one block, B+1 entries two, 2B+3 three
+    rng = random.Random(extra)
+    entries = _MARGIN_BLOCK + extra
+    g = pp.Graph.from_neighbor_lists(_rows(rng, entries // 4, entries))
+    assert g.indices.size == entries
+    assert len(g.vertex_blocks(_MARGIN_BLOCK)) == -(-entries // _MARGIN_BLOCK)
+    assert (g.degrees == 0).any()
+    for _ in range(3):
+        _check_against_whole_array(g, random_partition(rng, g.n))
+
+
+def test_margins_across_blocks_with_isolated_vertices_and_a_hub():
+    b = _MARGIN_BLOCK
+    rng = random.Random(3)
+    # degree 1 but for B-1, B, B+2 and B+4: a block ends after B+2, isolated
+    # vertices close it, and the next one starts at B+3
+    n = b + 8
+    zero = {b - 1, b, b + 2, b + 4}
+    live = [v for v in range(n) if v not in zero]
+    pair = {u: v for u, v in zip(live[::2], live[1::2])}
+    pair.update({v: u for u, v in pair.items()})
+    g = pp.Graph.from_neighbor_lists([[pair[v]] if v in pair else [] for v in range(n)])
+    assert [v for v in range(n) if g.degrees[v] == 0] == sorted(zero)
+    assert len(g.vertex_blocks(b)) == 2
+    _check_against_whole_array(g, random_partition(rng, n))
+    # vertex 3 is joined to every other vertex: its row alone is more than a block
+    n = b + 100
+    hub = [[3] if v != 3 else [u for u in range(n) if u != 3] for v in range(n)]
+    g = pp.Graph.from_neighbor_lists(hub)
+    assert (3, 4) in g.vertex_blocks(b)
+    for _ in range(3):
+        _check_against_whole_array(g, random_partition(rng, n))
+
+
+@pytest.mark.parametrize("q", [2, 3, 16, 61, 64])
+def test_margins_match_the_whole_array_count_on_planes(q):
+    g = get_graph(q)
+    rng = random.Random(q)
+    for _ in range(3):
+        _check_against_whole_array(g, random_partition(rng, g.n))
+
+
+def test_one_block_margins_search_no_block_ends(monkeypatch):
+    # a graph within one block runs the whole-array count, with no searchsorted
+    def no_search(*args, **kwargs):
+        raise AssertionError("searchsorted called on a one-block graph")
+
+    g = get_graph(7)
+    assert g.indices.size <= _MARGIN_BLOCK
+    side = random_partition(random.Random(0), g.n)
+    monkeypatch.setattr(np, "searchsorted", no_search)
+    _check_against_whole_array(g, side)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
