@@ -92,8 +92,8 @@ def vertex_ids(ids, hi: int, what: str = "id") -> np.ndarray:
 _CHECK_BLOCK = 512  # lines per block of the pencil build and of its checks
 
 
-def _pencils(f: Field, coords: np.ndarray) -> np.ndarray:
-    """Sorted ids of the q+1 points on each line, one int32 row per line.
+def _pencils(f: Field, coords: np.ndarray, out: np.ndarray) -> None:
+    """Write the sorted ids of the q+1 points on each line, one row per line, into ``out``.
 
     In affine terms, with (x : y : 1) the point of id 1+q+q*y+x:
     - the line y = mx + c is [m : -1 : c] and holds the points (x : mx+c : 1)
@@ -104,17 +104,18 @@ def _pencils(f: Field, coords: np.ndarray) -> np.ndarray:
     and ``mul`` lookups give, with the point ids read off ``add`` and
     ``mul``: no point is normalised.  The non-vertical lines are written a
     block of slopes at a time, so no temporary grows with q^3, and the rows
-    are then sorted in place.
+    are then sorted in place.  ``out`` is an int32 (n, q+1) array, zeroed
+    first.
 
     ``coords`` holds the triples, which ``_check_pencils`` reads to check
     the rows: a RuntimeError names corrupt tables.  A line id that no row
     reaches keeps point 0 in every slot, which its repeat check rejects.
     """
-    q, n = f.q, len(coords)
+    q = f.q
     add, mul = f.add_table.ravel(), f.mul_table.ravel()
     inv, neg = f.inv_table, f.neg_table
     e = np.arange(q)
-    out = np.zeros((n, q + 1), dtype=np.int32)
+    out.fill(0)
     out[1 + q] = np.arange(q + 1)
     # x = c is [1 : 0 : 0] for c = 0, else [1/-c : 0 : 1]
     vertical = np.concatenate([[0], 1 + q + inv[neg[e[1:]]]])
@@ -133,7 +134,6 @@ def _pencils(f: Field, coords: np.ndarray) -> np.ndarray:
         out[lines, q] = np.where(m == 0, 0, 1 + inv[m])
     out.sort(axis=1)
     _check_pencils(f, coords, out)
-    return out
 
 
 def _check_pencils(f: Field, coords: np.ndarray, pencils: np.ndarray) -> None:
@@ -166,6 +166,12 @@ class Plane:
     through point i.  No dense point-by-line matrix is kept: counts, the
     incidence graph and the spectrum's Gram check all read the pencils.
 
+    The pencils are the second half of one int32 buffer of 2n(q+1) entries,
+    laid out as the incidence graph's CSR ``indices``: the lines through
+    each point, shifted by n, then the points on each line.
+    ``incidence_graph`` writes the first half and hands the buffer to its
+    ``Graph``; until then it is left unwritten.
+
     The pencils are written straight from each line's slope and intercept,
     and then checked a block of lines at a time: every stored point lies on
     its line's equation, no row repeats a point and every point lies on q+1
@@ -176,8 +182,10 @@ class Plane:
         q = field.q
         self.field = field
         self.q = q
-        self.n = q * q + q + 1
-        self.pencils = _pencils(field, self.coords)
+        self.n = n = q * q + q + 1
+        self._indices = np.empty(2 * n * (q + 1), dtype=np.int32)
+        self.pencils = self._indices[n * (q + 1) :].reshape(n, q + 1)
+        _pencils(field, self.coords, self.pencils)
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -264,13 +272,13 @@ def incidence_graph(pl: Plane) -> Graph:
 
     The graph carries ``plane_order = q``: it is the incidence graph of the
     desarguesian plane, whose collineations the exhaustive search may use.
+    Its ``indices`` are the plane's buffer (see ``Plane``): the point half
+    is written here as ``pencils + n``, and the line half is the pencils.
     """
     n, r = pl.n, pl.q + 1
     indptr = np.arange(2 * n + 1, dtype=np.int64) * r
-    indices = np.empty(2 * n * r, dtype=np.int32)
-    np.add(pl.pencils, n, out=indices[: n * r].reshape(n, r))
-    indices[n * r :] = pl.pencils.ravel()
-    return Graph(indptr, indices, n_left=n, labels=pl.labels, plane_order=pl.q)
+    np.add(pl.pencils, n, out=pl._indices[: n * r].reshape(n, r))
+    return Graph(indptr, pl._indices, n_left=n, labels=pl.labels, plane_order=pl.q)
 
 
 # -- Singer cycle -----------------------------------------------------------

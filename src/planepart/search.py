@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -281,24 +280,37 @@ class _Solver:
 def _solve(adj, t, presets, max_nodes, deadline):
     """One solver run from ``presets``, as ``_Solver.search`` returns it, without its jobs.
 
-    A run whose presets fail takes no node.  Pool workers run this too.
+    A run whose presets fail takes no node.
     """
     solver = _Solver(adj, t)
     return solver.search(solver.assign_presets(presets), max_nodes, deadline)[:6]
 
 
 _pool_adj = None  # in a pool worker, the adjacency lists of the scan's graph
+_pool_solver = None  # in a pool worker, the _Solver of the t of its last job
 
 
 def _pool_init(adj):
-    """Pool initializer: keep the graph, so each job carries only its own arguments."""
-    global _pool_adj
-    _pool_adj = adj
+    """Pool initializer: keep the graph, so each job carries only its own arguments.
+
+    It also drops the solver of an earlier graph.
+    """
+    global _pool_adj, _pool_solver
+    _pool_adj, _pool_solver = adj, None
 
 
 def _run_job(args):
-    """One pool job, ``(t, presets, max_nodes, deadline)``, on the worker's graph."""
-    return _solve(_pool_adj, *args)
+    """One pool job, ``(t, presets, max_nodes, deadline)``, on the worker's graph.
+
+    A worker keeps the solver of its last job's t, rows and all: a scan
+    sends every job of a t before the first of the next, so each worker
+    builds one solver per t.
+    """
+    global _pool_solver
+    t, presets, max_nodes, deadline = args
+    if _pool_solver is None or _pool_solver.t != t:
+        _pool_solver = _Solver(_pool_adj, t)
+    return _pool_solver.search(_pool_solver.assign_presets(presets), max_nodes, deadline)[:6]
 
 
 def _presets(g: Graph, t: int) -> list[tuple[int, int]]:
@@ -420,7 +432,8 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
     and starts only while some is left.  A t is one ``_decide`` per case of
     ``_cases``, in order up to the first case that is not exhausted; each
     case gets what the ones before it left, which may be no node, and one
-    ``_Solver`` per t serves every case (pool jobs build their own).
+    ``_Solver`` per t serves every case (each pool worker builds its own,
+    once per t, see ``_run_job``).
     ``nodes_explored``, ``conflicts``, ``propagations`` and ``wall_time``
     cover the scan, ``max_depth`` is its deepest path and ``presets``
     counts the last t's ``_presets``.  With ``workers > 1`` the first case
@@ -445,6 +458,8 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
     def imap(args):
         nonlocal pool
         if pool is None:
+            import multiprocessing  # only a scan that fans out pays for its import
+
             pool = multiprocessing.get_context().Pool(
                 processes=min(workers, len(args)),
                 initializer=_pool_init,
@@ -566,27 +581,29 @@ def brute_force_exists(g: Graph, t: int) -> bool:
     """Ground truth by unpruned enumeration of every A/B assignment.
 
     Vertex 0 is fixed to A (swap symmetry only); no other pruning.  Meant
-    as the oracle the branch and bound is checked against.
+    as the oracle the branch and bound is checked against.  Sides,
+    adjacency and degrees are int8: at most 20 vertices have degrees of at
+    most 19, so every count, doubled count and margin fits.
     """
     n = g.n
     if n < 2:
         return False
     if n > _BRUTE_MAX_VERTICES:
         raise ValueError(f"brute force enumeration capped at {_BRUTE_MAX_VERTICES} vertices")
-    adj = np.zeros((n, n), dtype=np.int64)
+    adj = np.zeros((n, n), dtype=np.int8)
     for v in range(n):
         adj[v, g.neighbors(v)] = 1
-    deg = g.degrees
+    deg = g.degrees.astype(np.int8)
     count = 1 << (n - 1)
     for lo in range(0, count, _BRUTE_CHUNK):
         masks = np.arange(lo, min(lo + _BRUTE_CHUNK, count), dtype=np.int64)
-        side = np.zeros((masks.size, n), dtype=np.int64)
+        side = np.zeros((masks.size, n), dtype=np.int8)
         for v in range(1, n):
             side[:, v] = (masks >> (v - 1)) & 1
         nbrs_b = side @ adj
-        own = np.where(side == 1, nbrs_b, deg[None, :] - nbrs_b)
-        margin = 2 * own - deg[None, :]
-        ok = (margin >= 2 * t).all(axis=1) & (side.sum(axis=1) > 0)
+        own = np.where(side == 1, nbrs_b, deg - nbrs_b)
+        margin = 2 * own - deg
+        ok = (margin >= 2 * t).all(axis=1) & side.any(axis=1)
         if ok.any():
             return True
     return False
@@ -677,7 +694,10 @@ def anneal_search(
         return r
 
     n = g.n
-    adj = [tuple(a) for a in g.adjacency_lists]
+    # this call's neighbour tuples, not cached on g; each vertex id is one shared int object
+    ids = list(range(n))
+    cut = g.indptr.tolist()
+    adj = [tuple(map(ids.__getitem__, g.indices[a:b].tolist())) for a, b in zip(cut, cut[1:])]
     deg = [len(a) for a in adj]
     t4 = 4 * t
     # penalty changes keyed by raw shortfall x, over every x a vertex can reach

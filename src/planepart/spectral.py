@@ -19,6 +19,8 @@ import numpy as np
 from .fields import factor_prime_power
 from .plane import Plane, vertex_ids
 
+_GRAM_BLOCK = 1 << 14  # Gram entries per block of singular_spectrum
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
@@ -38,11 +40,13 @@ def singular_spectrum(pl: Plane) -> SpectralReport:
     """Singular values of M from the exact Gram residual max |M M^T - qI - J|.
 
     Row P of M M^T is ``pl.hits(pl.pencils[P])``, read with one
-    bincount per block of points; points and lines share the pencils, so
-    the rows are those of M^T M too.  A zero residual gives q+1 once and
-    sqrt(q) q^2+q times; otherwise the report holds no values.
+    bincount per block of points, about 2^14 Gram entries (``_GRAM_BLOCK``)
+    at a time; points and lines share the pencils, so the rows are those of
+    M^T M too.  A zero residual gives q+1 once and sqrt(q) q^2+q times;
+    otherwise the report holds no values.
     """
-    n, q, block = pl.n, pl.q, 256
+    n, q = pl.n, pl.q
+    block = max(1, _GRAM_BLOCK // n)
     residual = 0
     for lo in range(0, n, block):
         rows = np.arange(lo, min(lo + block, n))
@@ -50,7 +54,9 @@ def singular_spectrum(pl: Plane) -> SpectralReport:
         on += (np.arange(rows.size) * n)[:, None]
         gram = np.bincount(on.ravel(), minlength=rows.size * n).reshape(rows.size, n)
         gram[np.arange(rows.size), rows] -= q
-        residual = max(residual, int(np.abs(gram - 1).max()))
+        gram -= 1
+        np.abs(gram, out=gram)
+        residual = max(residual, int(gram.max()))
     if residual:
         return SpectralReport(singular_values=[], lambda2=None, max_residual=residual)
     values = [(float(q + 1), 1), (math.sqrt(q), q * q + q)]

@@ -6,6 +6,7 @@ import pickle
 import random
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,9 +399,12 @@ def test_pooled_counts_are_the_serial_counts():
 
 def test_pool_jobs_carry_no_graph(monkeypatch):
     # a pool worker holds the adjacency from the pool's initializer, so a job
-    # is only (t, presets, node share, deadline); run here in this process
+    # is only (t, presets, node share, deadline), and it keeps one solver for
+    # the jobs of a t; run here in this process
     g = untagged(get_graph(3))
-    monkeypatch.setattr(search_module, "_pool_adj", g.adjacency_lists)
+    for name in ("_pool_adj", "_pool_solver"):
+        monkeypatch.setattr(search_module, name, None)  # restored after the test
+    search_module._pool_init(g.adjacency_lists)
     jobs = []
 
     def imap(args):
@@ -408,7 +412,16 @@ def test_pool_jobs_carry_no_graph(monkeypatch):
         return map(search_module._run_job, args)
 
     solver = _Solver(g.adjacency_lists, 1)
+    builds = []
+    init = _Solver.__init__
+
+    def spy(self, *args):
+        builds.append(args[1])
+        init(self, *args)
+
+    monkeypatch.setattr(_Solver, "__init__", spy)
     pooled = search_module._decide(solver, [(0, 0)], None, None, imap)
+    assert builds == [1]
     assert pooled == search_module._decide(solver, [(0, 0)], None, None, None)
     assert len(jobs) == 4
     assert all(len(job) == 4 and job[0] == 1 and job[2:] == (None, None) for job in jobs)
@@ -772,6 +785,22 @@ def test_brute_force_rejects_large_graph():
         brute_force_exists(get_graph(3), 0)
 
 
+def test_brute_force_at_its_cap_holds_int8_blocks():
+    # 20 vertices, every one of the 2^19 assignments: int8 sides, counts and
+    # margins in blocks of 2^16 rows; int64 ones held 64.8 MB
+    g = random_bipartite(random.Random(7), 10, 10, 0.5)
+    assert g.n == 20
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        found = brute_force_exists(g, 3)
+        peak = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+    assert found is (exhaustive_exists(g, 3).status == "found") is False
+    assert peak < 16, peak
+
+
 @pytest.mark.parametrize("t,expect", [(0, True), (1, False), (-2, True), (-1, True), (2, False)])
 def test_bruteforce_fano(t, expect):
     g = get_graph(2)
@@ -928,6 +957,16 @@ def test_anneal_matches_reference(q, t, seed):
     g = get_graph(q)
     params = AnnealParams(seed=seed, restarts=2, steps=150)
     _assert_same_run(anneal_search(g, t, params), reference_anneal(g, t, params))
+
+
+def test_anneal_leaves_no_adjacency_lists_on_the_graph():
+    # the tabu search builds its neighbour tuples for the call, so a cached
+    # graph it searched keeps no Python lists; its trajectory is unchanged
+    g = untagged(get_graph(5))
+    params = AnnealParams(seed=1, restarts=2, steps=150)
+    res = anneal_search(g, 1, params)
+    assert "adjacency_lists" not in g.__dict__
+    _assert_same_run(res, reference_anneal(g, 1, params))
 
 
 @pytest.mark.parametrize("t", [1, 2])

@@ -1,8 +1,8 @@
 """Incidence spectrum, Gram identity, mixing window, intimacy cap."""
 
-import copy
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,6 +29,21 @@ def test_gram_identity_exact(q):
     # M M^T = qI + J holds entrywise over the integers
     rep = singular_spectrum(get_plane(q))
     assert rep.max_residual == 0
+
+
+def test_gram_check_holds_a_block_of_entries():
+    # q=64 reads the Gram matrix a few rows, about 2^14 entries, at a time;
+    # 256-row blocks of int64 rows and their residual copies held 30 MB
+    pl = get_plane(64)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = singular_spectrum(pl)
+        peak = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+    assert rep.max_residual == 0
+    assert peak < 1, peak
 
 
 @pytest.mark.parametrize(
@@ -81,11 +96,9 @@ def test_spectrum_json_round_numbers():
 
 def test_corrupt_pencil_has_no_spectrum(monkeypatch, capsys, tmp_path):
     # one pencil entry moved to a point off the line breaks M M^T = qI + J
-    pl = get_plane(3)
-    bad = copy.copy(pl)
-    pencils = pl.pencils.copy()
-    pencils[0, 0] = next(p for p in range(pl.n) if p not in pl.pencils[0])
-    bad.pencils = pencils
+    # a plane of its own: its pencils are a view of its incidence buffer
+    bad = pp.plane_of_order(3)
+    bad.pencils[0, 0] = next(p for p in range(bad.n) if p not in bad.pencils[0])
     rep = singular_spectrum(bad)
     assert rep.max_residual > 0
     assert rep.singular_values == []
