@@ -31,12 +31,13 @@ diagonal torus of the frame P0, P1, P2, still act on the tree: they move
 the (q-1)^2 lines through none of the three points regularly.  So the
 search splits in two cases (``_cases``): the least of those lines on A,
 then all of them on B.  ``exhaustive_exists`` and ``exhaustive_max_intimacy``
-are one scan over t (``_scan``) with one node budget, one deadline and at
-most one process pool; the first decides a single t.
+are one scan over t (``_scan``) with one node budget and one deadline;
+the first decides a single t.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -277,40 +278,48 @@ class _Solver:
         return (status, side, nodes, conflicts, max_depth, forced, jobs)
 
 
-def _solve(adj, t, presets, max_nodes, deadline):
-    """One solver run from ``presets``, as ``_Solver.search`` returns it, without its jobs.
+def _jobs(solver, jobs, max_nodes, deadline, conn):
+    """In a fan-out process: search each preset list of ``jobs`` in order, sending each result."""
+    for presets in jobs:
+        conn.send(solver.search(solver.assign_presets(presets), max_nodes, deadline)[:6])
 
-    A run whose presets fail takes no node.
+
+def _fan_out(solver, jobs, max_nodes, deadline, workers):
+    """Yield the results of ``jobs``, preset lists, in order, each searched in a child process.
+
+    ``w = min(workers, len(jobs))`` forked processes inherit ``solver``,
+    rows and all; process k searches jobs k, k + w, ... with ``max_nodes``
+    each (``_jobs``) and sends each 6-tuple on a pipe of its own.  Closing
+    the generator kills and joins every process.  Raises RuntimeError when
+    a process ends before it sends a result.
     """
-    solver = _Solver(adj, t)
-    return solver.search(solver.assign_presets(presets), max_nodes, deadline)[:6]
+    import multiprocessing  # only a search that fans out pays for its import
 
-
-_pool_adj = None  # in a pool worker, the adjacency lists of the scan's graph
-_pool_solver = None  # in a pool worker, the _Solver of the t of its last job
-
-
-def _pool_init(adj):
-    """Pool initializer: keep the graph, so each job carries only its own arguments.
-
-    It also drops the solver of an earlier graph.
-    """
-    global _pool_adj, _pool_solver
-    _pool_adj, _pool_solver = adj, None
-
-
-def _run_job(args):
-    """One pool job, ``(t, presets, max_nodes, deadline)``, on the worker's graph.
-
-    A worker keeps the solver of its last job's t, rows and all: a scan
-    sends every job of a t before the first of the next, so each worker
-    builds one solver per t.
-    """
-    global _pool_solver
-    t, presets, max_nodes, deadline = args
-    if _pool_solver is None or _pool_solver.t != t:
-        _pool_solver = _Solver(_pool_adj, t)
-    return _pool_solver.search(_pool_solver.assign_presets(presets), max_nodes, deadline)[:6]
+    ctx = multiprocessing.get_context("fork")
+    w = min(workers, len(jobs))
+    procs, pipes = [], []
+    try:
+        for k in range(w):
+            recv, send = ctx.Pipe(duplex=False)
+            pipes.append(recv)
+            args = (solver, jobs[k::w], max_nodes, deadline, send)
+            proc = ctx.Process(target=_jobs, args=args, daemon=True)
+            proc.start()
+            procs.append(proc)
+            send.close()  # the child's copy alone keeps the pipe open
+        for i in range(len(jobs)):
+            try:
+                yield pipes[i % w].recv()
+            except EOFError:
+                procs[i % w].join()
+                code = procs[i % w].exitcode
+                raise RuntimeError(f"a search process ended with exit code {code}") from None
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.join()
+        for recv in pipes:
+            recv.close()
 
 
 def _presets(g: Graph, t: int) -> list[tuple[int, int]]:
@@ -366,44 +375,46 @@ def _cases(g: Graph, presets) -> list[list[tuple[int, int]]]:
     return [presets + [(off[0], 0)], presets + [(v, 1) for v in off]]
 
 
-def _decide(solver, presets, max_nodes, deadline, imap):
+def _decide(solver, presets, max_nodes, deadline, workers):
     """Decide the solver's t: ``(status, witness side, nodes, conflicts, max_depth, propagations)``.
 
     A t that a vertex's degree rules out (``solver.neg_first``) takes no
-    node.  With ``imap``, the search of the top two branching levels,
-    unbudgeted, cuts the jobs (see ``_Solver.search``), and ``imap`` runs
-    them on an equal share of the nodes the top leaves.  The jobs are read
-    in the serial order, each after the top's tries before it, then the
-    top's own result, up to the first witness.  Without ``imap``, when the
-    top makes fewer than two jobs (one job would gain no parallelism for the
-    start-up of a pool), or when ``max_nodes`` leaves fewer nodes after the
-    top than there are jobs, the search is serial with the whole budget.
+    node.  With ``workers > 1``, the search of the top two branching levels,
+    unbudgeted, cuts the jobs (see ``_Solver.search``), and ``_fan_out``
+    runs them on an equal share of the nodes the top leaves.  The jobs are
+    read in the serial order, each after the top's tries before it, then
+    the top's own result, up to the first witness; leaving the loop closes
+    the fan-out, which kills its processes.  With one worker, when the top
+    makes fewer than two jobs (one job would gain no parallelism for the
+    start-up of a process), or when ``max_nodes`` leaves fewer nodes after
+    the top than there are jobs, the search is serial with the whole budget.
     """
     ok = len(solver.adj) > 1 and solver.neg_first is None
     state = solver.assign_presets(presets) if ok else None
     jobs = []
-    if imap is not None:
+    if workers > 1:
         top_status, top_side, top_nodes, top_conflicts, _, top_forced, jobs = solver.search(
             state, None, None, 2
         )
     if len(jobs) < 2 or (max_nodes is not None and max_nodes - top_nodes < len(jobs)):
         return solver.search(state, max_nodes, deadline)[:6]
     share = None if max_nodes is None else (max_nodes - top_nodes) // len(jobs)
-    args = [(solver.t, presets + path, share, deadline) for path, *_ in jobs]
+    fan_out = _fan_out(solver, [presets + path for path, *_ in jobs], share, deadline, workers)
     # each result comes after the top's counts at its job; the top's own result last
     marks = [counts for _, *counts in jobs] + [(top_nodes, top_conflicts, top_forced)]
-    results = itertools.chain(imap(args), [(top_status, top_side, 0, 0, 0, 0)])
     status, nodes, conflicts, max_depth, forced = EXHAUSTED, 0, 0, 0, 0
-    for (at_nodes, at_conflicts, at_forced), result in zip(marks, results):
-        job_status, side, job_nodes, job_conflicts, job_depth, job_forced = result
-        nodes += job_nodes
-        conflicts += job_conflicts
-        max_depth = max(max_depth, 2 + job_depth)
-        forced += job_forced
-        if job_status != EXHAUSTED:
-            status = job_status
-            if status == FOUND:
-                break
+    with contextlib.closing(fan_out):
+        results = itertools.chain(fan_out, [(top_status, top_side, 0, 0, 0, 0)])
+        for (at_nodes, at_conflicts, at_forced), result in zip(marks, results):
+            job_status, side, job_nodes, job_conflicts, job_depth, job_forced = result
+            nodes += job_nodes
+            conflicts += job_conflicts
+            max_depth = max(max_depth, 2 + job_depth)
+            forced += job_forced
+            if job_status != EXHAUSTED:
+                status = job_status
+                if status == FOUND:
+                    break
     return (status, side, at_nodes + nodes, at_conflicts + conflicts, max_depth, at_forced + forced)
 
 
@@ -432,17 +443,12 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
     and starts only while some is left.  A t is one ``_decide`` per case of
     ``_cases``, in order up to the first case that is not exhausted; each
     case gets what the ones before it left, which may be no node, and one
-    ``_Solver`` per t serves every case (each pool worker builds its own,
-    once per t, see ``_run_job``).
+    ``_Solver`` per t serves every case and every process it fans out to.
     ``nodes_explored``, ``conflicts``, ``propagations`` and ``wall_time``
     cover the scan, ``max_depth`` is its deepest path and ``presets``
-    counts the last t's ``_presets``.  With ``workers > 1`` the first case
-    that fans out starts one pool of ``min(workers, jobs)`` processes, which
-    serves every later case and t and is terminated when the scan ends,
-    also on an error.  Each worker gets the graph once, at its start
-    (``_pool_init``); a job carries only its t, presets, node share and
-    deadline.  A case that ends ``found`` or ``timeout`` ends the
-    scan, so no job of one case is queued when the next starts.  Raises
+    counts the last t's ``_presets``.  With ``workers > 1`` each case that
+    fans out forks its own processes and has killed them when its
+    ``_decide`` returns or raises, so no process outlives its case.  Raises
     ValueError when ``max_nodes < 1``, ``max_seconds <= 0`` or ``workers < 1``.
     """
     if max_nodes is not None and max_nodes < 1:
@@ -453,55 +459,37 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
         raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.monotonic()
     deadline = None if max_seconds is None else start + max_seconds
-    pool = None
-
-    def imap(args):
-        nonlocal pool
-        if pool is None:
-            import multiprocessing  # only a scan that fans out pays for its import
-
-            pool = multiprocessing.get_context().Pool(
-                processes=min(workers, len(args)),
-                initializer=_pool_init,
-                initargs=(g.adjacency_lists,),
-            )
-        return pool.imap(_run_job, args)
-
     nodes = conflicts = max_depth = forced = 0
-    try:
-        for t in ts:
-            presets = _presets(g, t)
-            if (max_nodes is not None and max_nodes - nodes < 1) or (
-                deadline is not None and time.monotonic() >= deadline
-            ):
-                status, side = TIMEOUT, None
-                break
-            solver = _Solver(g.adjacency_lists, t)
-            for case in _cases(g, presets):
-                nodes_left = None if max_nodes is None else max_nodes - nodes
-                status, side, c_nodes, c_conflicts, c_depth, c_forced = _decide(
-                    solver, case, nodes_left, deadline, imap if workers > 1 else None
-                )
-                nodes += c_nodes
-                conflicts += c_conflicts
-                max_depth = max(max_depth, c_depth)
-                forced += c_forced
-                if status != EXHAUSTED:
-                    break
+    for t in ts:
+        presets = _presets(g, t)
+        if (max_nodes is not None and max_nodes - nodes < 1) or (
+            deadline is not None and time.monotonic() >= deadline
+        ):
+            status, side = TIMEOUT, None
+            break
+        solver = _Solver(g.adjacency_lists, t)
+        for case in _cases(g, presets):
+            nodes_left = None if max_nodes is None else max_nodes - nodes
+            status, side, c_nodes, c_conflicts, c_depth, c_forced = _decide(
+                solver, case, nodes_left, deadline, workers
+            )
+            nodes += c_nodes
+            conflicts += c_conflicts
+            max_depth = max(max_depth, c_depth)
+            forced += c_forced
             if status != EXHAUSTED:
                 break
-        details = {
-            "t": t,
-            "workers": workers,
-            "presets": len(presets),
-            "conflicts": conflicts,
-            "max_depth": max_depth,
-            "propagations": forced,
-        }
-        return t, _result(g, t, start, status, side, nodes, details)
-    finally:
-        if pool is not None:
-            pool.terminate()
+        if status != EXHAUSTED:
+            break
+    details = {
+        "t": t,
+        "workers": workers,
+        "presets": len(presets),
+        "conflicts": conflicts,
+        "max_depth": max_depth,
+        "propagations": forced,
+    }
+    return t, _result(g, t, start, status, side, nodes, details)
 
 
 def exhaustive_exists(
@@ -515,24 +503,26 @@ def exhaustive_exists(
     """Decide whether a t-internal partition exists, with optional budgets.
 
     The one-t case of the scan that ``exhaustive_max_intimacy`` runs (see
-    ``_scan``): one node budget, one deadline, at most one pool and one
-    ``_Solver``, which serves both torus cases.  With ``workers > 1`` the
-    top two branching levels below each case's presets fan out to a pool of
-    at most one process per job, so at most four; a top that yields fewer
-    than two jobs, or a ``max_nodes`` that leaves fewer than one node per
-    job after the top, is searched serially on the same solver, as with one
-    worker.  Without budgets the status, witness and counts do not depend
-    on ``workers``.  ``max_seconds`` is one deadline for the whole call,
-    shared by every job (``time.monotonic`` is system-wide, so pool workers
-    read the same clock).  ``max_nodes`` is one budget too: each of the k
-    jobs gets a k-th of what the tries above the jobs leave and, like a
+    ``_scan``): one node budget, one deadline and one ``_Solver``, which
+    serves both torus cases.  With ``workers > 1`` the top two branching
+    levels below each case's presets make at most four jobs, which run in
+    ``min(workers, jobs)`` forked processes that inherit the solver; a
+    process that ends before its results is a RuntimeError.  A top that
+    yields fewer than two jobs, or a ``max_nodes`` that leaves fewer than
+    one node per job after the top, is searched serially on the same
+    solver, as with one worker.  Without budgets the status, witness and
+    counts do not depend on ``workers``.  ``max_seconds`` is one deadline
+    for the whole call, shared by every job (``time.monotonic`` is
+    system-wide, so every process reads the same clock).  ``max_nodes`` is
+    one budget too: each of the k jobs gets a k-th of what the tries above
+    the jobs leave and, like a
     single worker, stops at its share plus one.  ``details`` carries
     ``presets`` (the size of the symmetry presets, 1 or 5, see
     ``_presets``; the torus cases of ``_cases`` add one line, or (q-1)^2
     lines, to the 5 and are not counted), ``conflicts`` (branches whose
     propagation failed), ``propagations`` (vertices forced in the other
     branches) and ``max_depth`` (the most branching levels on one path,
-    counting the two fanned-out levels above each pool job).
+    counting the two fanned-out levels above each job).
 
     Raises ValueError when ``max_nodes < 1``, ``max_seconds <= 0`` or
     ``workers < 1``.
@@ -556,8 +546,8 @@ def exhaustive_max_intimacy(
     ``(None, result)`` on a budget timeout.  It runs ``_scan``, as
     ``exhaustive_exists`` does for one t: one node budget and one deadline
     for the whole scan, each t getting what the ones before it left, counts
-    and ``wall_time`` over the whole scan, and with ``workers > 1`` one pool,
-    started at the first t that fans out.
+    and ``wall_time`` over the whole scan, and with ``workers > 1`` the
+    processes of each fan-out killed before the scan goes on.
     """
     if g.n < 2:
         raise ValueError("need at least two vertices to partition")

@@ -479,7 +479,7 @@ def reference_anneal(g: Graph, t: int, params=None, init=None) -> SearchResult:
 
 
 # -- the recursive branch and bound --------------------------------------------------
-# ``planepart.search._solve`` must visit the same tree: the same status, node
+# ``planepart.search._Solver.search`` must visit the same tree: the same status, node
 # count and witness from every start.
 
 _BUDGET_CHECK_MASK = 0x3FF

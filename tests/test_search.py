@@ -2,11 +2,14 @@
 
 import itertools
 import multiprocessing
-import pickle
+import os
 import random
+import signal
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,6 @@ from planepart.search import (
     _Solver,
     _cases,
     _presets,
-    _solve,
     anneal_search,
     brute_force_exists,
     exhaustive_exists,
@@ -51,18 +53,23 @@ def untagged(g):
 
 
 class RecordingContext:
-    """A multiprocessing context that records the size of every pool it starts."""
+    """A multiprocessing context that records how many processes each fan-out starts.
+
+    A fan-out asks for one context, so each context appends one count.
+    """
 
     def __init__(self, ctx, sizes):
         self.ctx = ctx
         self.sizes = sizes
+        self.Pipe = ctx.Pipe
+        sizes.append(0)
 
-    def Pool(self, processes, **kwargs):
-        self.sizes.append(processes)
-        return self.ctx.Pool(processes=processes, **kwargs)
+    def Process(self, **kwargs):
+        self.sizes[-1] += 1
+        return self.ctx.Process(**kwargs)
 
 
-def record_pools(monkeypatch):
+def record_forks(monkeypatch):
     sizes = []
     get_context = multiprocessing.get_context
     monkeypatch.setattr(
@@ -113,24 +120,26 @@ def test_k33_no_0_internal():
 
 
 def test_workers_agree_with_single(monkeypatch):
-    sizes = record_pools(monkeypatch)
+    sizes = record_forks(monkeypatch)
     # at t = 0 the 5-vertex graph's first level holds a leaf beside two
-    # jobs, and the jobs still go to a pool; PG(2,2) at t = 0 fans out only
-    # in the second torus case, the first being exhausted by its presets
+    # jobs, and the jobs still fan out; PG(2,2) at t = 0 fans out only in
+    # the second torus case, the first being exhausted by its presets
     leaf = Graph.from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 3)])
-    for g, t in [(get_graph(2), 0), (get_graph(3), 0), (get_graph(5), 1), (leaf, 0)]:
-        solo = exhaustive_exists(g, t)
-        pooled = exhaustive_exists(g, t, workers=2)
-        assert (pooled.status, pooled.nodes_explored) == (solo.status, solo.nodes_explored)
-        assert pooled.details == {**solo.details, "workers": 2}
-        if solo.witness is None:
-            assert pooled.witness is None
-        else:
-            assert pooled.witness.side.tolist() == solo.witness.side.tolist()
-            assert margins(g, pooled.witness).partition_intimacy >= t
-    assert (solo.status, solo.nodes_explored) == ("found", 2)
-    # one pool per call, the leaf case included
-    assert sizes == [2, 2, 2, 2]
+    for workers, forks in (2, [2, 2, 2, 2]), (3, [2, 3, 3, 2]):
+        sizes.clear()
+        for g, t in [(get_graph(2), 0), (get_graph(3), 0), (get_graph(5), 1), (leaf, 0)]:
+            solo = exhaustive_exists(g, t)
+            pooled = exhaustive_exists(g, t, workers=workers)
+            assert (pooled.status, pooled.nodes_explored) == (solo.status, solo.nodes_explored)
+            assert pooled.details == {**solo.details, "workers": workers}
+            if solo.witness is None:
+                assert pooled.witness is None
+            else:
+                assert pooled.witness.side.tolist() == solo.witness.side.tolist()
+                assert margins(g, pooled.witness).partition_intimacy >= t
+        assert (solo.status, solo.nodes_explored) == ("found", 2)
+        # one fan-out per call, the leaf case included, of at most one process per job
+        assert sizes == forks
 
 
 def test_node_budget_times_out():
@@ -170,7 +179,7 @@ def test_deep_search_leaves_the_recursion_limit_alone():
 
 
 def test_search_needs_no_recursion():
-    # the search is a loop over an explicit stack, also in pool workers
+    # the search is a loop over an explicit stack, also in fan-out processes
     n = 1200
     path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
     before = sys.getrecursionlimit()
@@ -191,11 +200,11 @@ def test_search_needs_no_recursion():
 
 
 def test_degenerate_frontier_runs_the_serial_search(monkeypatch):
-    # the pooled call starts no pool and runs the serial search with the
+    # the pooled call starts no process and runs the serial search with the
     # whole node budget: K3 at t=0 has no jobs at the top of the tree, and
     # PG(2,4) at t=0 has four, but its top takes 6 nodes, more than a
     # budget of 3 leaves them
-    sizes = record_pools(monkeypatch)
+    sizes = record_forks(monkeypatch)
     cases = [(complete_graph(3), 10, 0, "exhausted_none"), (get_graph(4), 3, 4, "timeout")]
     for g, max_nodes, jobs, status in cases:
         assert len(top_jobs(g.adjacency_lists, 0, _presets(g, 0))) == jobs
@@ -208,7 +217,7 @@ def test_degenerate_frontier_runs_the_serial_search(monkeypatch):
 
 
 def test_pool_is_sized_to_its_jobs(monkeypatch):
-    sizes = record_pools(monkeypatch)
+    sizes = record_forks(monkeypatch)
     # PG(2,3) at t=1 has four jobs below vertex 0 alone: six workers start
     # four processes; PG(2,5) at t=1 has four in its first torus case, and
     # its second fails at its presets; the leaf graph at t=0 has two jobs
@@ -226,9 +235,9 @@ def test_pool_is_sized_to_its_jobs(monkeypatch):
 
 
 def test_a_one_job_top_runs_the_serial_search(monkeypatch):
-    # the top of this graph's tree makes one job: a pool would run it in one
-    # process beside this one, so the pooled call runs the serial search
-    sizes = record_pools(monkeypatch)
+    # the top of this graph's tree makes one job: a fan-out would run it in
+    # one process beside this one, so the pooled call runs the serial search
+    sizes = record_forks(monkeypatch)
     edges = [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 5), (3, 4), (4, 5)]
     g = Graph.from_edges(6, edges)
     (path, *counts), = top_jobs(g.adjacency_lists, 0, [(0, 0)])
@@ -241,18 +250,20 @@ def test_a_one_job_top_runs_the_serial_search(monkeypatch):
     assert sizes == []
 
 
-def test_max_intimacy_scan_starts_one_pool(monkeypatch):
-    # the untagged PG(2,3) scan fans out at t = 1 (exhausted) and t = 0 (found)
-    sizes = record_pools(monkeypatch)
+def test_max_intimacy_scan_forks_per_fan_out(monkeypatch):
+    # the untagged PG(2,3) scan fans out at t = 1 (exhausted) and t = 0
+    # (found), and each fan-out starts two processes of its own
+    sizes = record_forks(monkeypatch)
     g = untagged(get_graph(3))
     assert [len(top_jobs(g.adjacency_lists, t, [(0, 0)])) for t in (1, 0)] == [4, 4]
     best, res = exhaustive_max_intimacy(g, workers=2)
     assert (best, res.status) == (0, "found")
-    assert sizes == [2]
+    assert sizes == [2, 2]
+    assert multiprocessing.active_children() == []
 
 
 def test_pooled_scan_is_reproducible():
-    # pool results are read in frontier order, so the first job to find a
+    # fan-out results are read in frontier order, so the first job to find a
     # witness is the same on every run, and it holds the serial witness
     g = untagged(get_graph(4))
     solo_t, solo = exhaustive_max_intimacy(g)
@@ -384,7 +395,7 @@ def test_solver_counters():
         assert res.nodes_explored == counts[0]
         assert res.details["conflicts"] == counts[1]
         assert res.details["max_depth"] == counts[2]
-        # the pool's counts include the two levels its jobs fan out from
+        # the pooled counts include the two levels its jobs fan out from
         assert _counts(exhaustive_exists(g, 1, workers=2)) == _counts(res)
 
 
@@ -397,49 +408,83 @@ def test_pooled_counts_are_the_serial_counts():
     assert _counts(exhaustive_exists(g, 1, workers=2)) == _counts(solo)
 
 
-def test_pool_jobs_carry_no_graph(monkeypatch):
-    # a pool worker holds the adjacency from the pool's initializer, so a job
-    # is only (t, presets, node share, deadline), and it keeps one solver for
-    # the jobs of a t; run here in this process
+def test_fan_out_processes_build_no_solver(monkeypatch, tmp_path):
+    # a fan-out process inherits the solver of its t, rows and all: a spy
+    # leaves a marker file for each process that runs jobs, and one for each
+    # solver built outside this process (none)
+    pid = os.getpid()
+    init, jobs = _Solver.__init__, search_module._jobs
+
+    def spy_init(self, adj, t):
+        if os.getpid() != pid:
+            (tmp_path / f"solver-{os.getpid()}").touch()
+        init(self, adj, t)
+
+    def spy_jobs(*args):
+        if os.getpid() != pid:
+            (tmp_path / f"jobs-{os.getpid()}").touch()
+        jobs(*args)
+
+    monkeypatch.setattr(_Solver, "__init__", spy_init)
+    monkeypatch.setattr(search_module, "_jobs", spy_jobs)
     g = untagged(get_graph(3))
-    for name in ("_pool_adj", "_pool_solver"):
-        monkeypatch.setattr(search_module, name, None)  # restored after the test
-    search_module._pool_init(g.adjacency_lists)
-    jobs = []
+    pooled = exhaustive_exists(g, 1, workers=2)
+    assert _counts(pooled) == _counts(exhaustive_exists(g, 1))
+    names = sorted(path.name.split("-")[0] for path in tmp_path.iterdir())
+    assert names == ["jobs", "jobs"]
 
-    def imap(args):
-        jobs.extend(args)
-        return map(search_module._run_job, args)
 
-    solver = _Solver(g.adjacency_lists, 1)
-    builds = []
-    init = _Solver.__init__
-
-    def spy(self, *args):
-        builds.append(args[1])
-        init(self, *args)
-
-    monkeypatch.setattr(_Solver, "__init__", spy)
-    pooled = search_module._decide(solver, [(0, 0)], None, None, imap)
-    assert builds == [1]
-    assert pooled == search_module._decide(solver, [(0, 0)], None, None, None)
-    assert len(jobs) == 4
-    assert all(len(job) == 4 and job[0] == 1 and job[2:] == (None, None) for job in jobs)
-    assert max(len(pickle.dumps(job)) for job in jobs) < 200
+def test_a_dying_fan_out_process_is_an_error():
+    # process 0 of each fan-out exits with code 3 before its first result,
+    # and with three workers processes 1 and 2 hang: the search raises, and
+    # every process is killed and joined; a hang fails on the timeout
+    code = (
+        "import multiprocessing, os, time\n"
+        "import planepart.search as search\n"
+        "from planepart.reproduce import _graph\n"
+        "def die(solver, jobs, *args):\n"
+        "    if len(jobs) == 2:\n"
+        "        os._exit(3)\n"
+        "    time.sleep(600)\n"
+        "search._jobs = die\n"
+        "for workers in (2, 3):\n"
+        "    try:\n"
+        "        search.exhaustive_exists(_graph(5), 1, workers=workers)\n"
+        "    except RuntimeError as exc:\n"
+        "        print(exc)\n"
+        "    print(multiprocessing.active_children())\n"
+    )
+    # the child imports the planepart that this test imports
+    src = str(Path(pp.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == 0
+    assert out == "a search process ended with exit code 3\n[]\n" * 2
 
 
 def test_pooled_witness_is_the_serial_witness():
-    # PG(2,7) and PG(2,9) t=1 are found in the first torus case: the pool
-    # reads its jobs in the order the serial search visits them, so the
-    # first job with a witness holds the serial one
+    # PG(2,7) and PG(2,9) t=1 are found in the first torus case: the jobs
+    # are read in the order the serial search visits them, so the first job
+    # with a witness holds the serial one; with three workers the four jobs
+    # split unevenly, process 0 running jobs 0 and 3
     for q, counts in [(7, ("found", 52, 20, 21, 170)), (9, ("found", 489, 211, 88, 563))]:
         g = get_graph(q)
         assert len(top_jobs(g.adjacency_lists, 1, _cases(g, _presets(g, 1))[0])) == 4
         solo = exhaustive_exists(g, 1)
-        pooled = exhaustive_exists(g, 1, workers=2)
-        assert _counts(pooled) == _counts(solo) == counts
-        assert pooled.witness.side.tolist() == solo.witness.side.tolist()
-        assert margins(g, pooled.witness).partition_intimacy >= 1
+        for workers in (2, 3):
+            pooled = exhaustive_exists(g, 1, workers=workers)
+            assert _counts(pooled) == _counts(solo) == counts
+            assert pooled.witness.side.tolist() == solo.witness.side.tolist()
+            assert margins(g, pooled.witness).partition_intimacy >= 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -456,7 +501,7 @@ def test_one_t_scan_is_the_single_t_search(workers):
 
 
 def test_pool_stops_when_a_pooled_search_raises(monkeypatch):
-    sizes = record_pools(monkeypatch)
+    sizes = record_forks(monkeypatch)
 
     def fail(*args, **kwargs):
         raise RuntimeError("planted")
@@ -469,7 +514,36 @@ def test_pool_stops_when_a_pooled_search_raises(monkeypatch):
         with pytest.raises(RuntimeError, match="planted"):
             scan(get_graph(5))
         assert multiprocessing.active_children() == []
-    assert sizes == [2, 2]
+    # the planted error comes after every fan-out has ended: one for the
+    # single t, and one at each of t = 1 and 0 for the scan
+    assert sizes == [2, 2, 2]
+
+
+class Interrupted(Exception):
+    pass
+
+
+def test_an_error_while_the_fan_out_waits_kills_its_processes(monkeypatch):
+    # the processes sleep and send nothing; an alarm raises in this process
+    # while it waits for the first result
+    sizes = record_forks(monkeypatch)
+    monkeypatch.setattr(search_module, "_jobs", lambda *args: time.sleep(10))
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    old = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        with pytest.raises(Interrupted):
+            exhaustive_exists(get_graph(5), 1, workers=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert time.monotonic() - start < 8
+    assert multiprocessing.active_children() == []
+    assert sizes == [2]
 
 
 def test_propagations_sum_over_pool_jobs_and_scans():
@@ -483,7 +557,7 @@ def test_propagations_sum_over_pool_jobs_and_scans():
     *top, jobs = solver.search(solver.assign_presets(first), None, None, split=2)
     top_propagations = top[5]
     pooled = exhaustive_exists(g, 1, workers=2)
-    per_job = [_solve(adj, 1, first + path, None, None)[5] for path, *_ in jobs]
+    per_job = [_fresh_search(adj, 1, first + path, None, None)[5] for path, *_ in jobs]
     assert len(per_job) == 4
     assert pooled.details["propagations"] == top_propagations + sum(per_job)
     # the scan decides t = 3, 2, 1 and 0
@@ -540,7 +614,7 @@ def test_one_solver_runs_every_search_at_its_t():
 
 
 def test_one_solver_per_t_in_the_calling_process(monkeypatch):
-    # the t of each solver this process builds; pool jobs build theirs elsewhere
+    # the t of each solver this process builds; fan-out processes inherit it
     built = []
     init = _Solver.__init__
 
@@ -566,7 +640,7 @@ def test_one_solver_per_t_in_the_calling_process(monkeypatch):
 
 
 def _assert_same_solve(adj, t, presets, max_nodes):
-    got = _solve(adj, t, presets, max_nodes, None)
+    got = _fresh_search(adj, t, presets, max_nodes, None)
     assert got[:3] == reference_solve(adj, t, presets, max_nodes, None)
 
 
@@ -623,7 +697,7 @@ def test_torus_split_keeps_every_status(q):
     g = get_graph(q)
     for t in scan_range(g):
         max_nodes = 50_000 if (q, t) == (7, 1) else None
-        bare = _solve(g.adjacency_lists, t, _presets(g, t), max_nodes, None)[0]
+        bare = _fresh_search(g.adjacency_lists, t, _presets(g, t), max_nodes, None)[0]
         assert exhaustive_exists(g, t).status == bare
 
 
@@ -665,7 +739,7 @@ def test_solver_pins_the_plane_trees():
         (7, 50_000, ("found", 312, 137, 48, 378)),
     ]:
         g = get_graph(q)
-        status, side, *counts = _solve(g.adjacency_lists, 1, _presets(g, 1), max_nodes, None)
+        status, side, *counts = _fresh_search(g.adjacency_lists, 1, _presets(g, 1), max_nodes, None)[:6]
         assert (status, *counts) == want
         if side is not None:
             part = pp.Partition(side=np.asarray(side, dtype=np.uint8))
@@ -705,7 +779,7 @@ def test_propagations_match_the_reference_on_planes(q):
     g = get_graph(q)
     for t in range(-2, 3):
         for presets in [(0, 0)], _presets(g, t):
-            got = _solve(g.adjacency_lists, t, presets, 10_000, None)[5]
+            got = _fresh_search(g.adjacency_lists, t, presets, 10_000, None)[5]
             assert got == reference_propagations(g.adjacency_lists, t, presets, 10_000)
 
 
@@ -717,7 +791,7 @@ def test_propagations_match_the_reference_on_small_graphs(data):
     vertex = st.integers(0, g.n - 1)
     presets = [(0, 0)] + data.draw(st.lists(st.tuples(vertex, st.integers(0, 1)), max_size=3))
     max_nodes = data.draw(st.one_of(st.none(), st.integers(1, 40)))
-    got = _solve(g.adjacency_lists, t, presets, max_nodes, None)[5]
+    got = _fresh_search(g.adjacency_lists, t, presets, max_nodes, None)[5]
     assert got == reference_propagations(g.adjacency_lists, t, presets, max_nodes)
 
 
