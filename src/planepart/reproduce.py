@@ -46,6 +46,7 @@ from .search import (
     FOUND,
     TIMEOUT,
     AnnealParams,
+    _fan_out,
     anneal_search,
     brute_force_exists,
     exhaustive_exists,
@@ -331,24 +332,33 @@ def _solver_vs_oracle(outdir: str, graphs: int, vertices: int, t_values: list, s
 
 
 def _anneal_cli(outdir: str, orders: list, t: int, seed: int):
-    """Tabu search on q=5 and q=7 at t=1: reproducible seed-stamped records."""
+    """Tabu search on q=5 and q=7 at t=1: reproducible seed-stamped records.
+
+    Run 2 of each q is made in one forked process while this one makes
+    run 1 of each; every check reads the files here.
+    """
+
+    def argv(q, i):
+        path = os.path.join(outdir, f"criterion9-anneal-q{q}-run{i}.json")
+        return [
+            "search", "anneal", "--q", str(q), "--t", str(t), "--seed", str(seed), "--out", path,
+        ]
+
+    with contextlib.closing(_fan_out(_run_cli, [argv(q, 2) for q in orders], 1)) as reruns:
+        firsts = [_run_cli(argv(q, 1)) for q in orders]
+        seconds = list(reruns)
     failures = []
     runs = []
     statuses = {}
-    for q in orders:
+    for q, *pair in zip(orders, firsts, seconds):
         docs = []
-        for i in (1, 2):
-            path = os.path.join(outdir, f"criterion9-anneal-q{q}-run{i}.json")
-            argv = [
-                "search", "anneal", "--q", str(q), "--t", str(t), "--seed", str(seed),
-                "--out", path,
-            ]
-            rc, wall = _run_cli(argv)
+        for i, (rc, wall) in enumerate(pair, 1):
             if rc != 0:
                 failures.append(f"q={q}: exit code {rc}")
                 continue
-            docs.append(_strip_wall(_read_json(path)))
-            runs.append((argv, {"q": q, "t": t, "seed": seed}, docs[-1], wall))
+            run = argv(q, i)
+            docs.append(_strip_wall(_read_json(run[-1])))
+            runs.append((run, {"q": q, "t": t, "seed": seed}, docs[-1], wall))
         if len(docs) != 2:
             continue
         if docs[0] != docs[1]:

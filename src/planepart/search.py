@@ -40,7 +40,11 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
+import pickle
 import random
+import signal
+import sys
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -278,48 +282,99 @@ class _Solver:
         return (status, side, nodes, conflicts, max_depth, forced, jobs)
 
 
-def _jobs(solver, jobs, max_nodes, deadline, conn):
-    """In a fan-out process: search each preset list of ``jobs`` in order, sending each result."""
-    for presets in jobs:
-        conn.send(solver.search(solver.assign_presets(presets), max_nodes, deadline)[:6])
+class _FanOut:
+    """The results of one fan-out, in job order; ``close`` kills and reaps its processes."""
+
+    def __init__(self, n):
+        self.n, self.i = n, 0
+        self.pids, self.readers = [], []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.i == self.n:
+            raise StopIteration
+        k = self.i % len(self.readers)
+        head = self.readers[k].read(8)
+        size = int.from_bytes(head, "little")
+        body = self.readers[k].read(size)
+        if len(head) < 8 or len(body) < size:
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pids[k], 0)[1])
+            self.pids[k] = None
+            raise RuntimeError(f"a fan-out process ended with exit code {code}")
+        self.i += 1
+        return pickle.loads(body)
+
+    def close(self):
+        live = [pid for pid in self.pids if pid is not None]
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+        for pid in live:
+            os.waitpid(pid, 0)
+        self.pids = [None] * len(self.pids)
+        for reader in self.readers:
+            reader.close()
 
 
-def _fan_out(solver, jobs, max_nodes, deadline, workers):
-    """Yield the results of ``jobs``, preset lists, in order, each searched in a child process.
+def _serve(fn, jobs, fd):
+    """A fan-out process: ``fn`` on each of ``jobs`` in order, each result framed onto ``fd``.
 
-    ``w = min(workers, len(jobs))`` forked processes inherit ``solver``,
-    rows and all; process k searches jobs k, k + w, ... with ``max_nodes``
-    each (``_jobs``) and sends each 6-tuple on a pipe of its own.  Closing
-    the generator kills and joins every process.  Raises RuntimeError when
-    a process ends before it sends a result.
+    Never returns, also on an exception: the process must not unwind into
+    the caller's frames, and ``os._exit`` runs no exit handler and flushes
+    no buffer that the process inherited.
     """
-    import multiprocessing  # only a search that fans out pays for its import
+    code = 0
+    try:
+        with open(fd, "wb") as out:
+            for job in jobs:
+                body = pickle.dumps(fn(job))
+                out.write(len(body).to_bytes(8, "little") + body)
+                out.flush()
+    except BaseException:
+        code = 1
+        import traceback
 
-    ctx = multiprocessing.get_context("fork")
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _fan_out(fn, jobs, workers):
+    """An iterator of ``fn(job)`` for each of ``jobs``, in order, each run in a forked process.
+
+    ``w = min(workers, len(jobs))`` processes are forked by this call, so
+    the caller can work while they run.  They inherit the caller's memory
+    (a search's ``_Solver``, rows and all), so nothing is sent to them:
+    process k calls ``fn`` on jobs k, k + w, ... and sends each result on a
+    one-way pipe of its own (``_serve``).  The standard streams are flushed
+    before the forks, so no process holds a copy of their buffers.  Closing
+    the iterator SIGKILLs and reaps every process.  A pipe that ends before
+    a whole result arrives is a RuntimeError naming the process's exit code.
+    This is the package's one fork code path, also behind criterion 9 of
+    ``reproduce-paper``; it imports no process-pool library, whose import
+    alone raised the peak memory of that run.
+    """
     w = min(workers, len(jobs))
-    procs, pipes = [], []
+    results = _FanOut(len(jobs))
+    sys.stdout.flush()
+    sys.stderr.flush()
     try:
         for k in range(w):
-            recv, send = ctx.Pipe(duplex=False)
-            pipes.append(recv)
-            args = (solver, jobs[k::w], max_nodes, deadline, send)
-            proc = ctx.Process(target=_jobs, args=args, daemon=True)
-            proc.start()
-            procs.append(proc)
-            send.close()  # the child's copy alone keeps the pipe open
-        for i in range(len(jobs)):
+            recv, send = os.pipe()
+            results.readers.append(open(recv, "rb"))
             try:
-                yield pipes[i % w].recv()
-            except EOFError:
-                procs[i % w].join()
-                code = procs[i % w].exitcode
-                raise RuntimeError(f"a search process ended with exit code {code}") from None
-    finally:
-        for proc in procs:
-            proc.kill()
-            proc.join()
-        for recv in pipes:
-            recv.close()
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, jobs[k::w], send)
+            finally:
+                os.close(send)  # the child's copy alone keeps the pipe open
+            results.pids.append(pid)
+    except BaseException:
+        results.close()
+        raise
+    return results
 
 
 def _presets(g: Graph, t: int) -> list[tuple[int, int]]:
@@ -399,7 +454,11 @@ def _decide(solver, presets, max_nodes, deadline, workers):
     if len(jobs) < 2 or (max_nodes is not None and max_nodes - top_nodes < len(jobs)):
         return solver.search(state, max_nodes, deadline)[:6]
     share = None if max_nodes is None else (max_nodes - top_nodes) // len(jobs)
-    fan_out = _fan_out(solver, [presets + path for path, *_ in jobs], share, deadline, workers)
+
+    def job(job_presets):
+        return solver.search(solver.assign_presets(job_presets), share, deadline)[:6]
+
+    fan_out = _fan_out(job, [presets + path for path, *_ in jobs], workers)
     # each result comes after the top's counts at its job; the top's own result last
     marks = [counts for _, *counts in jobs] + [(top_nodes, top_conflicts, top_forced)]
     status, nodes, conflicts, max_depth, forced = EXHAUSTED, 0, 0, 0, 0

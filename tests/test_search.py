@@ -1,7 +1,7 @@
 """Branch and bound vs unpruned ground truth, plus annealing behavior."""
 
+import contextlib
 import itertools
-import multiprocessing
 import os
 import random
 import signal
@@ -52,30 +52,27 @@ def untagged(g):
     return Graph(g.indptr, g.indices, n_left=g.n_left)
 
 
-class RecordingContext:
-    """A multiprocessing context that records how many processes each fan-out starts.
-
-    A fan-out asks for one context, so each context appends one count.
-    """
-
-    def __init__(self, ctx, sizes):
-        self.ctx = ctx
-        self.sizes = sizes
-        self.Pipe = ctx.Pipe
-        sizes.append(0)
-
-    def Process(self, **kwargs):
-        self.sizes[-1] += 1
-        return self.ctx.Process(**kwargs)
-
-
 def record_forks(monkeypatch):
+    """Count the ``os.fork`` calls of each fan-out: one count per ``_fan_out`` call."""
     sizes = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(
-        multiprocessing, "get_context", lambda *args: RecordingContext(get_context(*args), sizes)
-    )
+    fan_out, fork = search_module._fan_out, os.fork
+
+    def counted_fan_out(*args):
+        sizes.append(0)
+        return fan_out(*args)
+
+    def counted_fork():
+        sizes[-1] += 1
+        return fork()
+
+    monkeypatch.setattr(search_module, "_fan_out", counted_fan_out)
+    monkeypatch.setattr(os, "fork", counted_fork)
     return sizes
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_pg2_3_no_1_internal():
@@ -259,7 +256,7 @@ def test_max_intimacy_scan_forks_per_fan_out(monkeypatch):
     best, res = exhaustive_max_intimacy(g, workers=2)
     assert (best, res.status) == (0, "found")
     assert sizes == [2, 2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_pooled_scan_is_reproducible():
@@ -410,49 +407,92 @@ def test_pooled_counts_are_the_serial_counts():
 
 def test_fan_out_processes_build_no_solver(monkeypatch, tmp_path):
     # a fan-out process inherits the solver of its t, rows and all: a spy
-    # leaves a marker file for each process that runs jobs, and one for each
+    # leaves a marker file for each process that searches, and one for each
     # solver built outside this process (none)
     pid = os.getpid()
-    init, jobs = _Solver.__init__, search_module._jobs
+    init, search = _Solver.__init__, _Solver.search
 
     def spy_init(self, adj, t):
         if os.getpid() != pid:
             (tmp_path / f"solver-{os.getpid()}").touch()
         init(self, adj, t)
 
-    def spy_jobs(*args):
+    def spy_search(self, *args):
         if os.getpid() != pid:
-            (tmp_path / f"jobs-{os.getpid()}").touch()
-        jobs(*args)
+            (tmp_path / f"search-{os.getpid()}").touch()
+        return search(self, *args)
 
     monkeypatch.setattr(_Solver, "__init__", spy_init)
-    monkeypatch.setattr(search_module, "_jobs", spy_jobs)
+    monkeypatch.setattr(_Solver, "search", spy_search)
     g = untagged(get_graph(3))
     pooled = exhaustive_exists(g, 1, workers=2)
     assert _counts(pooled) == _counts(exhaustive_exists(g, 1))
     names = sorted(path.name.split("-")[0] for path in tmp_path.iterdir())
-    assert names == ["jobs", "jobs"]
+    assert names == ["search", "search"]
+
+
+def test_fan_out_runs_its_jobs_from_the_call_and_yields_them_in_order(tmp_path):
+    # the processes start at the call, before any result is read; two
+    # processes make the results of five jobs, read back in job order
+    marker = tmp_path / "ran"
+
+    def touch(job):
+        marker.touch()
+        return job
+
+    with contextlib.closing(search_module._fan_out(touch, ["first"], 1)) as results:
+        deadline = time.monotonic() + 30
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert marker.exists()
+        assert list(results) == ["first"]
+    with contextlib.closing(search_module._fan_out(lambda x: (x, x * x), range(5), 2)) as results:
+        assert list(results) == [(x, x * x) for x in range(5)]
+    assert_no_child_left()
+
+
+def test_a_raising_fan_out_job_is_exit_code_1(capfd):
+    # the process prints the traceback and exits with code 1; the results
+    # before its job still arrive
+    def job(x):
+        if x == 5:
+            raise ValueError("planted")
+        return x
+
+    with contextlib.closing(search_module._fan_out(job, [1, 5, 2], 2)) as results:
+        assert next(results) == 1
+        with pytest.raises(RuntimeError, match="a fan-out process ended with exit code 1"):
+            next(results)
+    assert "ValueError: planted" in capfd.readouterr().err
+    assert_no_child_left()
 
 
 def test_a_dying_fan_out_process_is_an_error():
-    # process 0 of each fan-out exits with code 3 before its first result,
-    # and with three workers processes 1 and 2 hang: the search raises, and
-    # every process is killed and joined; a hang fails on the timeout
+    # the process that runs job 0 of each fan-out exits with code 3 before
+    # its first result, and the others hang (with three workers, processes
+    # 1 and 2): the search raises, and every process is killed and reaped;
+    # a hang fails on the timeout
     code = (
-        "import multiprocessing, os, time\n"
+        "import os, time\n"
         "import planepart.search as search\n"
         "from planepart.reproduce import _graph\n"
-        "def die(solver, jobs, *args):\n"
-        "    if len(jobs) == 2:\n"
-        "        os._exit(3)\n"
-        "    time.sleep(600)\n"
-        "search._jobs = die\n"
+        "fan_out = search._fan_out\n"
+        "def dying(fn, jobs, workers):\n"
+        "    def job(presets):\n"
+        "        if presets is jobs[0]:\n"
+        "            os._exit(3)\n"
+        "        time.sleep(600)\n"
+        "    return fan_out(job, jobs, workers)\n"
+        "search._fan_out = dying\n"
         "for workers in (2, 3):\n"
         "    try:\n"
         "        search.exhaustive_exists(_graph(5), 1, workers=workers)\n"
         "    except RuntimeError as exc:\n"
         "        print(exc)\n"
-        "    print(multiprocessing.active_children())\n"
+        "    try:\n"
+        "        print(os.waitpid(-1, os.WNOHANG))\n"
+        "    except ChildProcessError:\n"
+        "        print('no child')\n"
     )
     # the child imports the planepart that this test imports
     src = str(Path(pp.__file__).parent.parent)
@@ -468,7 +508,7 @@ def test_a_dying_fan_out_process_is_an_error():
         proc.communicate()
         raise
     assert proc.returncode == 0
-    assert out == "a search process ended with exit code 3\n[]\n" * 2
+    assert out == "a fan-out process ended with exit code 3\nno child\n" * 2
 
 
 def test_pooled_witness_is_the_serial_witness():
@@ -513,7 +553,7 @@ def test_pool_stops_when_a_pooled_search_raises(monkeypatch):
     ):
         with pytest.raises(RuntimeError, match="planted"):
             scan(get_graph(5))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     # the planted error comes after every fan-out has ended: one for the
     # single t, and one at each of t = 1 and 0 for the scan
     assert sizes == [2, 2, 2]
@@ -527,7 +567,10 @@ def test_an_error_while_the_fan_out_waits_kills_its_processes(monkeypatch):
     # the processes sleep and send nothing; an alarm raises in this process
     # while it waits for the first result
     sizes = record_forks(monkeypatch)
-    monkeypatch.setattr(search_module, "_jobs", lambda *args: time.sleep(10))
+    fan_out = search_module._fan_out
+    monkeypatch.setattr(
+        search_module, "_fan_out", lambda fn, *args: fan_out(lambda job: time.sleep(10), *args)
+    )
 
     def interrupt(signum, frame):
         raise Interrupted
@@ -542,7 +585,7 @@ def test_an_error_while_the_fan_out_waits_kills_its_processes(monkeypatch):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
     assert time.monotonic() - start < 8
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert sizes == [2]
 
 
