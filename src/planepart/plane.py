@@ -426,7 +426,7 @@ def verify_subplane(pl: Plane, pts, lns, m: int) -> bool:
     return bool(distinct(pairs).size == k * (k - 1) // 2)
 
 
-def baer_decomposition(pl: Plane, sc: SingerCycle | None = None) -> BaerDecomposition:
+def baer_decomposition(pl: Plane) -> BaerDecomposition:
     """Partition points and lines into q - sqrt(q) + 1 Baer subplanes.
 
     Point classes are the orbits of the subgroup generated by the
@@ -437,10 +437,9 @@ def baer_decomposition(pl: Plane, sc: SingerCycle | None = None) -> BaerDecompos
     r = math.isqrt(q)
     if r * r != q:
         raise ValueError(f"Baer decomposition requires a square order, got q={q}")
-    sc = sc or singer_cycle(pl)
     n = pl.n
     e = q - r + 1  # subplane count; orbit length is n // e = q + r + 1
-    cycle = _single_cycle(sc.perm[:n], "point action")
+    cycle = _single_cycle(singer_cycle(pl).perm[:n], "point action")
     size = n // e
     orbits = np.sort(cycle[(np.arange(e)[:, None] + e * np.arange(size)) % n], axis=1)
     orbits = orbits[np.argsort(orbits[:, 0])]

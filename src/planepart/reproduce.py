@@ -344,7 +344,7 @@ def _anneal_cli(outdir: str, orders: list, t: int, seed: int):
             "search", "anneal", "--q", str(q), "--t", str(t), "--seed", str(seed), "--out", path,
         ]
 
-    with contextlib.closing(_fan_out(_run_cli, [argv(q, 2) for q in orders], 1)) as reruns:
+    with _fan_out(_run_cli, [argv(q, 2) for q in orders], 1) as reruns:
         firsts = [_run_cli(argv(q, 1)) for q in orders]
         seconds = list(reruns)
     failures = []

@@ -282,44 +282,10 @@ class _Solver:
         return (status, side, nodes, conflicts, max_depth, forced, jobs)
 
 
-class _FanOut:
-    """The results of one fan-out, in job order; ``close`` kills and reaps its processes."""
-
-    def __init__(self, n):
-        self.n, self.i = n, 0
-        self.pids, self.readers = [], []
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if self.i == self.n:
-            raise StopIteration
-        k = self.i % len(self.readers)
-        head = self.readers[k].read(8)
-        size = int.from_bytes(head, "little")
-        body = self.readers[k].read(size)
-        if len(head) < 8 or len(body) < size:
-            code = os.waitstatus_to_exitcode(os.waitpid(self.pids[k], 0)[1])
-            self.pids[k] = None
-            raise RuntimeError(f"a fan-out process ended with exit code {code}")
-        self.i += 1
-        return pickle.loads(body)
-
-    def close(self):
-        live = [pid for pid in self.pids if pid is not None]
-        for pid in live:
-            os.kill(pid, signal.SIGKILL)
-        for pid in live:
-            os.waitpid(pid, 0)
-        self.pids = [None] * len(self.pids)
-        for reader in self.readers:
-            reader.close()
-
-
 def _serve(fn, jobs, fd):
-    """A fan-out process: ``fn`` on each of ``jobs`` in order, each result framed onto ``fd``.
+    """A fan-out process: ``fn`` on each of ``jobs`` in order, each result pickled onto ``fd``.
 
+    The results form one pickle stream, which marks where each ends.
     Never returns, also on an exception: the process must not unwind into
     the caller's frames, and ``os._exit`` runs no exit handler and flushes
     no buffer that the process inherited.
@@ -328,8 +294,7 @@ def _serve(fn, jobs, fd):
     try:
         with open(fd, "wb") as out:
             for job in jobs:
-                body = pickle.dumps(fn(job))
-                out.write(len(body).to_bytes(8, "little") + body)
+                pickle.dump(fn(job), out)
                 out.flush()
     except BaseException:
         code = 1
@@ -341,40 +306,59 @@ def _serve(fn, jobs, fd):
         os._exit(code)
 
 
+@contextlib.contextmanager
 def _fan_out(fn, jobs, workers):
-    """An iterator of ``fn(job)`` for each of ``jobs``, in order, each run in a forked process.
+    """A ``with`` block over ``fn(job)`` for each of ``jobs``, in order, run in forked processes.
 
-    ``w = min(workers, len(jobs))`` processes are forked by this call, so
-    the caller can work while they run.  They inherit the caller's memory
-    (a search's ``_Solver``, rows and all), so nothing is sent to them:
-    process k calls ``fn`` on jobs k, k + w, ... and sends each result on a
-    one-way pipe of its own (``_serve``).  The standard streams are flushed
-    before the forks, so no process holds a copy of their buffers.  Closing
-    the iterator SIGKILLs and reaps every process.  A pipe that ends before
-    a whole result arrives is a RuntimeError naming the process's exit code.
-    This is the package's one fork code path, also behind criterion 9 of
-    ``reproduce-paper``; it imports no process-pool library, whose import
-    alone raised the peak memory of that run.
+    Entering the block forks ``w = min(workers, len(jobs))`` processes, so
+    the caller can work while they run, and binds an iterator of the
+    results in job order.  The processes inherit the caller's memory (a
+    search's ``_Solver``, rows and all), so nothing is sent to them:
+    process k calls ``fn`` on jobs k, k + w, ... and pickles each result
+    onto a one-way pipe of its own (``_serve``).  The standard streams are
+    flushed before the forks, so no process holds a copy of their buffers.
+    Leaving the block SIGKILLs and reaps every process.  A pipe that ends
+    before a whole result arrives is a RuntimeError naming the process's
+    exit code.  This is the package's one fork code path, also behind
+    criterion 9 of ``reproduce-paper``; it imports no process-pool library,
+    whose import alone raised the peak memory of that run.
     """
     w = min(workers, len(jobs))
-    results = _FanOut(len(jobs))
+    pids, readers = [], []
+
+    def results():
+        for i in range(len(jobs)):
+            k = i % w
+            try:
+                result = pickle.load(readers[k])
+            except (EOFError, pickle.UnpicklingError):
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
+                pids[k] = None
+                raise RuntimeError(f"a fan-out process ended with exit code {code}") from None
+            yield result
+
     sys.stdout.flush()
     sys.stderr.flush()
     try:
         for k in range(w):
             recv, send = os.pipe()
-            results.readers.append(open(recv, "rb"))
+            readers.append(open(recv, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
                     _serve(fn, jobs[k::w], send)
             finally:
                 os.close(send)  # the child's copy alone keeps the pipe open
-            results.pids.append(pid)
-    except BaseException:
-        results.close()
-        raise
-    return results
+            pids.append(pid)
+        yield results()
+    finally:
+        live = [pid for pid in pids if pid is not None]
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+        for pid in live:
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
 
 
 def _presets(g: Graph, t: int) -> list[tuple[int, int]]:
@@ -438,8 +422,8 @@ def _decide(solver, presets, max_nodes, deadline, workers):
     unbudgeted, cuts the jobs (see ``_Solver.search``), and ``_fan_out``
     runs them on an equal share of the nodes the top leaves.  The jobs are
     read in the serial order, each after the top's tries before it, then
-    the top's own result, up to the first witness; leaving the loop closes
-    the fan-out, which kills its processes.  With one worker, when the top
+    the top's own result, up to the first witness; leaving the fan-out's
+    ``with`` block kills its processes.  With one worker, when the top
     makes fewer than two jobs (one job would gain no parallelism for the
     start-up of a process), or when ``max_nodes`` leaves fewer nodes after
     the top than there are jobs, the search is serial with the whole budget.
@@ -458,12 +442,11 @@ def _decide(solver, presets, max_nodes, deadline, workers):
     def job(job_presets):
         return solver.search(solver.assign_presets(job_presets), share, deadline)[:6]
 
-    fan_out = _fan_out(job, [presets + path for path, *_ in jobs], workers)
     # each result comes after the top's counts at its job; the top's own result last
     marks = [counts for _, *counts in jobs] + [(top_nodes, top_conflicts, top_forced)]
     status, nodes, conflicts, max_depth, forced = EXHAUSTED, 0, 0, 0, 0
-    with contextlib.closing(fan_out):
-        results = itertools.chain(fan_out, [(top_status, top_side, 0, 0, 0, 0)])
+    with _fan_out(job, [presets + path for path, *_ in jobs], workers) as fanned:
+        results = itertools.chain(fanned, [(top_status, top_side, 0, 0, 0, 0)])
         for (at_nodes, at_conflicts, at_forced), result in zip(marks, results):
             job_status, side, job_nodes, job_conflicts, job_depth, job_forced = result
             nodes += job_nodes

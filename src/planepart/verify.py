@@ -72,13 +72,9 @@ def margins(g: Graph, partition) -> MarginReport:
         raise ValueError(f"partition covers {side.size} vertices, graph has {g.n}")
     size_a = int(np.count_nonzero(side == 0))
     size_b = g.n - size_a
-    blocks = g.vertex_blocks(_MARGIN_BLOCK)
-    if len(blocks) == 1:
-        d_own = _own_counts(g, side, 0, g.n)
-    else:
-        d_own = np.empty(g.n, dtype=np.int32)
-        for lo, hi in blocks:
-            d_own[lo:hi] = _own_counts(g, side, lo, hi)
+    d_own = np.empty(g.n, dtype=np.int32)
+    for lo, hi in g.vertex_blocks(_MARGIN_BLOCK):
+        d_own[lo:hi] = _own_counts(g, side, lo, hi)
     margin = 2 * d_own - g.degrees
     return MarginReport(
         margin=margin,

@@ -1,12 +1,12 @@
 """Branch and bound vs unpruned ground truth, plus annealing behavior."""
 
-import contextlib
 import itertools
 import os
 import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -432,21 +432,21 @@ def test_fan_out_processes_build_no_solver(monkeypatch, tmp_path):
 
 
 def test_fan_out_runs_its_jobs_from_the_call_and_yields_them_in_order(tmp_path):
-    # the processes start at the call, before any result is read; two
-    # processes make the results of five jobs, read back in job order
+    # the processes start on entering the with block, before any result is
+    # read; two processes make the results of five jobs, read back in job order
     marker = tmp_path / "ran"
 
     def touch(job):
         marker.touch()
         return job
 
-    with contextlib.closing(search_module._fan_out(touch, ["first"], 1)) as results:
+    with search_module._fan_out(touch, ["first"], 1) as results:
         deadline = time.monotonic() + 30
         while not marker.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
         assert marker.exists()
         assert list(results) == ["first"]
-    with contextlib.closing(search_module._fan_out(lambda x: (x, x * x), range(5), 2)) as results:
+    with search_module._fan_out(lambda x: (x, x * x), range(5), 2) as results:
         assert list(results) == [(x, x * x) for x in range(5)]
     assert_no_child_left()
 
@@ -459,7 +459,7 @@ def test_a_raising_fan_out_job_is_exit_code_1(capfd):
             raise ValueError("planted")
         return x
 
-    with contextlib.closing(search_module._fan_out(job, [1, 5, 2], 2)) as results:
+    with search_module._fan_out(job, [1, 5, 2], 2) as results:
         assert next(results) == 1
         with pytest.raises(RuntimeError, match="a fan-out process ended with exit code 1"):
             next(results)
@@ -587,6 +587,65 @@ def test_an_error_while_the_fan_out_waits_kills_its_processes(monkeypatch):
     assert time.monotonic() - start < 8
     assert_no_child_left()
     assert sizes == [2]
+
+
+def test_an_error_in_the_with_block_kills_the_fan_outs_processes(monkeypatch):
+    # both processes sleep and send nothing; leaving the block by an
+    # exception kills and reaps them
+    sizes = record_forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(Interrupted):
+        with search_module._fan_out(lambda job: time.sleep(600), [0, 1], 2):
+            raise Interrupted
+    assert time.monotonic() - start < 8
+    assert sizes == [2]
+    assert_no_child_left()
+
+
+class Unpicklable:
+    def __reduce__(self):
+        raise TypeError("planted")
+
+
+def test_a_result_that_fails_to_pickle_part_way_is_exit_code_1(capfd):
+    # the 300,000 bytes are on the pipe before the pickler reaches the
+    # object that raises, so the stream ends inside a result; the results
+    # before that job still arrive
+    jobs = [1, 2, [b"x" * 300_000, Unpicklable()]]
+    with search_module._fan_out(lambda job: job, jobs, 2) as results:
+        assert next(results) == 1
+        assert next(results) == 2
+        with pytest.raises(RuntimeError, match="a fan-out process ended with exit code 1"):
+            next(results)
+    assert "TypeError: planted" in capfd.readouterr().err
+    assert_no_child_left()
+
+
+def test_a_process_that_dies_inside_a_result_is_its_exit_code(tmp_path):
+    # process 1 dies while its 8 MB result fills its pipe, which this process
+    # reads only after job 0 has waited for that death: the stream ends inside
+    # the bytes (an UnpicklingError, where one that ends between results is an
+    # EOFError)
+    dying = tmp_path / "dying"
+
+    def die():
+        dying.touch()
+        os._exit(3)
+
+    def job(k):
+        if k == 1:
+            threading.Timer(0.1, die).start()
+            return b"x" * 8_000_000
+        deadline = time.monotonic() + 30
+        while not dying.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return k
+
+    with search_module._fan_out(job, [0, 1], 2) as results:
+        assert next(results) == 0
+        with pytest.raises(RuntimeError, match="a fan-out process ended with exit code 3"):
+            next(results)
+    assert_no_child_left()
 
 
 def test_propagations_sum_over_pool_jobs_and_scans():

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import planepart as pp
@@ -18,10 +19,11 @@ from planepart.spectral import (
     singular_spectrum,
 )
 
-from planepart.fields import prime_factors
+from planepart.fields import MAX_FIELD_ORDER, prime_factors
 from oracles import get_plane, reference_spectrum
 
 ALL_SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+PRIME_POWERS = [q for q in range(2, MAX_FIELD_ORDER + 1) if len(prime_factors(q)) == 1]
 
 
 @pytest.mark.parametrize("q", ALL_SMALL_ORDERS)
@@ -248,6 +250,35 @@ def test_no_1_internal_size_pair_fits_the_mixing_window_at_q8():
                 fits.append((s, k))
     assert fits == [(0, 0), (n, n)]
     assert parity_intimacy_bound(q) == 0
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_no_size_pair_fits_the_mixing_window_above_the_parity_cap(q):
+    # the q=8 check above at t = parity cap + 1, for every order: every vertex
+    # has at least own neighbours on its side, which bounds e = e(P_A, L_A) to
+    # [lo, hi], and the window is (n e - d s k)^2 <= q s k (n-s) (n-k).  The
+    # integers either side of d s k / n, clipped into [lo, hi], are the e
+    # nearest the window's centre.  int64 is exact: |n e - d s k| <= d n^2, so
+    # at q=64 the left side is below 1.3e18, and the right below 1.3e15
+    n, d = q * q + q + 1, q + 1
+    assert (d * n * n) ** 2 < 2**63
+    own = (d + 2 * (parity_intimacy_bound(q) + 1) + 1) // 2
+    k = np.arange(n + 1, dtype=np.int64)
+    fits = []
+    for s0 in range(0, n + 1, 128):
+        s = np.arange(s0, min(s0 + 128, n + 1), dtype=np.int64)[:, None]
+        lo = np.maximum(
+            np.maximum(own * s, own * k),
+            np.maximum(d * k - (d - own) * (n - s), d * s - (d - own) * (n - k)),
+        )
+        hi = np.minimum(d * s, d * k)
+        dsk = d * s * k
+        cap = q * s * k * (n - s) * (n - k)
+        fit = np.zeros(lo.shape, dtype=bool)
+        for e in (dsk // n, dsk // n + 1):
+            fit |= (n * np.clip(e, lo, hi) - dsk) ** 2 <= cap
+        fits += [(s0 + int(i), int(j)) for i, j in zip(*np.nonzero(fit & (lo <= hi)))]
+    assert fits == [(0, 0), (n, n)]
 
 
 def test_baer_edge_audit_q9():
