@@ -282,6 +282,12 @@ class _Solver:
         return (status, side, nodes, conflicts, max_depth, forced, jobs)
 
 
+# How deep this process is in nested fan-outs: 0 in the caller, 1 in a
+# process that the caller's fan-out forked, and so on; ``_serve`` sets it
+# in each fan-out process, so no caller sees it change
+_depth = 0
+
+
 def _serve(fn, jobs, fd):
     """A fan-out process: ``fn`` on each of ``jobs`` in order, each result pickled onto ``fd``.
 
@@ -290,6 +296,8 @@ def _serve(fn, jobs, fd):
     the caller's frames, and ``os._exit`` runs no exit handler and flushes
     no buffer that the process inherited.
     """
+    global _depth
+    _depth += 1
     code = 0
     try:
         with open(fd, "wb") as out:
@@ -317,11 +325,18 @@ def _fan_out(fn, jobs, workers):
     process k calls ``fn`` on jobs k, k + w, ... and pickles each result
     onto a one-way pipe of its own (``_serve``).  The standard streams are
     flushed before the forks, so no process holds a copy of their buffers.
-    Leaving the block SIGKILLs and reaps every process.  A pipe that ends
-    before a whole result arrives is a RuntimeError naming the process's
-    exit code.  This is the package's one fork code path, also behind
-    criterion 9 of ``reproduce-paper``; it imports no process-pool library,
-    whose import alone raised the peak memory of that run.
+    The processes stay in the caller's process group, so a signal sent to
+    that group reaches them.  A fan-out process that opens a fan-out of
+    its own first leads a new process group, which every process forked
+    under it shares.  Leaving the block SIGKILLs each process and then the
+    group it leads, if any, so no process forked under the block outlives
+    it, and reaps the processes.  A pipe that ends before a whole result
+    arrives is a RuntimeError naming the process's exit code.  This is the
+    package's one fork code path: ``reproduce.run`` runs criterion 9 of
+    ``reproduce-paper`` in a fan-out process while it runs criteria 1-8,
+    and criterion 9 makes its reruns in a nested one.  It imports no
+    process-pool library, whose import alone raised the peak memory of
+    that run.
     """
     w = min(workers, len(jobs))
     pids, readers = [], []
@@ -332,11 +347,14 @@ def _fan_out(fn, jobs, workers):
             try:
                 result = pickle.load(readers[k])
             except (EOFError, pickle.UnpicklingError):
-                code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
-                pids[k] = None
+                # the process stays unreaped, so a group it leads lives on
+                info = os.waitid(os.P_PID, pids[k], os.WEXITED | os.WNOWAIT)
+                code = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
                 raise RuntimeError(f"a fan-out process ended with exit code {code}") from None
             yield result
 
+    if _depth == 1:
+        os.setpgid(0, 0)
     sys.stdout.flush()
     sys.stderr.flush()
     try:
@@ -352,10 +370,13 @@ def _fan_out(fn, jobs, workers):
             pids.append(pid)
         yield results()
     finally:
-        live = [pid for pid in pids if pid is not None]
-        for pid in live:
+        for pid in pids:
+            # once killed, the process forks no more; its group, if it
+            # leads one, lives on until it is reaped
             os.kill(pid, signal.SIGKILL)
-        for pid in live:
+            with contextlib.suppress(ProcessLookupError):  # it leads no group
+                os.killpg(pid, signal.SIGKILL)
+        for pid in pids:
             os.waitpid(pid, 0)
         for reader in readers:
             reader.close()

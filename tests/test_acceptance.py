@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 import planepart as pp
 from planepart import __version__, cli, reproduce
 from planepart.cli import main
+from planepart.graphs import json_default
 
 
 @pytest.mark.parametrize("name,func", reproduce.CRITERIA, ids=[n for n, _ in reproduce.CRITERIA])
@@ -193,7 +195,8 @@ def test_criterion9_still_compares_the_reruns(tmp_path, monkeypatch):
 def test_reproduce_paper_prints_each_line_once(tmp_path):
     # stdout is a pipe, so it is block-buffered (PYTHONUNBUFFERED is
     # dropped): a fork that kept a copy of the buffer and flushed it on
-    # exit would print the earlier lines twice
+    # exit would print the earlier lines twice; criterion 9 runs forked,
+    # and its line still comes last, in table order
     src = str(Path(pp.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     env.pop("PYTHONUNBUFFERED", None)
@@ -203,7 +206,125 @@ def test_reproduce_paper_prints_each_line_once(tmp_path):
     )
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
-    for name, _ in reproduce.CRITERIA:
-        assert sum(line.startswith(f"PASS {name}:") for line in lines) == 1
-    assert sum(line.startswith("manifest written to ") for line in lines) == 1
-    assert len(lines) == len(reproduce.CRITERIA) + 1
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        f"PASS {name}" for name, _ in reproduce.CRITERIA
+    ]
+    assert lines[-1].startswith("manifest written to ")
+
+
+def test_run_writes_the_serial_manifest(tmp_path):
+    # every criterion called in this process, one after another, is the
+    # reference for everything in the manifest but the wall times
+    rows = []
+    for name, func in reproduce.CRITERIA:
+        ok, detail, records = func(str(tmp_path))
+        rows.append(
+            {"name": name, "ok": ok, "detail": detail,
+             "records": [dataclasses.asdict(r) for r in records]}
+        )
+    ref = {"artifact_version": __version__, "all_pass": True, "criteria": rows}
+    ref = json.loads(json.dumps(ref, default=json_default))
+    assert reproduce.run(outdir=str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert reproduce._strip_wall(manifest) == reproduce._strip_wall(ref)
+    assert all(c["wall_time"] > 0 for c in manifest["criteria"])
+    assert_no_child_left()
+
+
+def test_run_makes_criterion9_in_another_process(tmp_path, monkeypatch):
+    write_json = cli._write_json
+
+    def stamped(path, doc):
+        write_json(path, doc)
+        Path(path + ".pid").write_text(str(os.getpid()))
+
+    monkeypatch.setattr(cli, "_write_json", stamped)
+    assert reproduce.run(outdir=str(tmp_path)) == 0
+    pids = {
+        (q, i): int((tmp_path / f"criterion9-anneal-q{q}-run{i}.json.pid").read_text())
+        for q in ANNEAL_ORDERS
+        for i in (1, 2)
+    }
+    (first,) = {pids[q, 1] for q in ANNEAL_ORDERS}
+    (second,) = {pids[q, 2] for q in ANNEAL_ORDERS}
+    assert len({os.getpid(), first, second}) == 3
+    assert int((tmp_path / "criterion1-baer-q9.json.pid").read_text()) == os.getpid()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("name,forks", [("criterion-3", 0), ("criterion-9", 1)])
+def test_only_forks_for_a_forked_row(name, forks, tmp_path, monkeypatch):
+    # the forks of this process: none for an in-process row, one for the
+    # forked row (its reruns fork in that process)
+    fork = os.fork
+    calls = []
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert reproduce.run(outdir=str(tmp_path), only=name) == 0
+    assert len(calls) == forks
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [c["name"] for c in manifest["criteria"]] == [name]
+    assert manifest["all_pass"]
+    assert_no_child_left()
+
+
+def test_a_raising_forked_row_is_exit_code_1(tmp_path, monkeypatch, capfd):
+    def planted(outdir):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(reproduce, "CRITERIA", [("criterion-9", planted)])
+    with pytest.raises(RuntimeError, match="a fan-out process ended with exit code 1"):
+        reproduce.run(outdir=str(tmp_path))
+    assert "ValueError: planted" in capfd.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+    assert_no_child_left()
+
+
+def running(pid):
+    """Whether ``pid`` is a process that has not ended (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_an_error_in_the_table_leaves_no_rerun_running(tmp_path, monkeypatch):
+    # the forked criterion 9 forks its rerun process, which writes its pid
+    # and sleeps; criterion 1 raises in this process once that pid is
+    # written, and leaving the table's fan-out must end the rerun too
+    pid_file = tmp_path / "rerun.pid"
+    run_cli = reproduce._run_cli
+
+    def sleepy(argv):
+        if argv[-1].endswith("run2.json"):
+            (tmp_path / "pid.tmp").write_text(str(os.getpid()))
+            os.replace(tmp_path / "pid.tmp", pid_file)
+            time.sleep(600)
+        return run_cli(argv)
+
+    def planted(outdir):
+        deadline = time.monotonic() + 60
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise ValueError("planted")
+
+    monkeypatch.setattr(reproduce, "_run_cli", sleepy)
+    table = [("criterion-1", planted), ("criterion-9", CRITERION_9)]
+    monkeypatch.setattr(reproduce, "CRITERIA", table)
+    with pytest.raises(ValueError, match="planted"):
+        reproduce.run(outdir=str(tmp_path))
+    rerun = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 10
+        while running(rerun) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not running(rerun)
+    finally:
+        if running(rerun):
+            os.kill(rerun, signal.SIGKILL)
+    assert_no_child_left()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -120,7 +122,10 @@ def test_field_of_order_rejects_non_prime_powers():
 
 
 def test_make_field_rejects_out_of_range():
-    for p, h in ((2, 7), (67, 1), (2, 15)):
+    # the least power of 2 and the least prime past the cap, and a power of 2 far past it
+    bits = MAX_FIELD_ORDER.bit_length()
+    prime = next(p for p in itertools.count(MAX_FIELD_ORDER + 1) if prime_factors(p) == [p])
+    for p, h in ((2, bits), (prime, 1), (2, 2 * bits + 1)):
         with pytest.raises(ValueError, match=f"supported maximum {MAX_FIELD_ORDER}"):
             make_field(p, h)
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 import tracemalloc
 
@@ -374,8 +375,13 @@ def test_plane_of_order_rejects_bad_orders():
         plane_of_order(6)
     with pytest.raises(ValueError):
         plane_of_order(65)
+    # the least prime power past the cap that is not a prime
+    over = next(
+        q for q in itertools.count(MAX_FIELD_ORDER + 1)
+        if len(prime_factors(q)) == 1 and prime_factors(q) != [q]
+    )
     with pytest.raises(ValueError, match=f"supported maximum {MAX_FIELD_ORDER}"):
-        plane_of_order(81)
+        plane_of_order(over)
 
 
 # -- Singer cycle ---------------------------------------------------------------

@@ -451,6 +451,29 @@ def test_fan_out_runs_its_jobs_from_the_call_and_yields_them_in_order(tmp_path):
     assert_no_child_left()
 
 
+def test_fan_out_processes_stay_in_the_callers_process_group():
+    # so a signal sent to that group, as `timeout` sends one, reaches them;
+    # the caller stays in its group too
+    group = os.getpgid(0)
+    with search_module._fan_out(lambda job: os.getpgid(0), [0, 1], 2) as results:
+        assert list(results) == [group] * 2
+    assert os.getpgid(0) == group
+    assert_no_child_left()
+
+
+def test_a_nested_fan_out_shares_a_group_led_by_the_process_that_opens_it():
+    # the outer fan-out kills that group, so it reaches the nested processes
+    def outer(job):
+        with search_module._fan_out(lambda j: os.getpgid(0), [0, 1], 2) as inner:
+            return os.getpid(), os.getpgid(0), list(inner)
+
+    with search_module._fan_out(outer, [0], 1) as results:
+        ((pid, group, inner),) = list(results)
+    assert group == pid != os.getpgid(0)
+    assert inner == [pid, pid]
+    assert_no_child_left()
+
+
 def test_a_raising_fan_out_job_is_exit_code_1(capfd):
     # the process prints the traceback and exits with code 1; the results
     # before its job still arrive
@@ -464,6 +487,16 @@ def test_a_raising_fan_out_job_is_exit_code_1(capfd):
         with pytest.raises(RuntimeError, match="a fan-out process ended with exit code 1"):
             next(results)
     assert "ValueError: planted" in capfd.readouterr().err
+    assert_no_child_left()
+
+
+def test_a_fan_out_process_killed_by_a_signal_is_its_negative_number():
+    def job(x):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    with search_module._fan_out(job, [0], 1) as results:
+        with pytest.raises(RuntimeError, match="a fan-out process ended with exit code -9"):
+            next(results)
     assert_no_child_left()
 
 

@@ -83,8 +83,10 @@ def test_spectrum_exact_up_to_the_field_cap(capsys):
         rep = singular_spectrum(get_plane(q))
         assert rep.max_residual == 0
         assert rep.singular_values == [(q + 1.0, 1), (math.sqrt(q), q * q + q)]
-    assert cli.main(["spectrum", "--q", "128"]) == 2
-    assert "exceeds the supported maximum 64" in capsys.readouterr().err
+    # the least power of 2 past the cap
+    over = 2 ** MAX_FIELD_ORDER.bit_length()
+    assert cli.main(["spectrum", "--q", str(over)]) == 2
+    assert f"exceeds the supported maximum {MAX_FIELD_ORDER}" in capsys.readouterr().err
 
 
 def test_spectrum_json_round_numbers():
