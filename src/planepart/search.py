@@ -38,6 +38,7 @@ the first decides a single t.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 import math
 import os
@@ -282,24 +283,25 @@ class _Solver:
         return (status, side, nodes, conflicts, max_depth, forced, jobs)
 
 
-# How deep this process is in nested fan-outs: 0 in the caller, 1 in a
-# process that the caller's fan-out forked, and so on; ``_serve`` sets it
-# in each fan-out process, so no caller sees it change
-_depth = 0
+_PR_SET_PDEATHSIG = 1  # the prctl option, from <linux/prctl.h>
 
 
-def _serve(fn, jobs, fd):
+def _serve(fn, jobs, fd, parent):
     """A fan-out process: ``fn`` on each of ``jobs`` in order, each result pickled onto ``fd``.
 
-    The results form one pickle stream, which marks where each ends.
-    Never returns, also on an exception: the process must not unwind into
-    the caller's frames, and ``os._exit`` runs no exit handler and flushes
-    no buffer that the process inherited.
+    The process first has the kernel SIGKILL it when the thread that forked
+    it ends, and exits if ``parent``, the caller's pid, ended before that.
+    The results form one pickle stream, which marks where each ends.  Never
+    returns, also on an exception (a failed ``prctl`` too): the process
+    must not unwind into the caller's frames, and ``os._exit`` runs no exit
+    handler and flushes no buffer that the process inherited.
     """
-    global _depth
-    _depth += 1
     code = 0
     try:
+        if ctypes.CDLL(None, use_errno=True).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+            raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+        if os.getppid() != parent:
+            os._exit(0)
         with open(fd, "wb") as out:
             for job in jobs:
                 pickle.dump(fn(job), out)
@@ -326,17 +328,14 @@ def _fan_out(fn, jobs, workers):
     onto a one-way pipe of its own (``_serve``).  The standard streams are
     flushed before the forks, so no process holds a copy of their buffers.
     The processes stay in the caller's process group, so a signal sent to
-    that group reaches them.  A fan-out process that opens a fan-out of
-    its own first leads a new process group, which every process forked
-    under it shares.  Leaving the block SIGKILLs each process and then the
-    group it leads, if any, so no process forked under the block outlives
-    it, and reaps the processes.  A pipe that ends before a whole result
-    arrives is a RuntimeError naming the process's exit code.  This is the
-    package's one fork code path: ``reproduce.run`` runs criterion 9 of
-    ``reproduce-paper`` in a fan-out process while it runs criteria 1-8,
-    and criterion 9 makes its reruns in a nested one.  It imports no
-    process-pool library, whose import alone raised the peak memory of
-    that run.
+    that group reaches them, and the kernel SIGKILLs each when the thread
+    that forked it ends (Linux only); the block is opened and left on that
+    one thread.  Leaving the block SIGKILLs and reaps the processes, and
+    each takes the processes it forked with it.  A pipe that ends before a
+    whole result arrives is a RuntimeError naming the process's exit code.
+    This is the package's one fork code path: ``reproduce.run`` runs
+    criterion 9 of ``reproduce-paper`` in a fan-out process while it runs
+    criteria 1-8, and criterion 9 makes its reruns in a nested one.
     """
     w = min(workers, len(jobs))
     pids, readers = [], []
@@ -347,14 +346,13 @@ def _fan_out(fn, jobs, workers):
             try:
                 result = pickle.load(readers[k])
             except (EOFError, pickle.UnpicklingError):
-                # the process stays unreaped, so a group it leads lives on
+                # WNOWAIT leaves the process for the finally clause to reap
                 info = os.waitid(os.P_PID, pids[k], os.WEXITED | os.WNOWAIT)
                 code = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
                 raise RuntimeError(f"a fan-out process ended with exit code {code}") from None
             yield result
 
-    if _depth == 1:
-        os.setpgid(0, 0)
+    parent = os.getpid()
     sys.stdout.flush()
     sys.stderr.flush()
     try:
@@ -364,18 +362,14 @@ def _fan_out(fn, jobs, workers):
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(fn, jobs[k::w], send)
+                    _serve(fn, jobs[k::w], send, parent)
             finally:
                 os.close(send)  # the child's copy alone keeps the pipe open
             pids.append(pid)
         yield results()
     finally:
         for pid in pids:
-            # once killed, the process forks no more; its group, if it
-            # leads one, lives on until it is reaped
             os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ProcessLookupError):  # it leads no group
-                os.killpg(pid, signal.SIGKILL)
         for pid in pids:
             os.waitpid(pid, 0)
         for reader in readers:

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
-import planepart as pp
 from planepart import __version__, cli, reproduce
 from planepart.cli import main
 from planepart.graphs import json_default
+
+from procs import ended_within, kill_running, package_env, read_pids, running, session
 
 
 @pytest.mark.parametrize("name,func", reproduce.CRITERIA, ids=[n for n, _ in reproduce.CRITERIA])
@@ -197,8 +198,7 @@ def test_reproduce_paper_prints_each_line_once(tmp_path):
     # dropped): a fork that kept a copy of the buffer and flushed it on
     # exit would print the earlier lines twice; criterion 9 runs forked,
     # and its line still comes last, in table order
-    src = str(Path(pp.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = package_env()
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run(
         [sys.executable, "-m", "planepart", "reproduce-paper", "--outdir", str(tmp_path)],
@@ -284,15 +284,6 @@ def test_a_raising_forked_row_is_exit_code_1(tmp_path, monkeypatch, capfd):
     assert_no_child_left()
 
 
-def running(pid):
-    """Whether ``pid`` is a process that has not ended (a zombie has)."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
 def test_an_error_in_the_table_leaves_no_rerun_running(tmp_path, monkeypatch):
     # the forked criterion 9 forks its rerun process, which writes its pid
     # and sleeps; criterion 1 raises in this process once that pid is
@@ -328,3 +319,40 @@ def test_an_error_in_the_table_leaves_no_rerun_running(tmp_path, monkeypatch):
         if running(rerun):
             os.kill(rerun, signal.SIGKILL)
     assert_no_child_left()
+
+
+# criterion 9 alone, whose rerun process writes its pid and its parent's
+# (criterion 9's process) and sleeps
+SLEEPY_RERUN = (
+    "import os, sys, time\n"
+    "from planepart import reproduce\n"
+    "from procs import write_pids\n"
+    "outdir, pid_file = sys.argv[1:]\n"
+    "run_cli = reproduce._run_cli\n"
+    "def sleepy(argv):\n"
+    "    if argv[-1].endswith('run2.json'):\n"
+    "        write_pids(pid_file, os.getpid(), os.getppid())\n"
+    "        time.sleep(600)\n"
+    "    return run_cli(argv)\n"
+    "reproduce._run_cli = sleepy\n"
+    "reproduce.run(outdir=outdir, only='criterion-9')\n"
+)
+
+
+@pytest.mark.parametrize("group", [True, False], ids=["sigterm-to-the-group", "sigkill-to-the-caller"])
+def test_a_killed_table_leaves_no_criterion9_running(group, tmp_path):
+    # `timeout` sends SIGTERM to the caller's process group; a SIGKILL to the
+    # caller alone reaches no other process, and the kernel ends the rest
+    pid_file = tmp_path / "rerun.pid"
+    with session(SLEEPY_RERUN, str(tmp_path), str(pid_file)) as caller:
+        pids = read_pids(pid_file)
+        try:
+            assert caller.pid not in pids
+            if group:
+                os.killpg(caller.pid, signal.SIGTERM)
+            else:
+                os.kill(caller.pid, signal.SIGKILL)
+            caller.wait()
+            assert ended_within(pids, 5)
+        finally:
+            kill_running(pids)

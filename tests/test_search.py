@@ -9,7 +9,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from planepart.search import (
 from planepart.verify import margins
 
 import oracles
+import procs
 from oracles import get_graph, get_plane, random_bipartite, reference_anneal, reference_solve
 
 
@@ -461,17 +461,65 @@ def test_fan_out_processes_stay_in_the_callers_process_group():
     assert_no_child_left()
 
 
-def test_a_nested_fan_out_shares_a_group_led_by_the_process_that_opens_it():
-    # the outer fan-out kills that group, so it reaches the nested processes
+def test_a_nested_fan_out_stays_in_the_callers_process_group():
+    # the outer process and the processes it forks all stay in this
+    # process's group, so a signal sent to that group reaches every one
     def outer(job):
         with search_module._fan_out(lambda j: os.getpgid(0), [0, 1], 2) as inner:
             return os.getpid(), os.getpgid(0), list(inner)
 
     with search_module._fan_out(outer, [0], 1) as results:
         ((pid, group, inner),) = list(results)
-    assert group == pid != os.getpgid(0)
-    assert inner == [pid, pid]
+    assert pid != os.getpid()
+    assert group == os.getpgid(0)
+    assert inner == [group, group]
     assert_no_child_left()
+
+
+class FailingPrctl:
+    def prctl(self, *args):
+        return -1
+
+
+@pytest.mark.parametrize(
+    "libc,error",
+    [(FailingPrctl(), "OSError"), (object(), "AttributeError")],
+    ids=["failing", "missing"],
+)
+def test_a_fan_out_process_without_its_death_signal_is_exit_code_1(monkeypatch, capfd, libc, error):
+    # a prctl that fails, or none at all, ends the process with the
+    # traceback: there is no silent fallback
+    monkeypatch.setattr(search_module.ctypes, "CDLL", lambda *args, **kwargs: libc)
+    with search_module._fan_out(lambda job: job, [0], 1) as results:
+        with pytest.raises(RuntimeError, match="a fan-out process ended with exit code 1"):
+            next(results)
+    assert error in capfd.readouterr().err
+    assert_no_child_left()
+
+
+def test_a_killed_caller_takes_its_fan_out_with_it(tmp_path):
+    # the one job writes its pid and returns 1 MB, more than a pipe holds,
+    # while the caller sleeps without reading; once the caller is SIGKILLed
+    # the job's process must end, not block on its full pipe for good
+    pid_file = tmp_path / "job.pid"
+    code = (
+        "import os, sys, time\n"
+        "from planepart.search import _fan_out\n"
+        "from procs import write_pids\n"
+        "def job(path):\n"
+        "    write_pids(path, os.getpid())\n"
+        "    return b'x' * 1_000_000\n"
+        "with _fan_out(job, [sys.argv[1]], 1):\n"
+        "    time.sleep(600)\n"
+    )
+    with procs.session(code, str(pid_file)) as caller:
+        pids = procs.read_pids(pid_file)
+        try:
+            os.kill(caller.pid, signal.SIGKILL)
+            caller.wait()
+            assert procs.ended_within(pids, 5)
+        finally:
+            procs.kill_running(pids)
 
 
 def test_a_raising_fan_out_job_is_exit_code_1(capfd):
@@ -527,11 +575,8 @@ def test_a_dying_fan_out_process_is_an_error():
         "    except ChildProcessError:\n"
         "        print('no child')\n"
     )
-    # the child imports the planepart that this test imports
-    src = str(Path(pp.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.Popen(
-        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=env,
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=procs.package_env(),
         start_new_session=True,
     )
     try:
