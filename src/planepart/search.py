@@ -700,29 +700,33 @@ def anneal_search(
     ``nodes_explored`` counts steps, ``details["aspirations"]`` the flips
     of tabu vertices.
 
-    Each vertex keeps its raw shortfall ``short[v] = d(v) + 2t - 2 d_own(v)``
-    (its penalty is ``max(0, short[v])``, and flipping v turns it into
-    ``4t - short[v]``).  The lookup tables ``lose_of[x]`` and ``gain_of[x]``
-    give the change in the penalty of a vertex of shortfall x if it loses or
-    gains one neighbour on its own side.  The invariant is that ``delta[v]``
-    is the exact change in the objective if v alone flips::
+    A vertex of raw shortfall ``x = d(v) + 2t - 2 d_own(v)`` has penalty
+    ``max(0, x)``; flipping it turns x into ``4t - x``, and losing or
+    gaining one own-side neighbour changes its penalty by ``lose_of(x)`` or
+    ``gain_of(x)``.  ``delta[v]`` is the exact change in the objective if v
+    alone flips::
 
-        delta[v] = max(0, 4t - short[v]) - max(0, short[v])
-                   + sum(lose_of[short[u]] for own-side u in N(v))
-                   + sum(gain_of[short[u]] for other-side u in N(v))
+        delta[v] = max(0, 4t - x_v) - max(0, x_v)
+                   + sum(lose_of(x_u) for own-side u in N(v))
+                   + sum(gain_of(x_u) for other-side u in N(v))
 
-    plus ``off``, which exceeds twice any such change, once while v is tabu
-    and once more while v is alone in its class, so the least entry of
-    ``delta`` is the least change of a non-tabu vertex.  ``tabu`` maps each
-    tabu vertex to the step its tenure ends.  A flip updates ``short`` and
-    ``delta`` on N(v), and ``delta`` on N(u) for each neighbour u whose
-    ``lose_of``/``gain_of`` entry moved: O(d * changed).  Flipping v back
-    would undo the flip, so v's own change becomes ``-delta[v]``.  The
-    choices and the random stream are those of a plain loop that rescans
-    N(v) for every vertex on every step, so statuses, step counts, best
-    objectives and witnesses are the same as that loop's.  Every draw is
-    taken as ``rng.randrange`` takes it in CPython, k-bit ``getrandbits``
-    draws until one is in range, without the call's argument checks.
+    plus ``off``, above twice any such change, once while v is tabu and
+    once more while v is alone in its class, so the least entry is the
+    least change of a non-tabu vertex.  A vertex also keeps its side, x (as
+    ``short[v] = x - lo``, an index into the tables), its neighbours in two
+    lists by side, ``on[s][v]``, and while tabu the step its tenure ends.
+    Flipping v from side s reads one table tuple per neighbour u (``up`` if
+    u is on s, ``down`` if not), moves v to u's other list, and adds u's
+    nonzero term changes over the list each belongs to: O(d) per neighbour
+    whose term moved, with no side test.  A step takes the least key with
+    ``min`` and walks its ties with ``list.index`` up to a sentinel in
+    ``delta[n]``; it copies ``delta`` only when a loop over the tabu
+    vertices finds one that aspires.  The choices and the random stream
+    are those of a plain loop that rescans N(v) for every vertex on every
+    step, so statuses, step counts, best objectives and witnesses are the
+    same as that loop's.  Every draw is taken as ``rng.randrange`` takes it
+    in CPython, k-bit ``getrandbits`` draws until one is in range, without
+    the call's argument checks.
     """
     params = params or AnnealParams()
     if g.n < 2:
@@ -741,21 +745,56 @@ def anneal_search(
         return r
 
     n = g.n
-    # this call's neighbour tuples, not cached on g; each vertex id is one shared int object
+    # this call's neighbour tuples and lists, not cached on g; a vertex id is one shared int object
     ids = list(range(n))
     cut = g.indptr.tolist()
     adj = [tuple(map(ids.__getitem__, g.indices[a:b].tolist())) for a, b in zip(cut, cut[1:])]
     deg = [len(a) for a in adj]
     t4 = 4 * t
-    # penalty changes keyed by raw shortfall x, over every x a vertex can reach
-    xs = range(2 * t - max(deg), max(deg) + 2 * t + 1)
-    flip_of = {x: max(0, t4 - x) - max(0, x) for x in xs}
-    lose_of = {x: max(0, x + 2) - max(0, x) for x in xs}
-    gain_of = {x: max(0, x - 2) - max(0, x) for x in xs}
+    top = max(deg)
+    # every shortfall a vertex can reach, least first
+    lo = 2 * t - top
+    xs = range(lo, top + 2 * t + 1)
+
+    def flip_of(x):
+        return max(0, t4 - x) - max(0, x)
+
+    def lose_of(x):
+        return max(0, x + 2) - max(0, x)
+
+    def gain_of(x):
+        return max(0, x - 2) - max(0, x)
+
+    flip = [flip_of(x) for x in xs]
+    lose = [lose_of(x) for x in xs]
+    gain = [gain_of(x) for x in xs]
+    # a neighbour u of the flipped vertex, its shortfall moving from x to y: y - lo, the
+    # change of u's flip_of term, and the changes of u's term in delta[w] for w on the
+    # flipped vertex's old side and for w on its new side
+    up = [
+        (x + 2 - lo, flip_of(x + 2) - flip_of(x), lose_of(x + 2) - lose_of(x),
+         gain_of(x + 2) - gain_of(x))
+        for x in xs
+    ]
+    down = [
+        (x - 2 - lo, flip_of(x - 2) - flip_of(x), gain_of(x - 2) - gain_of(x),
+         lose_of(x - 2) - lose_of(x))
+        for x in xs
+    ]
+    # the flipped vertex: its new shortfall, and the change of its term in delta[u]
+    # for u on its old side (lose_of turns into gain_of) and on its new side (the reverse)
+    turn = [
+        (t4 - x - lo, gain_of(t4 - x) - lose_of(x), lose_of(t4 - x) - gain_of(x)) for x in xs
+    ]
     # every objective change lies in [-span, span]; an entry above span is ineligible
-    span = 4 * abs(t) + 4 * max(deg)
+    span = 4 * abs(t) + 4 * top
     off = 2 * span + 1
+    # the sentinel's resting value, above every entry of delta
+    above = span + 2 * off + 1
     ring = _TABU_MIN + _TABU_SPREAD
+    spread_bits = _TABU_SPREAD.bit_length()
+    # bits[j] is the draw width of rng.randrange(j + 1)
+    bits = [(j + 1).bit_length() for j in range(n)]
     steps = 0
     aspirations = 0
     best_obj = None
@@ -782,24 +821,33 @@ def anneal_search(
         elif ones == n:
             side[randbelow(n)] = 0
         counts = [n - sum(side), sum(side)]
+        # each vertex's neighbours on side 1, as differences of a running sum over the CSR rows
+        run = np.concatenate(([0], np.cumsum(np.array(side)[g.indices])))
+        ones_near = (run[g.indptr[1:]] - run[g.indptr[:-1]]).tolist()
         short = [
-            deg[v] + 2 * t - 2 * sum(1 for u in adj[v] if side[u] == side[v])
-            for v in range(n)
+            deg[v] + 2 * t - 2 * (ones_near[v] if side[v] else deg[v] - ones_near[v]) - lo
+            for v in ids
         ]
-        obj = sum(max(0, x) for x in short)
+        obj = sum(max(0, x + lo) for x in short)
         best_obj = obj if best_obj is None else min(best_obj, obj)
         if obj == 0:
             return finish(FOUND, side=side, detail={"restart": restart, "step": 0})
+        on = (
+            [[u for u in a if not side[u]] for a in adj],
+            [[u for u in a if side[u]] for a in adj],
+        )
         delta = [
-            flip_of[short[v]]
-            + sum((lose_of if side[u] == side[v] else gain_of)[short[u]] for u in adj[v])
-            for v in range(n)
+            flip[short[v]]
+            + sum([lose[short[u]] for u in on[side[v]][v]])
+            + sum([gain[short[u]] for u in on[side[v] ^ 1][v]])
+            for v in ids
         ]
         # alone[s]: the vertex of class s while it is the only one, else None
         alone = [side.index(s) if counts[s] == 1 else None for s in (0, 1)]
         for v in alone:
             if v is not None:
                 delta[v] += off
+        delta.append(above)
         tabu = {}
         expiring = [[] for _ in range(ring)]
         restart_best = obj
@@ -813,57 +861,82 @@ def anneal_search(
             slot.clear()
             # a tabu vertex aspires when obj + (delta[v] - off) < restart_best
             bar = restart_best - obj + off
-            aspiring = [v for v in tabu if delta[v] < bar]
-            if aspiring:
-                key = delta[:]
-                for v in aspiring:
-                    key[v] -= off
+            for v in tabu:
+                if delta[v] < bar:
+                    key = delta[:]
+                    for u in tabu:
+                        if key[u] < bar:
+                            key[u] -= off
+                    break
             else:
                 key = delta
             dv = min(key)
             if dv > span:
                 continue
             v = key.index(dv)
-            ties = key.count(dv)
-            if ties > 1:
-                i = v
-                for j in range(2, ties + 1):
-                    i = key.index(dv, i + 1)
-                    if not randbelow(j):
-                        v = i
-            if v in tabu:
+            # the sentinel ends the walk over the later ties
+            key[n] = dv
+            i = key.index(dv, v + 1)
+            j = 1
+            while i < n:
+                # i is tie j + 1: it replaces v when rng.randrange(j + 1) == 0
+                k = bits[j]
+                r = getrandbits(k)
+                while r > j:
+                    r = getrandbits(k)
+                if not r:
+                    v = i
+                j += 1
+                i = key.index(dv, i + 1)
+            key[n] = above
+            if key is not delta and v in tabu:
                 aspirations += 1
             s = side[v]
-            side[v] = s ^ 1
+            o = s ^ 1
+            side[v] = o
             counts[s] -= 1
-            counts[s ^ 1] += 1
-            xv = short[v]
-            short[v] = t4 - xv
-            # u's term for v turns from lose_of into gain_of (u on v's old side) or back
-            own, other = gain_of[t4 - xv] - lose_of[xv], lose_of[t4 - xv] - gain_of[xv]
-            for u in adj[v]:
-                xu = short[u]
-                if side[u] == s:
-                    x = xu + 2
-                    change = own
-                else:
-                    x = xu - 2
-                    change = other
-                short[u] = x
-                delta[u] += change + flip_of[x] - flip_of[xu]
-                d_lose = lose_of[x] - lose_of[xu]
-                d_gain = gain_of[x] - gain_of[xu]
-                if d_lose or d_gain:
-                    su = side[u]
-                    for w in adj[u]:
-                        delta[w] += d_lose if side[w] == su else d_gain
-            # v is now tabu; this overwrites what the loop above added to delta[v]
+            counts[o] += 1
+            short[v], own, other = turn[short[v]]
+            olds, news = on[s], on[o]
+            # one loop per side of v, as a loop over the two sides costs 5% of a step
+            for u in olds[v]:
+                # u loses an own neighbour
+                short[u], df, d_old, d_new = up[short[u]]
+                delta[u] += own + df
+                a = olds[u]
+                a.remove(v)
+                if d_old:
+                    for w in a:
+                        delta[w] += d_old
+                b = news[u]
+                if d_new:
+                    for w in b:
+                        delta[w] += d_new
+                b.append(v)
+            for u in news[v]:
+                # u gains an own neighbour
+                short[u], df, d_old, d_new = down[short[u]]
+                delta[u] += other + df
+                a = olds[u]
+                a.remove(v)
+                if d_old:
+                    for w in a:
+                        delta[w] += d_old
+                b = news[u]
+                if d_new:
+                    for w in b:
+                        delta[w] += d_new
+                b.append(v)
+            # v is now tabu; the loops above left delta[v] alone, as v was on no list they walked
             delta[v] = off - dv
-            until = tabu[v] = step + 1 + _TABU_MIN + randbelow(_TABU_SPREAD)
+            r = getrandbits(spread_bits)
+            while r >= _TABU_SPREAD:
+                r = getrandbits(spread_bits)
+            until = tabu[v] = step + 1 + _TABU_MIN + r
             expiring[until % ring].append(v)
-            if alone[s ^ 1] is not None:
-                delta[alone[s ^ 1]] -= off
-                alone[s ^ 1] = None
+            if alone[o] is not None:
+                delta[alone[o]] -= off
+                alone[o] = None
             if counts[s] == 1:
                 u = alone[s] = side.index(s)
                 delta[u] += off
