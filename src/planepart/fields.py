@@ -128,7 +128,10 @@ class Field:
 
     ``add_table[a, b]`` and ``mul_table[a, b]`` are the sum and the product
     of the elements a and b; negation, inverses, squares and the trace are
-    arrays derived from them.
+    arrays derived from them.  The sum, product, negation and inverse
+    tables are ``np.intp``, numpy's index type, so a lookup chained through
+    them gathers without first converting its index array, as numpy
+    converts an int32 one on every gather.
     """
 
     def __init__(self, p: int, h: int = 1):
@@ -148,18 +151,18 @@ class Field:
         weights = p ** np.arange(h, dtype=np.int64)
         digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
         sums = (digits[:, None, :] + digits[None, :, :]) % p
-        self.add_table = (sums @ weights).astype(np.int32)
-        self.mul_table = (_product_digits(digits, self.modulus, p) @ weights).astype(np.int32)
+        self.add_table = (sums @ weights).astype(np.intp)
+        self.mul_table = (_product_digits(digits, self.modulus, p) @ weights).astype(np.intp)
 
     @cached_property
     def neg_table(self) -> np.ndarray:
         """Additive inverses by element."""
-        return (self.add_table == 0).argmax(axis=1).astype(np.int32)
+        return (self.add_table == 0).argmax(axis=1)
 
     @cached_property
     def inv_table(self) -> np.ndarray:
         """Multiplicative inverses by element; entry 0, which has none, is 0."""
-        return (self.mul_table == 1).argmax(axis=1).astype(np.int32)
+        return (self.mul_table == 1).argmax(axis=1)
 
     @cached_property
     def square_mask(self) -> np.ndarray:

@@ -110,19 +110,20 @@ class Graph:
         """
         n, indptr = self.n, self.indptr
         fh.write(f"p edge {n} {self.edge_count}\n")
-        ids = [str(v) for v in range(1, n + 1)]  # the 1-based text of each vertex
+        # the 1-based text of each vertex, gathered a block of edge tails at a time
+        ids = np.array([str(v) for v in range(1, n + 1)], dtype=object)
         for lo, hi in self.vertex_blocks(_DIMACS_BLOCK):
             nbrs = self.indices[indptr[lo] : indptr[hi]]
             src = np.repeat(np.arange(lo, hi, dtype=np.int32), self.degrees[lo:hi])
             keep = nbrs > src
-            tails = nbrs[keep].tolist()
+            tails = ids[nbrs[keep]].tolist()
             # tails[cut[v - lo] : cut[v - lo + 1]] are the higher neighbours of v
             cut = np.concatenate(([0], np.cumsum(keep)))[indptr[lo : hi + 1] - indptr[lo]].tolist()
             parts = []
             for v, a, b in zip(range(lo, hi), cut, cut[1:]):
                 if a < b:
-                    head = f"e {ids[v]} "
-                    parts.append(head + f"\n{head}".join([ids[u] for u in tails[a:b]]) + "\n")
+                    head = f"e {v + 1} "
+                    parts.append(head + f"\n{head}".join(tails[a:b]) + "\n")
             fh.write("".join(parts))
 
 

@@ -687,11 +687,13 @@ def anneal_search(
     Minimizes the total shortfall ``sum_v max(0, d(v) + 2t - 2 d_own(v))``;
     objective zero is a verified witness.  Each restart starts from ``init``
     (the first one only) or a random split and takes up to ``params.steps``
-    steps.  A step flips the eligible vertex of least objective change, even
-    when that change is uphill.  A vertex is eligible when flipping it keeps
-    both classes nonempty and it is not tabu, or when the flip would beat
-    the restart's best objective (aspiration).  Ties go to a reservoir draw
-    over the tied vertices in index order: the j-th replaces the choice when
+    steps; a start that is a witness is returned at step 0, before the
+    per-vertex neighbour lists are built.  A step flips the eligible vertex
+    of least objective change, even when that change is uphill.  A vertex
+    is eligible when flipping it keeps both classes nonempty and it is not
+    tabu, or when the flip would beat the restart's best objective
+    (aspiration).  Ties go to a reservoir draw over the tied vertices in
+    index order: the j-th replaces the choice when
     ``rng.randrange(j) == 0``.  A flipped vertex is then tabu for the next
     ``10 + rng.randrange(10)`` steps.  A step with no eligible vertex flips
     nothing.  A failure to find reports status ``timeout``: it never claims
@@ -745,11 +747,11 @@ def anneal_search(
         return r
 
     n = g.n
-    # this call's neighbour tuples and lists, not cached on g; a vertex id is one shared int object
     ids = list(range(n))
-    cut = g.indptr.tolist()
-    adj = [tuple(map(ids.__getitem__, g.indices[a:b].tolist())) for a, b in zip(cut, cut[1:])]
-    deg = [len(a) for a in adj]
+    # this call's neighbour tuples, not cached on g and built only once a start is no
+    # witness; a vertex id is one shared int object
+    adj = None
+    deg = g.degrees.tolist()
     t4 = 4 * t
     top = max(deg)
     # every shortfall a vertex can reach, least first
@@ -832,6 +834,11 @@ def anneal_search(
         best_obj = obj if best_obj is None else min(best_obj, obj)
         if obj == 0:
             return finish(FOUND, side=side, detail={"restart": restart, "step": 0})
+        if adj is None:
+            cut = g.indptr.tolist()
+            adj = [
+                tuple(map(ids.__getitem__, g.indices[a:b].tolist())) for a, b in zip(cut, cut[1:])
+            ]
         on = (
             [[u for u in a if not side[u]] for a in adj],
             [[u for u in a if side[u]] for a in adj],

@@ -238,6 +238,44 @@ def test_corrupt_pencils_past_the_first_block_are_rejected():
     plane_module._check_pencils(pl.field, pl.coords, pl.pencils)
 
 
+@pytest.mark.parametrize("q", [16, 64])
+def test_check_pencils_rejects_each_fault_in_the_last_block(q):
+    pl = get_plane(q)
+    n, block = pl.n, plane_module._CHECK_BLOCK
+    # the last row sits in the last of at least three blocks
+    assert (n - 1) // block >= 2
+    j = n - 1
+    rows = pl.pencils.copy()
+    rows[j, 0] = np.flatnonzero(pl.hits([j]) == 0)[0]  # a point off line j
+    with pytest.raises(RuntimeError, match="^pencil point off its line; field tables corrupt$"):
+        plane_module._check_pencils(pl.field, pl.coords, rows)
+    rows = pl.pencils.copy()
+    rows[j, 1] = rows[j, 0]
+    with pytest.raises(RuntimeError, match="^pencil repeats a point; field tables corrupt$"):
+        plane_module._check_pencils(pl.field, pl.coords, rows)
+    # with every product 0 every point passes every line's equation, so
+    # lowering the least point of row j passes the line and repeat checks
+    # and leaves two points on q and q+2 lines
+    f = pp.make_field(pl.field.p, pl.field.h)
+    f.mul_table = np.zeros_like(f.mul_table)
+    rows = pl.pencils.copy()
+    assert rows[j, 0] > 0
+    rows[j, 0] -= 1
+    with pytest.raises(RuntimeError, match="^point on a wrong number of lines; field tables corrupt$"):
+        plane_module._check_pencils(f, pl.coords, rows)
+    plane_module._check_pencils(pl.field, pl.coords, pl.pencils)
+
+
+@pytest.mark.parametrize("q", [16, 64])
+def test_field_tables_are_intp_and_the_plane_arrays_int32(q):
+    pl = get_plane(q)
+    for name in ("add_table", "mul_table", "neg_table", "inv_table"):
+        assert getattr(pl.field, name).dtype == np.intp, name
+    assert pl.pencils.dtype == np.int32
+    assert pl.coords.dtype == np.int32
+    assert get_graph(q).indices.dtype == np.int32
+
+
 def _swap(t, a, b):
     t[[a, b]] = t[[b, a]]
 
@@ -336,8 +374,9 @@ def test_plane_request_steps_hold_a_block_of_temporaries(monkeypatch):
     # to a block; whole-plane int64 temporaries read 6.8-17.4 MB per step,
     # and adjacency-length ones in the build, margins and export 3.4, 3.0
     # and 2.2 MB.  The build allocates the plane's one incidence buffer,
-    # 2.2 MB, which the graph then uses: build and graph read 3.4 and 1.0 MB,
-    # and 2.3 and 3.1 MB when the graph held a second copy of the pencils
+    # 2.2 MB, which the graph then uses: build and graph read 3.1 and 1.0 MB,
+    # and 2.3 and 3.1 MB when the graph held a second copy of the pencils;
+    # the export reads 0.9 MB
     handed = []
 
     def recording_graph(indptr, indices, **kw):
