@@ -3,10 +3,10 @@
 An element is its canonical integer in ``[0, q)``: the integer
 ``c[0] + c[1]*p + ... + c[h-1]*p**(h-1)`` encodes the polynomial-basis
 coefficient vector ``(c[0], ..., c[h-1])``.  A field is its ``(q, q)``
-addition and multiplication tables, built from digit-wise sums mod p and
-polynomial products mod the least irreducible modulus; every other
-operation is read off them.  The supported range is
-``2 <= p**h <= MAX_FIELD_ORDER``.
+addition and multiplication tables: digit-wise sums mod p, and polynomial
+products mod the least irreducible modulus, built by shift-and-add from
+the scalar multiples; every other operation is read off them.  The
+supported range is ``2 <= p**h <= MAX_FIELD_ORDER``.
 """
 
 from __future__ import annotations
@@ -104,34 +104,16 @@ def least_irreducible(p: int, h: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial of degree {h} over GF({p})")
 
 
-def _product_digits(digits: np.ndarray, modulus, p: int) -> np.ndarray:
-    """Digits of every pairwise product of the rows of ``digits``.
-
-    ``digits`` is ``(q, h)``, constant term first; the products are reduced
-    mod the monic degree-h ``modulus``.  Returns ``(q, q, h)``.
-    """
-    q, h = digits.shape
-    prod = np.zeros((q, q, 2 * h - 1), dtype=np.int64)
-    for i in range(h):
-        prod[:, :, i : i + h] += digits[:, None, i, None] * digits[None, :, :]
-    prod %= p
-    low = np.array(modulus[:h], dtype=np.int64)
-    # x^k = x^(k-h) * x^h and x^h = -(low . (1, x, ..., x^(h-1)))
-    for k in range(2 * h - 2, h - 1, -1):
-        prod[:, :, k - h : k] -= prod[:, :, k, None] * low
-        prod %= p
-    return prod[:, :, :h]
-
-
 class Field:
     """GF(p**h) as its addition and multiplication tables.  Treat as immutable.
 
     ``add_table[a, b]`` and ``mul_table[a, b]`` are the sum and the product
-    of the elements a and b; negation, inverses, squares and the trace are
-    arrays derived from them.  The sum, product, negation and inverse
-    tables are ``np.intp``, numpy's index type, so a lookup chained through
-    them gathers without first converting its index array, as numpy
-    converts an int32 one on every gather.
+    of the elements a and b; negation, inverses, squares, the trace and the
+    q-scaled tables ``add_q`` and ``mul_q`` are arrays derived from them,
+    each on first use.  The sum, product, negation and inverse tables are
+    ``np.intp``, numpy's index type, so a lookup chained through them
+    gathers without first converting its index array, as numpy converts an
+    int32 one on every gather.
     """
 
     def __init__(self, p: int, h: int = 1):
@@ -148,11 +130,39 @@ class Field:
         self.h = h
         self.q = q
         self.modulus = least_irreducible(p, h)
-        weights = p ** np.arange(h, dtype=np.int64)
-        digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
-        sums = (digits[:, None, :] + digits[None, :, :]) % p
-        self.add_table = (sums @ weights).astype(np.intp)
-        self.mul_table = (_product_digits(digits, self.modulus, p) @ weights).astype(np.intp)
+        # the sums and the scalar multiples c*a (c in GF(p)) are digit-wise, so
+        # each extra digit, appended as the new lowest, adds one block level
+        ep = np.arange(p)
+        add = ep[:, None] + ep
+        add -= p * (add >= p)
+        scalar = ep[:, None] * ep
+        scalar -= scalar // p * p
+        add_p, scalar_p = add, scalar
+        for k in range(1, h):
+            add = (p * add[:, None, :, None] + add_p[:, None, :]).reshape(p ** (k + 1), -1)
+            scalar = (p * scalar[:, :, None] + scalar_p[:, None, :]).reshape(p, -1)
+        self.add_table = add
+        # a*b = sum_i b_i (a x^i), at row b and column a: a gather of scalar
+        # multiples per digit of b, summed by gathers into add; a x^i is
+        # a x^(i-1) shifted up one digit with its top digit d replaced by
+        # (-d)*low, as x^h = -low mod the modulus x^h + low
+        e, top = np.arange(q), q // p
+        low = sum(c * p**i for i, c in enumerate(self.modulus[:h]))
+        mul, ax = scalar[e % p], e
+        for i in range(1, h):
+            ax = add[ax % top * p, scalar[-(ax // top) % p, low]]
+            mul = add[mul, scalar[:, ax][e // p**i % p]]
+        self.mul_table = mul
+
+    @cached_property
+    def add_q(self) -> np.ndarray:
+        """``q * add_table``, flattened: ``add_q[q*a + b]`` is the row offset of a + b."""
+        return self.q * self.add_table.ravel()
+
+    @cached_property
+    def mul_q(self) -> np.ndarray:
+        """``q * mul_table``, flattened: ``mul_q[q*a + b]`` is the row offset of a * b."""
+        return self.q * self.mul_table.ravel()
 
     @cached_property
     def neg_table(self) -> np.ndarray:

@@ -91,6 +91,21 @@ class Graph:
             lo = hi
         return blocks
 
+    def row_sums(self, values, lo: int, hi: int) -> np.ndarray:
+        """Per vertex of ``lo..hi-1``, the sum of ``values`` over its adjacency entries.
+
+        ``values`` has one entry per entry of ``indices[indptr[lo]:indptr[hi]]``;
+        the sums are in its dtype, or int32 for a narrower one, and an empty
+        row sums to 0.  One ``np.add.reduceat`` over the starts of the rows
+        that have entries: each start is below ``len(values)``.
+        """
+        starts = self.indptr[lo:hi] - self.indptr[lo]
+        full = self.degrees[lo:hi] > 0
+        dtype = np.promote_types(values.dtype, np.int32)
+        out = np.zeros(hi - lo, dtype=dtype)
+        out[full] = np.add.reduceat(values, starts[full], dtype=dtype)
+        return out
+
     @cached_property
     def adjacency_lists(self) -> list[list[int]]:
         return [self.neighbors(v).tolist() for v in range(self.n)]
@@ -118,7 +133,7 @@ class Graph:
             keep = nbrs > src
             tails = ids[nbrs[keep]].tolist()
             # tails[cut[v - lo] : cut[v - lo + 1]] are the higher neighbours of v
-            cut = np.concatenate(([0], np.cumsum(keep)))[indptr[lo : hi + 1] - indptr[lo]].tolist()
+            cut = [0, *np.cumsum(self.row_sums(keep, lo, hi)).tolist()]
             parts = []
             for v, a, b in zip(range(lo, hi), cut, cut[1:]):
                 if a < b:

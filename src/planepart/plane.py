@@ -38,17 +38,18 @@ def _triple_indices(f: Field, t: np.ndarray) -> np.ndarray:
     return np.where(c != 0, 1 + q + q * y + x, np.where(b != 0, 1 + x, 0))
 
 
-def _dot(f: Field, u, v) -> np.ndarray:
-    """``u . v`` over GF(q), with broadcasting.
+def _dot(f: Field, qu, v) -> np.ndarray:
+    """``u . v`` over GF(q), with broadcasting, given ``qu = q * u``.
 
-    ``u`` and ``v`` each hold three coordinates along their first axis: a
+    ``qu`` and ``v`` each hold three coordinates along their first axis: a
     length-3 sequence, or arrays of shape ``(3, ...)``.  The tables are read
-    flattened, ``add.ravel()[q*a + b]``, which is cheaper than 2-D indexing.
+    flattened, ``mul.ravel()[q*a + b]``, which is cheaper than 2-D indexing,
+    and a product or sum that indexes a further lookup is read off the
+    q-scaled ``f.mul_q`` or ``f.add_q``: each lookup is one add and one gather.
     """
-    q = f.q
     add, mul = f.add_table.ravel(), f.mul_table.ravel()
-    s = add[q * mul[q * u[0] + v[0]] + mul[q * u[1] + v[1]]]
-    return add[q * s + mul[q * u[2] + v[2]]]
+    qs = f.add_q[f.mul_q[qu[0] + v[0]] + mul[qu[1] + v[1]]]
+    return add[qs + mul[qu[2] + v[2]]]
 
 
 def _off_ids(a: np.ndarray, hi: int) -> np.ndarray:
@@ -146,14 +147,16 @@ def _check_pencils(f: Field, coords: np.ndarray, pencils: np.ndarray) -> None:
     on line j (``coords`` holds the triples), no row repeats a point, and,
     summing one bincount per block, every point lies on q+1 lines.  The
     coordinate columns are cast to intp once per check and each block once,
-    as the block indexes three coordinate gathers and a bincount.
+    as the block indexes three coordinate gathers and a bincount; the point
+    columns are gathered already multiplied by q, as ``_dot`` reads them.
     """
     n, cols = len(pencils), coords.T.astype(np.intp)
+    qcols = f.q * cols
     lines_on = np.zeros(n, dtype=np.int64)  # per point, the rows that hold it
     for lo in range(0, n, _CHECK_BLOCK):
         blk = pencils[lo : lo + _CHECK_BLOCK].astype(np.intp)
         at = slice(lo, lo + len(blk))
-        if _dot(f, [c[blk] for c in cols], [c[at, None] for c in cols]).any():
+        if _dot(f, [c[blk] for c in qcols], [c[at, None] for c in cols]).any():
             raise RuntimeError("pencil point off its line; field tables corrupt")
         if (np.diff(blk, axis=1) == 0).any():
             raise RuntimeError("pencil repeats a point; field tables corrupt")
@@ -318,7 +321,9 @@ def least_primitive_cubic(f: Field) -> tuple[int, int, int]:
     Candidates x^3 + c2 x^2 + c1 x + c0 run with c2, then c1, then c0
     ascending.  Primitive means the companion matrix has multiplicative
     order q^3 - 1: the cubic has no root in GF(q), and x^((q^3-1)/r) is not
-    1 mod the cubic for any prime r dividing q^3 - 1.
+    1 mod the cubic for any prime r dividing q^3 - 1.  A candidate whose
+    -c0 does not generate GF(q)* is skipped first: -c0 is the norm of a
+    root, which a root of order q^3 - 1 maps to an element of order q - 1.
     """
     q = f.q
     group = q**3 - 1
@@ -326,6 +331,17 @@ def least_primitive_cubic(f: Field) -> tuple[int, int, int]:
     add, mul, neg = f.add_table, f.mul_table, f.neg_table
     e = np.arange(q)
     c1s, xs = e[:, None], e[None, :]
+    # a unit u generates GF(q)* unless u^((q-1)/r) = 1 for a prime r dividing q - 1
+    generates = e > 0
+    for r in prime_factors(q - 1):
+        k, power, base = (q - 1) // r, np.ones(q, dtype=np.intp), e
+        while k:
+            if k & 1:
+                power = mul[power, base]
+            base = mul[base, base]
+            k >>= 1
+        generates &= power != 1
+    norm_ok = generates[neg]  # by c0
     add_l, mul_l, neg_l = add.tolist(), mul.tolist(), neg.tolist()
 
     def pow_x(m, k):
@@ -343,7 +359,7 @@ def least_primitive_cubic(f: Field) -> tuple[int, int, int]:
         has_root = np.zeros((q, q), dtype=bool)
         has_root[c1s, roots] = True
         has_root[:, 0] = True  # c0 = 0 gives a root at 0
-        for c1, c0 in np.argwhere(~has_root).tolist():
+        for c1, c0 in np.argwhere(~has_root & norm_ok).tolist():
             m = (c0, c1, c2)
             if all(pow_x(m, group // r) != [1, 0, 0] for r in primes):
                 if pow_x(m, group) != [1, 0, 0]:
@@ -360,7 +376,7 @@ def collineation_perm(pl: Plane, mat) -> np.ndarray:
     transpose's action.  A singular ``mat`` sends a point to zero: ValueError.
     """
     f, t = pl.field, pl.coords.T
-    rows = np.array(mat, dtype=np.int32)
+    rows = pl.q * np.array(mat, dtype=np.intp)  # q times the entries, as _dot reads them
     points, by_transpose = (
         _triple_indices(f, np.stack([_dot(f, r, t) for r in m], axis=-1)) for m in (rows, rows.T)
     )

@@ -823,9 +823,8 @@ def anneal_search(
         elif ones == n:
             side[randbelow(n)] = 0
         counts = [n - sum(side), sum(side)]
-        # each vertex's neighbours on side 1, as differences of a running sum over the CSR rows
-        run = np.concatenate(([0], np.cumsum(np.array(side)[g.indices])))
-        ones_near = (run[g.indptr[1:]] - run[g.indptr[:-1]]).tolist()
+        # each vertex's neighbours on side 1
+        ones_near = g.row_sums(np.array(side)[g.indices], 0, n).tolist()
         short = [
             deg[v] + 2 * t - 2 * (ones_near[v] if side[v] else deg[v] - ones_near[v]) - lo
             for v in ids

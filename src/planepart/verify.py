@@ -40,20 +40,13 @@ class MarginReport:
 
 
 def _own_counts(g: Graph, side, lo: int, hi: int) -> np.ndarray:
-    """Per vertex of ``lo..hi-1``, its neighbours on its own side, as int32.
+    """Per vertex of ``lo..hi-1``, its neighbours on its own side.
 
-    Reads only the adjacency entries of those vertices: a bool comparison
-    and an int32 running count of that slice.
+    Reads only the adjacency entries of those vertices: one gather of their
+    sides, and one per-row sum of it, which counts the neighbours on side 1.
     """
-    a, b = g.indptr[lo], g.indptr[hi]
-    same = side[g.indices[a:b]] == np.repeat(side[lo:hi], g.degrees[lo:hi])
-    cum = np.zeros(same.size + 1, dtype=np.int32)
-    cum[1:] = same
-    np.cumsum(cum[1:], out=cum[1:])  # in place: cumsum would copy a bool input to int32
-    ends = g.indptr[lo : hi + 1]
-    if a:
-        ends = ends - a
-    return cum[ends[1:]] - cum[ends[:-1]]
+    ones = g.row_sums(side[g.indices[g.indptr[lo] : g.indptr[hi]]], lo, hi)
+    return np.where(side[lo:hi] == 1, ones, g.degrees[lo:hi] - ones)
 
 
 def margins(g: Graph, partition) -> MarginReport:

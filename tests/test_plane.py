@@ -354,6 +354,33 @@ def test_dimacs_matches_reference_on_other_graphs():
         assert _dimacs(g) == reference_dimacs(g)
 
 
+def _row_sums_by_loop(g, values, lo, hi):
+    base = g.indptr[lo]
+    return [int(values[g.indptr[v] - base : g.indptr[v + 1] - base].sum()) for v in range(lo, hi)]
+
+
+def test_row_sums_match_a_per_row_loop():
+    rng = np.random.default_rng(5)
+    # empty rows first (0, 1), between rows (4, 7, 8) and last in the graph (11)
+    g = Graph.from_neighbor_lists(_matching(12, {0, 1, 4, 7, 8, 11}))
+    no_edges = Graph.from_neighbor_lists([[] for _ in range(4)])
+    # every (lo, hi): blocks that end on an empty row, (7, 9) and (11, 12) of
+    # empty rows only, and empty blocks
+    for graph in (g, no_edges):
+        for lo in range(graph.n + 1):
+            for hi in range(lo, graph.n + 1):
+                m = int(graph.indptr[hi] - graph.indptr[lo])
+                for values in (rng.random(m) < 0.5, rng.integers(-9, 10, m, dtype=np.int32)):
+                    sums = graph.row_sums(values, lo, hi)
+                    assert sums.dtype == np.int32 and sums.shape == (hi - lo,)
+                    assert sums.tolist() == _row_sums_by_loop(graph, values, lo, hi), (lo, hi)
+    # a hub row between empty rows, and int64 values summed as int64
+    hub = Graph.from_neighbor_lists([[], [0, 2, 3, 4], [], [1], [1], []])
+    values = np.array([2**40, 1, 2, 3, 4, 5], dtype=np.int64)
+    assert hub.row_sums(values, 0, 6).tolist() == [0, 2**40 + 6, 0, 4, 5, 0]
+    assert hub.row_sums(values[:4], 0, 3).dtype == np.int64
+
+
 def _transient_mb(step):
     """``step()`` and the peak memory tracemalloc saw above its start, in MB."""
     base = tracemalloc.get_traced_memory()[0]
