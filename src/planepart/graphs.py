@@ -16,10 +16,9 @@ class Graph:
     Vertices are ``0..n-1``.  ``n_left`` marks a bipartition boundary when
     the graph is a point/line incidence graph (points first).  ``labels``
     holds one text per vertex; a graph built without them labels vertex v
-    ``v<v>``.  ``plane_order`` is q
-    when the graph is the incidence graph of PG(2,q), as built by
-    ``plane.incidence_graph``, and None otherwise; the exhaustive search
-    uses it to cut the plane's symmetry from its tree.
+    ``v<v>``.  ``plane_order`` is q when the graph is the incidence graph of
+    PG(2,q), as built by ``plane.incidence_graph``, and None otherwise; the
+    exhaustive search uses it to cut the plane's symmetry from its tree.
     """
 
     def __init__(self, indptr, indices, n_left=None, labels=None, plane_order=None):
@@ -33,12 +32,8 @@ class Graph:
     def from_neighbor_lists(cls, nbrs, n_left=None, labels=None) -> "Graph":
         indptr = np.zeros(len(nbrs) + 1, dtype=np.int64)
         np.cumsum([len(x) for x in nbrs], out=indptr[1:])
-        if len(nbrs):
-            parts = [np.asarray(x, dtype=np.int32) for x in nbrs]
-            indices = np.concatenate(parts) if indptr[-1] else np.empty(0, np.int32)
-        else:
-            indices = np.empty(0, np.int32)
-        return cls(indptr, indices, n_left=n_left, labels=labels)
+        parts = [np.asarray(x, dtype=np.int32) for x in nbrs] or [np.empty(0, np.int32)]
+        return cls(indptr, np.concatenate(parts), n_left=n_left, labels=labels)
 
     @classmethod
     def from_edges(cls, n: int, edges, n_left=None, labels=None) -> "Graph":
@@ -55,9 +50,7 @@ class Graph:
             seen.add(key)
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return cls.from_neighbor_lists(
-            [sorted(x) for x in nbrs], n_left=n_left, labels=labels
-        )
+        return cls.from_neighbor_lists([sorted(x) for x in nbrs], n_left=n_left, labels=labels)
 
     @property
     def n(self) -> int:
@@ -108,7 +101,8 @@ class Graph:
 
     @cached_property
     def adjacency_lists(self) -> list[list[int]]:
-        return [self.neighbors(v).tolist() for v in range(self.n)]
+        cut, flat = self.indptr.tolist(), self.indices.tolist()
+        return [flat[a:b] for a, b in zip(cut, cut[1:])]
 
     @cached_property
     def label_ids(self) -> dict[str, int]:

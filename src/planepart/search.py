@@ -98,15 +98,16 @@ class _Solver:
     def __init__(self, adj, t):
         self.adj = adj
         self.t = t
-        deg = [len(a) for a in adj]
-        # the most neighbours a vertex may have on the other side: d - ceil((d + 2t)/2)
-        cap = [d - max(0, (d + 2 * t + 1) // 2) for d in deg]
+        deg = list(map(len, adj))
+        # per degree d, the most neighbours on the other side: d - ceil((d + 2t)/2)
+        cap_of = {d: d - max(0, (d + 2 * t + 1) // 2) for d in set(deg)}
         # a vertex with cap < 0 is above its cap with no neighbour assigned,
         # so it can take no side; _select takes the least (cap, v) of them first
-        self.neg_first = min(((c, v) for v, c in enumerate(cap) if c < 0), default=(0, None))[1]
+        least = min(cap_of.values(), default=0)
+        self.neg_first = list(map(cap_of.get, deg)).index(least) if least < 0 else None
         # H >= need: a field below 2H - 1 does not carry out on adding one, and
         # a key cap - count of _select stays below the H - 1 of assigned fields
-        need = max([c + 2 for c in cap] + [d - c + 1 for d, c in zip(deg, cap)], default=0)
+        need = max((max(c + 2, d - c + 1) for d, c in cap_of.items()), default=0)
         self.step = step = ((need - 1).bit_length() + 8) // 8
         self.width = width = 8 * step
         self.top = top = width - 1
@@ -114,13 +115,16 @@ class _Solver:
         self.ones = int.from_bytes((1).to_bytes(step, "little") * len(adj), "little")
         self.hi = self.ones << top
         self.low = self.hi - self.ones
-        bias = b"".join(((1 << top) - 1 - c).to_bytes(step, "little") for c in cap)
-        self.base = (int.from_bytes(bias, "little"),) * 2 + (0, 0)
+        bias = {d: ((1 << top) - 1 - c).to_bytes(step, "little") for d, c in cap_of.items()}
+        self.base = (int.from_bytes(b"".join(map(bias.get, deg)), "little"),) * 2 + (0, 0)
         self.rows = [None] * len(adj)
 
     def _row(self, v):
         """v's row, 1 in the field of each neighbour; shifted by W - 1, its neighbour mask."""
-        row = self.rows[v] = sum(1 << (u * self.width) for u in self.adj[v])
+        b, step = bytearray(self.nbytes), self.step  # little endian: byte u*step starts u's field
+        for u in self.adj[v]:
+            b[u * step] = 1
+        row = self.rows[v] = int.from_bytes(b, "little")
         return row
 
     def _fields(self, x):
@@ -501,6 +505,7 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
     ``_cases``, in order up to the first case that is not exhausted; each
     case gets what the ones before it left, which may be no node, and one
     ``_Solver`` per t serves every case and every process it fans out to.
+    The solvers of the t's whose fields have one width share one row list.
     ``nodes_explored``, ``conflicts``, ``propagations`` and ``wall_time``
     cover the scan, ``max_depth`` is its deepest path and ``presets``
     counts the last t's ``_presets``.  With ``workers > 1`` each case that
@@ -517,6 +522,7 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
     start = time.monotonic()
     deadline = None if max_seconds is None else start + max_seconds
     nodes = conflicts = max_depth = forced = 0
+    rows = {}  # the row list of each field width
     for t in ts:
         presets = _presets(g, t)
         if (max_nodes is not None and max_nodes - nodes < 1) or (
@@ -525,6 +531,7 @@ def _scan(g: Graph, ts, max_nodes, max_seconds, workers):
             status, side = TIMEOUT, None
             break
         solver = _Solver(g.adjacency_lists, t)
+        solver.rows = rows.setdefault(solver.width, solver.rows)
         for case in _cases(g, presets):
             nodes_left = None if max_nodes is None else max_nodes - nodes
             status, side, c_nodes, c_conflicts, c_depth, c_forced = _decide(
@@ -834,10 +841,8 @@ def anneal_search(
         if obj == 0:
             return finish(FOUND, side=side, detail={"restart": restart, "step": 0})
         if adj is None:
-            cut = g.indptr.tolist()
-            adj = [
-                tuple(map(ids.__getitem__, g.indices[a:b].tolist())) for a, b in zip(cut, cut[1:])
-            ]
+            cut, flat = g.indptr.tolist(), list(map(ids.__getitem__, g.indices.tolist()))
+            adj = [tuple(flat[a:b]) for a, b in zip(cut, cut[1:])]
         on = (
             [[u for u in a if not side[u]] for a in adj],
             [[u for u in a if side[u]] for a in adj],

@@ -44,8 +44,9 @@ def _own_counts(g: Graph, side, lo: int, hi: int) -> np.ndarray:
 
     Reads only the adjacency entries of those vertices: one gather of their
     sides, and one per-row sum of it, which counts the neighbours on side 1.
+    The block's int32 entries are cast to intp first, faster than the gather's own cast.
     """
-    ones = g.row_sums(side[g.indices[g.indptr[lo] : g.indptr[hi]]], lo, hi)
+    ones = g.row_sums(side[g.indices[g.indptr[lo] : g.indptr[hi]].astype(np.intp)], lo, hi)
     return np.where(side[lo:hi] == 1, ones, g.degrees[lo:hi] - ones)
 
 
@@ -64,14 +65,13 @@ def margins(g: Graph, partition) -> MarginReport:
     if side.size != g.n:
         raise ValueError(f"partition covers {side.size} vertices, graph has {g.n}")
     size_a = int(np.count_nonzero(side == 0))
-    size_b = g.n - size_a
     d_own = np.empty(g.n, dtype=np.int32)
     for lo, hi in g.vertex_blocks(_MARGIN_BLOCK):
         d_own[lo:hi] = _own_counts(g, side, lo, hi)
     margin = 2 * d_own - g.degrees
     return MarginReport(
         margin=margin,
-        class_sizes=(size_a, size_b),
+        class_sizes=(size_a, g.n - size_a),
         min_margin_a=int(margin[side == 0].min()),
         min_margin_b=int(margin[side == 1].min()),
         partition_intimacy=int((margin // 2).min()),

@@ -323,6 +323,15 @@ def test_search_exhaustive_negative(capsys):
     assert counts in out
 
 
+def test_search_exhaustive_max_intimacy_pg2_5_counts(capsys):
+    # t = 1 is refuted in 1,744 nodes and t = 0 found in 27, on the rows t = 1 built
+    code, out, _ = run(capsys, "search", "exhaustive", "--q", "5", "--max-intimacy")
+    assert code == 0
+    counts = "nodes explored: 1771\nconflicts: 872\nmax depth: 27\npresets: 5\npropagations: 3058\n"
+    assert counts in out
+    assert out.splitlines()[-1] == "max intimacy: 0"
+
+
 @pytest.mark.parametrize("q,t,presets", [("5", "1", 5), ("2", "-1", 1)])
 def test_search_exhaustive_prints_presets(capsys, q, t, presets):
     code, out, _ = run(capsys, "search", "exhaustive", "--q", q, "--t", t)

@@ -354,6 +354,22 @@ def test_dimacs_matches_reference_on_other_graphs():
         assert _dimacs(g) == reference_dimacs(g)
 
 
+def test_adjacency_lists_are_the_neighbour_rows():
+    # isolated vertices first, between and last; graphs of no and one vertex;
+    # the planes are copies, as the lists are changed below
+    graphs = [Graph.from_neighbor_lists(_matching(12, {0, 1, 4, 7, 8, 11}))]
+    graphs += [Graph.from_edges(n, []) for n in (0, 1)]
+    graphs += [Graph(get_graph(q).indptr, get_graph(q).indices) for q in (2, 5)]
+    for g in graphs:
+        lists = g.adjacency_lists
+        assert lists == [g.neighbors(v).tolist() for v in range(g.n)]
+        # each vertex has a list of its own, so a change to one shows in no other
+        assert len({id(a) for a in lists}) == g.n
+        for a in lists:
+            a.append(-1)
+        assert lists == [g.neighbors(v).tolist() + [-1] for v in range(g.n)]
+
+
 def _row_sums_by_loop(g, values, lo, hi):
     base = g.indptr[lo]
     return [int(values[g.indptr[v] - base : g.indptr[v + 1] - base].sum()) for v in range(lo, hi)]

@@ -990,6 +990,35 @@ def test_solver_matches_reference_with_wide_fields(t, max_nodes):
     _assert_same_solve(adj, t, [(0, 0)], max_nodes)
 
 
+def test_rows_from_bytes_are_sums_of_shifted_ones():
+    # PG(2,5) at t=1 has 1-byte fields; the hub of the star K(1,300) has cap
+    # 150 at t=0, so need is 152 and its fields are 2 bytes
+    star = Graph.from_edges(301, [(0, v) for v in range(1, 301)])
+    for g, t, step in (get_graph(5), 1, 1), (star, 0, 2):
+        adj = g.adjacency_lists
+        solver = _Solver(adj, t)
+        assert solver.step == step
+        for v in range(g.n):
+            assert solver._row(v) == sum(1 << (u * solver.width) for u in adj[v])
+            assert solver.rows[v] == solver._row(v)
+
+
+def test_max_intimacy_scan_builds_each_row_once_per_width(monkeypatch):
+    # PG(2,5) scans t = 1, then 0, both on 1-byte fields, so t = 0 reads the
+    # rows that t = 1 built; the tree is the pinned one
+    built = []
+    row = _Solver._row
+
+    def spy(self, v):
+        built.append((self.width, v))
+        return row(self, v)
+
+    monkeypatch.setattr(_Solver, "_row", spy)
+    best, res = exhaustive_max_intimacy(get_graph(5))
+    assert (best, res.nodes_explored, res.details["conflicts"]) == (0, 1771, 872)
+    assert built and len(built) == len(set(built))
+
+
 @pytest.mark.parametrize("max_nodes", [None, 1])
 @pytest.mark.parametrize("t", [-2, -1, 0, 1, 2])
 def test_solver_matches_reference_with_negative_caps(t, max_nodes):
