@@ -318,7 +318,7 @@ def cmd_search(args) -> int:
     pl = plane_of_order(args.q)
     g = incidence_graph(pl)
     if args.mode == "exhaustive":
-        return _search_exhaustive(pl, g, args)
+        return _search_exhaustive(g, args)
     return _search_anneal(pl, g, args)
 
 
@@ -331,41 +331,24 @@ def _print_solver_counts(res) -> None:
     print(f"wall time: {res.wall_time:.2f} s")
 
 
-def _search_exhaustive(pl: Plane, g: Graph, args) -> int:
+def _search_exhaustive(g: Graph, args) -> int:
+    budgets = dict(max_nodes=args.max_nodes, max_seconds=args.max_seconds, workers=args.workers)
     if args.max_intimacy:
         if args.t is not None:
             raise ValueError("--t does not apply to --max-intimacy, which scans every t")
-        best, res = exhaustive_max_intimacy(
-            g,
-            t_hi=parity_intimacy_bound(pl.q),
-            max_nodes=args.max_nodes,
-            max_seconds=args.max_seconds,
-            workers=args.workers,
-        )
-        _print_solver_counts(res)
-        if best is None:
-            print("max intimacy: unresolved (budget exhausted)")
-            return 1
-        print(f"max intimacy: {best}")
-        if args.out:
-            doc = res.to_json(g.labels)
-            doc["max_intimacy"] = best
-            _write_json(args.out, doc)
-            print(f"wrote search JSON to {args.out}")
-        return 0
-    res = exhaustive_exists(
-        g,
-        args.t or 0,
-        max_nodes=args.max_nodes,
-        max_seconds=args.max_seconds,
-        workers=args.workers,
-    )
-    print(f"status: {res.status}")
+        best, res = exhaustive_max_intimacy(g, **budgets)
+    else:
+        res = exhaustive_exists(g, args.t or 0, **budgets)
+        print(f"status: {res.status}")
     _print_solver_counts(res)
-    if res.witness is not None:
+    doc = res.to_json(g.labels)
+    if args.max_intimacy:
+        print(f"max intimacy: {'unresolved (budget exhausted)' if best is None else best}")
+        doc["max_intimacy"] = best
+    elif res.witness is not None:
         _print_margins(margins(g, res.witness))
     if args.out:
-        _write_json(args.out, res.to_json(g.labels))
+        _write_json(args.out, doc)
         print(f"wrote search JSON to {args.out}")
     return 1 if res.status == TIMEOUT else 0
 

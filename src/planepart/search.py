@@ -53,6 +53,7 @@ import numpy as np
 
 from .constructions import Partition
 from .graphs import Graph
+from .spectral import parity_intimacy_bound
 from .verify import margins
 
 FOUND = "found"
@@ -97,7 +98,6 @@ class _Solver:
 
     def __init__(self, adj, t):
         self.adj = adj
-        self.t = t
         deg = list(map(len, adj))
         # per degree d, the most neighbours on the other side: d - ceil((d + 2t)/2)
         cap_of = {d: d - max(0, (d + 2 * t + 1) // 2) for d in set(deg)}
@@ -597,17 +597,17 @@ def exhaustive_exists(
 def exhaustive_max_intimacy(
     g: Graph,
     *,
-    t_hi: int | None = None,
     max_nodes: int | None = None,
     max_seconds: float | None = None,
     workers: int = 1,
 ) -> tuple[int | None, SearchResult]:
     """Largest t admitting a t-internal partition, by descending scan.
 
-    Scans from ``t_hi`` (default: min_v floor(d(v)/2), the degree cap; pass
-    the spectral bound for plane graphs) down to the trivial floor, where
-    any split qualifies; a ``t_hi`` below it is a ValueError.  Returns
-    ``(None, result)`` on a budget timeout.  It runs ``_scan``, as
+    Scans from the graph's own cap down to the trivial floor, where any
+    split qualifies: on the incidence graph of PG(2,q) (``g.plane_order``
+    is set) the parity cap ``parity_intimacy_bound(q)``, above which no t
+    is possible, and on any other graph the degree cap min_v floor(d(v)/2).
+    Returns ``(None, result)`` on a budget timeout.  It runs ``_scan``, as
     ``exhaustive_exists`` does for one t: one node budget and one deadline
     for the whole scan, each t getting what the ones before it left, counts
     and ``wall_time`` over the whole scan, and with ``workers > 1`` the
@@ -616,12 +616,10 @@ def exhaustive_max_intimacy(
     if g.n < 2:
         raise ValueError("need at least two vertices to partition")
     degs = g.degrees
-    if t_hi is None:
-        t_hi = int(degs.min()) // 2
-    t_lo = -((int(degs.max()) + 1) // 2)
-    if t_hi < t_lo:
-        raise ValueError(f"t_hi={t_hi} is below the trivial floor t={t_lo}")
-    t, res = _scan(g, range(t_hi, t_lo - 1, -1), max_nodes, max_seconds, workers)
+    q = g.plane_order
+    first = int(degs.min()) // 2 if q is None else parity_intimacy_bound(q)
+    ts = range(first, -((int(degs.max()) + 1) // 2) - 1, -1)
+    t, res = _scan(g, ts, max_nodes, max_seconds, workers)
     if res.status == EXHAUSTED:
         raise RuntimeError("scan passed the trivial floor without a witness")
     return (t if res.status == FOUND else None), res
@@ -709,7 +707,8 @@ def anneal_search(
     ``nodes_explored`` counts steps, ``details["aspirations"]`` the flips
     of tabu vertices.
 
-    A vertex of raw shortfall ``x = d(v) + 2t - 2 d_own(v)`` has penalty
+    A vertex of raw shortfall ``x = 2t - margin(v)``, its margin
+    ``2 d_own(v) - d(v)`` as ``verify.margins`` counts it, has penalty
     ``max(0, x)``; flipping it turns x into ``4t - x``, and losing or
     gaining one own-side neighbour changes its penalty by ``lose_of(x)`` or
     ``gain_of(x)``.  ``delta[v]`` is the exact change in the objective if v
@@ -758,9 +757,8 @@ def anneal_search(
     # this call's neighbour tuples, not cached on g and built only once a start is no
     # witness; a vertex id is one shared int object
     adj = None
-    deg = g.degrees.tolist()
     t4 = 4 * t
-    top = max(deg)
+    top = int(g.degrees.max())
     # every shortfall a vertex can reach, least first
     lo = 2 * t - top
     xs = range(lo, top + 2 * t + 1)
@@ -830,12 +828,7 @@ def anneal_search(
         elif ones == n:
             side[randbelow(n)] = 0
         counts = [n - sum(side), sum(side)]
-        # each vertex's neighbours on side 1
-        ones_near = g.row_sums(np.array(side)[g.indices], 0, n).tolist()
-        short = [
-            deg[v] + 2 * t - 2 * (ones_near[v] if side[v] else deg[v] - ones_near[v]) - lo
-            for v in ids
-        ]
+        short = (2 * t - lo - margins(g, side).margin).tolist()
         obj = sum(max(0, x + lo) for x in short)
         best_obj = obj if best_obj is None else min(best_obj, obj)
         if obj == 0:

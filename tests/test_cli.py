@@ -391,6 +391,21 @@ def test_search_max_intimacy_q3(tmp_path, capsys):
     assert json.loads(out_path.read_text())["max_intimacy"] == 0
 
 
+def test_max_intimacy_timeout_writes_its_result(tmp_path, capsys):
+    # a scan out of budget writes its result as --t does, with no max intimacy
+    out_path = tmp_path / "max5.json"
+    code, out, _ = run(
+        capsys,
+        "search", "exhaustive", "--q", "5", "--max-intimacy", "--max-nodes", "1",
+        "--out", str(out_path),
+    )
+    assert code == 1
+    assert "max intimacy: unresolved (budget exhausted)" in out.splitlines()
+    assert out.splitlines()[-1] == f"wrote search JSON to {out_path}"
+    doc = json.loads(out_path.read_text())
+    assert (doc["status"], doc["max_intimacy"], doc["witness"]) == ("timeout", None, None)
+
+
 def test_max_intimacy_result_is_a_partition_file(tmp_path, capsys):
     out_path = tmp_path / "max3.json"
     code, _, _ = run(
@@ -483,7 +498,7 @@ def _search_docs():
     g = get_graph(3)
     found = exhaustive_exists(g, 0)
     assert found.witness is not None
-    best, scan = exhaustive_max_intimacy(g, t_hi=1)
+    best, scan = exhaustive_max_intimacy(g)
     annealed = anneal_search(get_graph(4), 0, AnnealParams(seed=2, restarts=3, steps=300))
     assert annealed.witness is not None
     timed_out = anneal_search(g, 1, AnnealParams(restarts=1, steps=3))

@@ -32,6 +32,7 @@ from planepart.search import (
     exhaustive_exists,
     exhaustive_max_intimacy,
 )
+from planepart.spectral import parity_intimacy_bound
 from planepart.verify import margins
 
 import oracles
@@ -316,8 +317,8 @@ def test_max_intimacy_scan_has_one_node_budget():
     # one node short: t = 0 gets the 16 nodes that t = 1 left, and stops at its 17th
     best, res = exhaustive_max_intimacy(g, max_nodes=64)
     assert (best, res.status, res.nodes_explored) == (None, "timeout", 65)
-    # PG(2,5) with the flag triangle: t = 3, 2, 1, 0 take 0 + 0 + 1,744 + 27
-    # nodes and 0 + 0 + 872 + 0 conflicts
+    # PG(2,5) with the flag triangle: its scan starts at the parity cap, and
+    # t = 1, 0 take 1,744 + 27 nodes and 872 + 0 conflicts
     g = get_graph(5)
     best, res = exhaustive_max_intimacy(g, max_nodes=1771)
     assert (best, res.status, res.nodes_explored) == (0, "found", 1771)
@@ -359,18 +360,12 @@ def test_max_intimacy_scan_has_one_deadline(monkeypatch):
 
     monkeypatch.setattr(search_module, "_decide", spy)
     before = time.monotonic()
-    best, res = exhaustive_max_intimacy(get_graph(3), max_seconds=30.0)
-    # two torus cases at t = 2 and t = 1 (both exhausted), the first one found at t = 0
-    assert best == 0 and len(deadlines) == 5
+    best, res = exhaustive_max_intimacy(get_graph(5), max_seconds=30.0)
+    # the scan starts at the parity cap: two torus cases at t = 1 (both
+    # exhausted), the first one found at t = 0
+    assert best == 0 and len(deadlines) == 3
     assert len(set(deadlines)) == 1
     assert before <= deadlines[0] - 30.0 <= before + res.wall_time
-
-
-def test_max_intimacy_rejects_t_hi_below_the_trivial_floor():
-    # PG(2,2) is 3-regular: the scan ends at t = -2, where any split qualifies
-    assert exhaustive_max_intimacy(get_graph(2), t_hi=-2)[0] == -2
-    with pytest.raises(ValueError):
-        exhaustive_max_intimacy(get_graph(2), t_hi=-5)
 
 
 def _counts(res):
@@ -609,11 +604,11 @@ def test_pooled_witness_is_the_serial_witness():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_one_t_scan_is_the_single_t_search(workers):
-    # both entry points are one scan: a max-intimacy scan from t_hi = 1 that
-    # finds a witness at t = 1 is exhaustive_exists at t = 1
+    # both entry points are one scan: PG(2,7)'s max-intimacy scan starts at
+    # its parity cap, 1, and finds a witness there, so it is exhaustive_exists at t = 1
     g = get_graph(7)
     single = exhaustive_exists(g, 1, workers=workers)
-    best, scan = exhaustive_max_intimacy(g, t_hi=1, workers=workers)
+    best, scan = exhaustive_max_intimacy(g, workers=workers)
     assert best == 1
     assert _counts(scan) == _counts(single) == ("found", 52, 20, 21, 170)
     assert scan.witness.side.tolist() == single.witness.side.tolist()
@@ -742,9 +737,9 @@ def test_propagations_sum_over_pool_jobs_and_scans():
     per_job = [_fresh_search(adj, 1, first + path, None, None)[5] for path, *_ in jobs]
     assert len(per_job) == 4
     assert pooled.details["propagations"] == top_propagations + sum(per_job)
-    # the scan decides t = 3, 2, 1 and 0
+    # the scan decides t = 1, its parity cap, and 0
     best, res = exhaustive_max_intimacy(g)
-    per_t = [exhaustive_exists(g, t).details["propagations"] for t in (3, 2, 1, 0)]
+    per_t = [exhaustive_exists(g, t).details["propagations"] for t in (1, 0)]
     assert best == 0 and res.details["propagations"] == sum(per_t) > 0
 
 
@@ -816,9 +811,39 @@ def test_one_solver_per_t_in_the_calling_process(monkeypatch):
     res = exhaustive_exists(get_graph(4), 0, max_nodes=3, workers=2)
     assert (res.status, res.nodes_explored) == ("timeout", 4)
     assert built == [0]
+    # PG(2,3)'s scan starts at its parity cap, 0, and the untagged graph's at its degree cap
     built.clear()
     assert exhaustive_max_intimacy(get_graph(3))[0] == 0
+    assert built == [0]
+    built.clear()
+    assert exhaustive_max_intimacy(untagged(get_graph(3)))[0] == 0
     assert built == [2, 1, 0]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_plane_scan_starts_at_the_parity_cap(monkeypatch, q):
+    # no t above the parity cap gets a solver: the plane's own cap decides the
+    # start; the budget turns a scan that starts higher (PG(2,8) at t = 1) into a timeout
+    built = []
+    init = _Solver.__init__
+
+    def spy(self, adj, t):
+        built.append(t)
+        init(self, adj, t)
+
+    monkeypatch.setattr(_Solver, "__init__", spy)
+    best, res = exhaustive_max_intimacy(get_graph(q), max_nodes=5000)
+    assert built[0] == parity_intimacy_bound(q)
+    assert (best, res.status) == (built[-1], "found")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_plane_scan_finds_what_the_degree_cap_scan_finds(q):
+    # the same graph without plane_order scans from its degree cap, (q + 1) // 2
+    g = get_graph(q)
+    best, _ = exhaustive_max_intimacy(g)
+    untagged_best, _ = exhaustive_max_intimacy(untagged(g))
+    assert best == untagged_best
 
 
 def _assert_same_solve(adj, t, presets, max_nodes):
