@@ -1,7 +1,6 @@
 """Friendly and internal partitions of projective plane incidence graphs."""
 
 from .constructions import (
-    ArcData,
     OvalData,
     Partition,
     classify_conic,
@@ -17,9 +16,7 @@ from .constructions import (
 from .fields import Field, field_of_order, least_irreducible, make_field
 from .graphs import Graph
 from .plane import (
-    BaerDecomposition,
     Plane,
-    SingerCycle,
     baer_decomposition,
     incidence_graph,
     plane_of_order,
@@ -50,8 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnealParams",
-    "ArcData",
-    "BaerDecomposition",
     "Field",
     "Graph",
     "MarginReport",
@@ -60,7 +55,6 @@ __all__ = [
     "Partition",
     "Plane",
     "SearchResult",
-    "SingerCycle",
     "SpectralReport",
     "anneal_search",
     "baer_decomposition",

@@ -8,13 +8,14 @@ them measures its own quality; callers get margins from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
 
 from .graphs import LabelMap
-from .plane import BaerDecomposition, Plane, baer_decomposition, distinct, vertex_ids
+from .plane import Plane, baer_decomposition, distinct, vertex_ids
 
 
 @dataclass(eq=False)
@@ -83,18 +84,17 @@ def _partition(pl: Plane, point_ids, line_ids, name: str, params: dict) -> Parti
 # -- Baer subplane split -------------------------------------------------------
 
 
-def construct_baer_partition(
-    pl: Plane, dec: BaerDecomposition | None = None
-) -> Partition:
+def construct_baer_partition(pl: Plane, subplanes=None) -> Partition:
     """Class A = the first floor((q - sqrt(q) + 1)/2) Baer subplanes.
 
+    ``subplanes`` is a ``baer_decomposition`` of ``pl``, built when None.
     Induces a regular graph on each side: valency sqrt(q) + m on A and
     sqrt(q) + m + 1 on B, where m is the number of A-subplanes minus one.
     """
-    dec = dec or baer_decomposition(pl)
-    m = (pl.q - dec.suborder + 1) // 2
-    pts = np.concatenate([dec.subplanes[j][0] for j in range(m)])
-    lns = np.concatenate([dec.subplanes[j][1] for j in range(m)])
+    subplanes = subplanes or baer_decomposition(pl)
+    m = (pl.q - math.isqrt(pl.q) + 1) // 2
+    pts = np.concatenate([sub[0] for sub in subplanes[:m]])
+    lns = np.concatenate([sub[1] for sub in subplanes[:m]])
     return _partition(
         pl, pts, lns, "baer", {"q": pl.q, "subplanes_in_a": m}
     )
@@ -315,20 +315,12 @@ def construct_oval(
 # -- maximal arcs and the even-order construction -------------------------------
 
 
-@dataclass(eq=False)
-class ArcData:
-    """A maximal arc: every line meets it in 0 or ``degree`` points."""
+def construct_denniston(pl: Plane) -> np.ndarray:
+    """Degree-q/2 maximal arc in PG(2,q), q = 2^h with h > 1, as sorted int64 point ids.
 
-    arc: np.ndarray
-    degree: int
-    secant_profile: np.ndarray  # per line: intersection size with the arc
-
-
-def construct_denniston(pl: Plane) -> ArcData:
-    """Degree-q/2 maximal arc in PG(2,q), q = 2^h with h > 1.
-
-    Points (x:y:1) where x^2 + lambda*x*y + y^2 lands in the trace kernel,
-    lambda the least unit making the form anisotropic.
+    Every line meets it in 0 or q/2 points.  Points (x:y:1) where
+    x^2 + lambda*x*y + y^2 lands in the trace kernel, lambda the least unit
+    making the form anisotropic.
     """
     f = pl.field
     q = pl.q
@@ -342,7 +334,7 @@ def construct_denniston(pl: Plane) -> ArcData:
     arc = np.sort(pl.index(np.stack([x[keep], y[keep], np.ones_like(x[keep])], axis=1)))
     if not verify_maximal_arc(pl, arc, q // 2):
         raise RuntimeError("Denniston point set is not a maximal arc")
-    return ArcData(arc=arc, degree=q // 2, secant_profile=pl.hits(arc))
+    return arc
 
 
 def verify_maximal_arc(pl: Plane, arc_points, degree: int) -> bool:
@@ -356,34 +348,40 @@ def verify_maximal_arc(pl: Plane, arc_points, degree: int) -> bool:
     return bool(np.isin(pl.hits(arc), (0, degree)).all())
 
 
-def construct_even(
-    pl: Plane, arc: ArcData | None = None, secant_line: int | None = None
-) -> Partition:
+def construct_even(pl: Plane, arc=None, secant_line: int | None = None) -> Partition:
     """Strictly friendly partition for even q via a maximal arc: q = 2^h, h > 1.
 
     A gets the symmetric difference of the arc with a q/2-secant ell, plus
     every line that meets the arc and passes through a point of ell off the
     arc.  Every vertex ends with strictly more neighbors on its own side.
-    ``secant_line`` follows the id rule of ``vertex_ids``.
+    ``arc`` is a set of point ids under ``vertex_ids`` that must pass
+    ``verify_maximal_arc`` with degree q/2, else ValueError; None builds the
+    Denniston arc.  ``secant_line`` follows the id rule of ``vertex_ids``.
     """
-    arc = arc or construct_denniston(pl)
     q = pl.q
     half = q // 2
+    if arc is None:
+        arc = construct_denniston(pl)
+    else:
+        arc = vertex_ids(arc, pl.n, "arc point")
+        if not verify_maximal_arc(pl, arc, half):
+            raise ValueError(f"the given points are not a maximal arc of degree {half}")
+    profile = pl.hits(arc)
     if secant_line is None:
-        secant_line = np.flatnonzero(arc.secant_profile == half)[0]
+        secant_line = np.flatnonzero(profile == half)[0]
     secant_line = vertex_ids(secant_line, pl.n, "secant line").item()
-    if arc.secant_profile[secant_line] != half:
+    if profile[secant_line] != half:
         raise ValueError(
-            f"line {secant_line} meets the arc in {int(arc.secant_profile[secant_line])} "
+            f"line {secant_line} meets the arc in {int(profile[secant_line])} "
             f"points, need a {half}-secant"
         )
     ell = pl.pencils[secant_line]
     on_arc = np.zeros(pl.n, dtype=bool)
-    on_arc[arc.arc] = True
+    on_arc[arc] = True
     on_ell = np.zeros(pl.n, dtype=bool)
     on_ell[ell] = True
     # masks, not np.setxor1d and np.setdiff1d: their np.unique imports numpy.ma
     p1 = np.flatnonzero(on_arc ^ on_ell)
     l1 = distinct(pl.pencils[ell[~on_arc[ell]]])
-    l1 = l1[arc.secant_profile[l1] > 0]
+    l1 = l1[profile[l1] > 0]
     return _partition(pl, p1, l1, "even", {"q": q, "secant_line": secant_line})

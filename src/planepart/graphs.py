@@ -30,10 +30,32 @@ class Graph:
 
     @classmethod
     def from_neighbor_lists(cls, nbrs, n_left=None, labels=None) -> "Graph":
-        indptr = np.zeros(len(nbrs) + 1, dtype=np.int64)
-        np.cumsum([len(x) for x in nbrs], out=indptr[1:])
-        parts = [np.asarray(x, dtype=np.int32) for x in nbrs] or [np.empty(0, np.int32)]
-        return cls(indptr, np.concatenate(parts), n_left=n_left, labels=labels)
+        """The graph whose row v, in its given order, is ``nbrs[v]``.
+
+        A row that holds an id outside ``[0, n)``, v itself, or one
+        neighbour twice is a ValueError naming v; the rows are checked
+        together, by array operations with no loop per row.  Symmetry is
+        not checked: u may list v while v does not list u.
+        """
+        n, sizes = len(nbrs), [len(x) for x in nbrs]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        # int64, so that no id wraps into range before it is checked
+        parts = [np.asarray(x, dtype=np.int64) for x in nbrs] or [np.empty(0, np.int64)]
+        flat = np.concatenate(parts)
+        rows = np.repeat(np.arange(n), sizes)
+        bad = (flat < 0) | (flat >= n) | (flat == rows)
+        if bad.any():
+            v, u = rows[bad][0].item(), flat[bad][0].item()
+            what = "itself as a neighbour" if u == v else f"neighbour {u}, outside [0, {n})"
+            raise ValueError(f"vertex {v} lists {what}")
+        # with every id in range, a repeated neighbour is a repeated row * n + id
+        codes = np.sort(rows * n + flat)
+        again = codes[1:][codes[1:] == codes[:-1]]
+        if again.size:
+            v, u = divmod(again[0].item(), n)
+            raise ValueError(f"vertex {v} lists neighbour {u} twice")
+        return cls(indptr, flat, n_left=n_left, labels=labels)
 
     @classmethod
     def from_edges(cls, n: int, edges, n_left=None, labels=None) -> "Graph":
@@ -42,8 +64,6 @@ class Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) has a vertex outside [0, {n})")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
             key = (min(u, v), max(u, v))
             if key in seen:
                 continue

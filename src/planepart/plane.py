@@ -12,7 +12,6 @@ its text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -292,15 +291,6 @@ def incidence_graph(pl: Plane) -> Graph:
 # -- Singer cycle -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SingerCycle:
-    """A cyclic collineation, regular on points and on lines; ``perm`` is its collineation_perm."""
-
-    poly: tuple[int, int, int]  # x^3 + c2 x^2 + c1 x + c0 as (c0, c1, c2)
-    matrix: tuple[tuple[int, int, int], ...]
-    perm: np.ndarray
-
-
 def _mulmod_cubic(add, mul, neg, a, b, m):
     # a, b: length-3 coefficient lists, constant first; m = (c0, c1, c2),
     # a monic cubic; add, mul, neg: the field's tables as nested lists
@@ -396,11 +386,12 @@ def _single_cycle(perm: np.ndarray, what: str) -> np.ndarray:
     return np.array(orbit, dtype=np.int64)
 
 
-def singer_cycle(pl: Plane) -> SingerCycle:
-    """Cyclic collineation of order q^2+q+1 from the least primitive cubic.
+def singer_cycle(pl: Plane) -> np.ndarray:
+    """The ``collineation_perm`` of a Singer cycle: order q^2+q+1, regular on points and lines.
 
-    Points map by the companion matrix, lines by its inverse transpose, so
-    incidence is preserved; each must act as one n-cycle.
+    Its matrix is the companion matrix of ``least_primitive_cubic``: points
+    map by it, lines by its inverse transpose, so incidence is preserved;
+    each must act as one n-cycle.
     """
     c0, c1, c2 = least_primitive_cubic(pl.field)
     neg = pl.field.neg_table.tolist()
@@ -412,18 +403,10 @@ def singer_cycle(pl: Plane) -> SingerCycle:
     perm = collineation_perm(pl, mat)
     _single_cycle(perm[: pl.n], "point action")
     _single_cycle(perm[pl.n :] - pl.n, "line action")
-    return SingerCycle(poly=(c0, c1, c2), matrix=mat, perm=perm)
+    return perm
 
 
 # -- Baer subplane decomposition ---------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class BaerDecomposition:
-    """Disjoint Baer subplanes covering the points and the lines of PG(2,q)."""
-
-    suborder: int
-    subplanes: list[tuple[np.ndarray, np.ndarray]]  # (point ids, line ids)
 
 
 def verify_subplane(pl: Plane, pts, lns, m: int) -> bool:
@@ -447,12 +430,14 @@ def verify_subplane(pl: Plane, pts, lns, m: int) -> bool:
     return bool(distinct(pairs).size == k * (k - 1) // 2)
 
 
-def baer_decomposition(pl: Plane) -> BaerDecomposition:
-    """Partition points and lines into q - sqrt(q) + 1 Baer subplanes.
+def baer_decomposition(pl: Plane) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Partition points and lines into q - sqrt(q) + 1 Baer subplanes of order sqrt(q).
 
-    Point classes are the orbits of the subgroup generated by the
-    (q - sqrt(q) + 1)-th power of the Singer cycle; each class's line set is
-    recovered as the lines meeting it in sqrt(q) + 1 points.
+    Each subplane is a (point ids, line ids) pair of sorted int64 arrays,
+    the subplanes ordered by their least point.  Point classes are the
+    orbits of the subgroup generated by the (q - sqrt(q) + 1)-th power of
+    the Singer cycle; each class's line set is recovered as the lines
+    meeting it in sqrt(q) + 1 points.
     """
     q = pl.q
     r = math.isqrt(q)
@@ -460,12 +445,12 @@ def baer_decomposition(pl: Plane) -> BaerDecomposition:
         raise ValueError(f"Baer decomposition requires a square order, got q={q}")
     n = pl.n
     e = q - r + 1  # subplane count; orbit length is n // e = q + r + 1
-    cycle = _single_cycle(singer_cycle(pl).perm[:n], "point action")
+    cycle = _single_cycle(singer_cycle(pl)[:n], "point action")
     size = n // e
     orbits = np.sort(cycle[(np.arange(e)[:, None] + e * np.arange(size)) % n], axis=1)
     orbits = orbits[np.argsort(orbits[:, 0])]
     rich = r + 1
-    subplanes: list[tuple[np.ndarray, np.ndarray]] = []
+    subplanes = []
     for pts in orbits:
         lns = np.flatnonzero(pl.hits(pts) == rich)
         if lns.size != size or not verify_subplane(pl, pts, lns, r):
@@ -474,4 +459,4 @@ def baer_decomposition(pl: Plane) -> BaerDecomposition:
     covered = np.concatenate([s[1] for s in subplanes])
     if distinct(covered).size != n:
         raise RuntimeError("subplane line sets do not partition the lines")
-    return BaerDecomposition(suborder=r, subplanes=subplanes)
+    return tuple(subplanes)

@@ -4,9 +4,10 @@ Each row of ``TABLE`` is a criterion: name, wall budget, check, parameters.
 A check returns (failures, summary, outputs), where outputs is the outputs
 dict of the criterion's one RunRecord or, for a check that drives the CLI,
 a list of ``(argv, parameters, outputs, wall_time)`` runs, one record each.
-``_measured`` turns a row into the ``fn(outdir) -> (ok, detail, records)``
-of ``CRITERIA``.  ``run`` prints one PASS/FAIL line per criterion and
-writes a manifest of RunRecords, both in table order.  It forks one
+``_measured`` turns a row into the ``fn(outdir) -> (ok, detail, records,
+wall)`` of ``CRITERIA``, ``wall`` being the check's own time, without the
+records.  ``run`` prints one PASS/FAIL line per criterion with that time
+and writes a manifest of RunRecords, both in table order.  It forks one
 process for the rows marked ``forked`` (criterion 9) when it starts and
 runs the other rows itself meanwhile; a forked row's check and its wall
 time are measured in that process, while other work runs, and its result
@@ -244,9 +245,9 @@ def _even_order(outdir: str, orders: list):
         pl = _plane(q)
         g = _graph(q)
         arc = construct_denniston(pl)
-        if arc.arc.size != (q // 2 - 1) * (q + 1) + 1:
-            failures.append(f"q={q}: arc size {arc.arc.size}")
-        if not verify_maximal_arc(pl, arc.arc, q // 2):
+        if arc.size != (q // 2 - 1) * (q + 1) + 1:
+            failures.append(f"q={q}: arc size {arc.size}")
+        if not verify_maximal_arc(pl, arc, q // 2):
             failures.append(f"q={q}: arc fails 0-or-n check")
         part = construct_even(pl, arc=arc)
         rep = margins(g, part)
@@ -423,7 +424,7 @@ def _measured(row: Criterion):
             )
             for argv, parameters, outputs, w in runs
         ]
-        return not failures, "; ".join(failures) if failures else summary, records
+        return not failures, "; ".join(failures) if failures else summary, records, wall
 
     return criterion
 
@@ -455,13 +456,6 @@ TABLE = [
 CRITERIA = [(row.name, _measured(row)) for row in TABLE]
 
 
-def _timed(func, outdir: str):
-    """``func(outdir)``'s ``(ok, detail, records)`` and its wall time."""
-    t0 = time.monotonic()
-    ok, detail, records = func(outdir)
-    return ok, detail, records, time.monotonic() - t0
-
-
 def run(outdir: str = "reproduce-out", only: str | None = None) -> int:
     names = [name for name, _ in CRITERIA]
     if only is not None and only not in names:
@@ -475,9 +469,9 @@ def run(outdir: str = "reproduce-out", only: str | None = None) -> int:
         "all_pass": True,
         "criteria": [],
     }
-    with _fan_out(lambda func: _timed(func, outdir), jobs, 1) as results:
+    with _fan_out(lambda func: func(outdir), jobs, 1) as results:
         for name, func in rows:
-            ok, detail, records, wall = next(results) if name in forked else _timed(func, outdir)
+            ok, detail, records, wall = next(results) if name in forked else func(outdir)
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} [{wall:.1f}s]")
             manifest["all_pass"] = manifest["all_pass"] and ok
             manifest["criteria"].append(

@@ -25,7 +25,8 @@ from procs import ended_within, kill_running, package_env, read_pids, running, s
 
 @pytest.mark.parametrize("name,func", reproduce.CRITERIA, ids=[n for n, _ in reproduce.CRITERIA])
 def test_criterion(name, func, tmp_path, capsys):
-    ok, detail, records = func(str(tmp_path))
+    ok, detail, records, wall = func(str(tmp_path))
+    assert wall > 0
     with capsys.disabled():
         print(f"\n{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert records, "every criterion must log at least one run record"
@@ -65,7 +66,7 @@ def test_wrapper_enforces_the_budget(per_run):
 
     for budget in (10.0, 0.0):
         row = reproduce.Criterion("criterion-x", budget, check, {"q": 3}, per_run=per_run)
-        ok, detail, [record] = reproduce._measured(row)("unused")
+        ok, detail, [record], wall = reproduce._measured(row)("unused")
         assert ok == (budget > 0)
         if ok:
             assert detail == "fine"
@@ -77,6 +78,23 @@ def test_wrapper_enforces_the_budget(per_run):
         assert record.command == "planepart " + " ".join(command)
         assert record.field_modulus == list(reproduce._plane(3).field.modulus)
         assert record.artifact_version == __version__
+        assert wall < 0.5 if per_run else record.wall_time == wall
+
+
+def test_criterion_wall_leaves_out_the_records(monkeypatch):
+    # a record's field modulus may build a plane; that time counts against
+    # no budget and is not the criterion's wall time
+    plane = reproduce._plane
+
+    def slow(q):
+        time.sleep(0.3)
+        return plane(q)
+
+    monkeypatch.setattr(reproduce, "_plane", slow)
+    row = reproduce.Criterion("criterion-x", 0.2, lambda outdir, q: ([], "fine", {}), {"q": 3})
+    ok, detail, [record], wall = reproduce._measured(row)("unused")
+    assert ok, detail
+    assert record.wall_time == wall < 0.2
 
 
 CRITERION_9 = dict(reproduce.CRITERIA)["criterion-9"]
@@ -107,7 +125,7 @@ def test_criterion9_forked_reruns_equal_in_process_runs(tmp_path, capsys):
             ref.append(anneal_doc(out))
     table = tmp_path / "table"
     table.mkdir()
-    ok, detail, records = CRITERION_9(str(table))
+    ok, detail, records, _ = CRITERION_9(str(table))
     assert ok, detail
     files = [table / f"criterion9-anneal-q{q}-run{i}.json" for q in ANNEAL_ORDERS for i in (1, 2)]
     assert [anneal_doc(path) for path in files] == ref
@@ -128,7 +146,7 @@ def test_criterion9_run2_is_written_by_another_process(tmp_path, monkeypatch):
         Path(path + ".pid").write_text(str(os.getpid()))
 
     monkeypatch.setattr(cli, "_write_json", stamped)
-    ok, detail, _ = CRITERION_9(str(tmp_path))
+    ok, detail, _, _ = CRITERION_9(str(tmp_path))
     assert ok, detail
     pids = {
         (q, i): int((tmp_path / f"criterion9-anneal-q{q}-run{i}.json.pid").read_text())
@@ -186,7 +204,7 @@ def test_criterion9_still_compares_the_reruns(tmp_path, monkeypatch):
         return rc, wall
 
     monkeypatch.setattr(reproduce, "_run_cli", skewed)
-    ok, detail, records = CRITERION_9(str(tmp_path))
+    ok, detail, records, _ = CRITERION_9(str(tmp_path))
     assert not ok
     assert detail == "q=5: reruns differ; q=7: reruns differ"
     assert len(records) == 4
@@ -217,7 +235,7 @@ def test_run_writes_the_serial_manifest(tmp_path):
     # reference for everything in the manifest but the wall times
     rows = []
     for name, func in reproduce.CRITERIA:
-        ok, detail, records = func(str(tmp_path))
+        ok, detail, records, _ = func(str(tmp_path))
         rows.append(
             {"name": name, "ok": ok, "detail": detail,
              "records": [dataclasses.asdict(r) for r in records]}

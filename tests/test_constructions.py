@@ -285,10 +285,10 @@ def test_oval_unknown_variant():
 def test_denniston_arc(q, size):
     pl = get_plane(q)
     arc = construct_denniston(pl)
-    assert arc.degree == q // 2
-    assert len(arc.arc) == size
-    assert verify_maximal_arc(pl, arc.arc, q // 2)
-    assert set(np.unique(arc.secant_profile).tolist()) <= {0, q // 2}
+    assert arc.dtype == np.int64 and len(arc) == size
+    assert (np.diff(arc) > 0).all()
+    assert verify_maximal_arc(pl, arc, q // 2)
+    assert set(np.unique(pl.hits(arc)).tolist()) == {0, q // 2}
 
 
 def test_denniston_rejects_odd_and_q2():
@@ -304,7 +304,7 @@ def test_verify_maximal_arc_rejects_line():
     assert not verify_maximal_arc(pl, line_pts, 2)
     # at q=16: the Denniston arc with one point swapped for a point off it
     pl = get_plane(16)
-    arc = construct_denniston(pl).arc
+    arc = construct_denniston(pl)
     off = np.setdiff1d(np.arange(pl.n), arc)
     assert not verify_maximal_arc(pl, np.append(arc[1:], off[0]), 8)
     assert not verify_maximal_arc(pl, arc, 4)
@@ -325,13 +325,14 @@ def test_verify_maximal_arc_single_point():
 def test_arc_double_counting_facts(q):
     pl = get_plane(q)
     arc = construct_denniston(pl)
+    secant_profile = pl.hits(arc)
     half = q // 2
-    assert (arc.secant_profile == 0).sum() == q + 2
+    assert (secant_profile == 0).sum() == q + 2
     marc = np.zeros(pl.n, dtype=bool)
-    marc[arc.arc] = True
+    marc[arc] = True
     for p in np.flatnonzero(~marc):
         through = pl.pencils[p]
-        profile = arc.secant_profile[through]
+        profile = secant_profile[through]
         assert (profile == half).sum() == q - 1
         assert (profile == 0).sum() == 2
 
@@ -363,9 +364,33 @@ def test_even_q4_class_sizes():
 def test_even_rejects_non_secant():
     pl = get_plane(4)
     arc = construct_denniston(pl)
-    skew = int(np.flatnonzero(arc.secant_profile == 0)[0])
-    with pytest.raises(ValueError):
+    skew = int(np.flatnonzero(pl.hits(arc) == 0)[0])
+    with pytest.raises(ValueError, match="need a 2-secant"):
         construct_even(pl, arc=arc, secant_line=skew)
+
+
+def test_even_checks_a_given_arc():
+    pl = get_plane(8)
+    arc = construct_denniston(pl)
+    built = construct_even(pl)
+    # the Denniston arc passes, as any id set: shuffled, repeated, as floats
+    given = np.random.default_rng(0).permutation(np.repeat(arc, 2)).astype(float)
+    assert (construct_even(pl, arc=arc).side == built.side).all()
+    assert (construct_even(pl, arc=given).side == built.side).all()
+    # the conic (t : t^2 : 1), (0:1:0) with its nucleus (1:0:0): a maximal
+    # arc of degree 2, not q/2
+    t = np.arange(pl.q)
+    conic = np.stack([t, np.diagonal(pl.field.mul_table), np.ones_like(t)], axis=1)
+    hyperoval = pl.index(np.vstack([conic, [(0, 1, 0), (1, 0, 0)]]))
+    assert verify_maximal_arc(pl, hyperoval, 2)
+    # and a line, the arc less a point, the arc with a point swapped for one off it
+    off = np.setdiff1d(np.arange(pl.n), arc)
+    for bad in (hyperoval, pl.pencils[0], arc[1:], np.append(arc[1:], off[0]), []):
+        with pytest.raises(ValueError, match="not a maximal arc of degree 4"):
+            construct_even(pl, arc=bad)
+    for bad in (-1, pl.n, 0.5):
+        with pytest.raises(ValueError, match=r"^arc point .* is not an id in \[0, 73\)$"):
+            construct_even(pl, arc=np.append(arc, bad))
 
 
 def test_even_rejects_ids_outside_the_plane():

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -452,6 +453,36 @@ def test_from_edges_rejects_vertices_outside_the_graph(edge):
         Graph.from_edges(3, [(0, 1), edge])
 
 
+# a 4-cycle's rows, which the tests below spoil one entry at a time
+_SQUARE = [[1, 3], [0, 2], [1, 3], [2, 0]]
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 2**32])
+def test_from_neighbor_lists_rejects_ids_outside_the_graph(bad):
+    rows = [list(r) for r in _SQUARE]
+    rows[2][1] = bad
+    with pytest.raises(ValueError, match=rf"^vertex 2 lists neighbour {bad}, outside \[0, 4\)$"):
+        Graph.from_neighbor_lists(rows)
+
+
+def test_from_neighbor_lists_rejects_a_loop():
+    rows = [list(r) for r in _SQUARE]
+    rows[3].append(3)
+    with pytest.raises(ValueError, match="^vertex 3 lists itself as a neighbour$"):
+        Graph.from_neighbor_lists(rows)
+    with pytest.raises(ValueError, match="^vertex 3 lists itself as a neighbour$"):
+        Graph.from_edges(4, [(0, 1), (3, 3)])
+
+
+def test_from_neighbor_lists_rejects_a_repeated_neighbour():
+    # edge 0-1 listed twice by vertex 1, its repeat not next to it
+    rows = [list(r) for r in _SQUARE]
+    rows[1] = [0, 2, 0]
+    with pytest.raises(ValueError, match="^vertex 1 lists neighbour 0 twice$"):
+        Graph.from_neighbor_lists(rows)
+    assert Graph.from_neighbor_lists(_SQUARE).indices.tolist() == [1, 3, 0, 2, 1, 3, 2, 0]
+
+
 def test_plane_of_order_rejects_bad_orders():
     with pytest.raises(ValueError):
         plane_of_order(6)
@@ -469,14 +500,21 @@ def test_plane_of_order_rejects_bad_orders():
 # -- Singer cycle ---------------------------------------------------------------
 
 
+def _companion(pl):
+    """The companion matrix of ``least_primitive_cubic``, which ``singer_cycle`` applies."""
+    c0, c1, c2 = least_primitive_cubic(pl.field)
+    neg = pl.field.neg_table
+    return ((0, 0, int(neg[c0])), (1, 0, int(neg[c1])), (0, 1, int(neg[c2])))
+
+
 @pytest.mark.parametrize("q,orbit", [(2, 7), (3, 13)])
 def test_singer_single_orbit(q, orbit):
-    sc = singer_cycle(get_plane(q))
+    perm = singer_cycle(get_plane(q))
     v = 0
     seen = set()
     for _ in range(orbit):
         seen.add(v)
-        v = int(sc.perm[v])
+        v = int(perm[v])
     assert v == 0 and len(seen) == orbit
 
 
@@ -497,30 +535,31 @@ def test_least_primitive_cubic_matches_reference(q):
 @pytest.mark.parametrize("q", _prime_powers(2, MAX_FIELD_ORDER))
 def test_singer_perms_match_reference(q):
     pl = get_plane(q)
-    sc = singer_cycle(pl)
-    inv_t = tuple(zip(*reference_mat_inv(ReferenceField(pl.field.p, pl.field.h), sc.matrix)))
-    assert (sc.perm[: pl.n] == reference_action(pl, sc.matrix)).all()
-    assert (sc.perm[pl.n :] == pl.n + reference_action(pl, inv_t)).all()
+    perm, mat = singer_cycle(pl), _companion(pl)
+    inv_t = tuple(zip(*reference_mat_inv(ReferenceField(pl.field.p, pl.field.h), mat)))
+    assert perm.dtype == np.int64 and perm.shape == (2 * pl.n,)
+    assert (perm[: pl.n] == reference_action(pl, mat)).all()
+    assert (perm[pl.n :] == pl.n + reference_action(pl, inv_t)).all()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_singer_order_is_plane_size(q):
     pl = get_plane(q)
-    sc = singer_cycle(pl)
+    sigma = singer_cycle(pl)
     perm = np.arange(2 * pl.n)
     for _ in range(pl.n):
-        perm = sc.perm[perm]
+        perm = sigma[perm]
     assert (perm == np.arange(2 * pl.n)).all()
 
 
 def test_singer_preserves_incidence():
     pl = get_plane(9)
-    sc = singer_cycle(pl)
+    perm = singer_cycle(pl)
     rng = random.Random(4)
     for _ in range(1000):
         p = rng.randrange(pl.n)
         ln = rng.randrange(pl.n)
-        assert pl.is_incident(p, ln) == pl.is_incident(sc.perm[p], sc.perm[pl.n + ln] - pl.n)
+        assert pl.is_incident(p, ln) == pl.is_incident(perm[p], perm[pl.n + ln] - pl.n)
 
 
 def _random_invertible(f, rng):
@@ -539,7 +578,7 @@ def test_collineation_perm_is_a_graph_automorphism(q):
     rng = random.Random(q)
     f = ReferenceField(pl.field.p, pl.field.h)
     nbrs = np.sort(g.indices.reshape(g.n, -1), axis=1)
-    for mat in [singer_cycle(pl).matrix] + [_random_invertible(f, rng) for _ in range(5)]:
+    for mat in [_companion(pl)] + [_random_invertible(f, rng) for _ in range(5)]:
         perm = collineation_perm(pl, mat)
         assert perm.dtype == np.int64
         assert (np.sort(perm) == np.arange(g.n)).all()
@@ -557,13 +596,13 @@ def test_collineation_perm_rejects_a_singular_matrix():
 
 @pytest.mark.parametrize("q,count,size", [(4, 3, 7), (9, 7, 13)])
 def test_baer_decomposition_shape(q, count, size):
-    dec = get_baer(q)
-    assert len(dec.subplanes) == count
+    subplanes = get_baer(q)
+    assert isinstance(subplanes, tuple) and len(subplanes) == count
     pts_all, lns_all = [], []
-    r = dec.suborder
-    for pts, lns in dec.subplanes:
+    for pts, lns in subplanes:
+        assert pts.dtype == lns.dtype == np.int64
         assert len(pts) == size and len(lns) == size
-        assert verify_subplane(get_plane(q), pts, lns, r)
+        assert verify_subplane(get_plane(q), pts, lns, math.isqrt(q))
         pts_all.extend(pts.tolist())
         lns_all.extend(lns.tolist())
     assert sorted(pts_all) == list(range(q * q + q + 1))
@@ -574,9 +613,8 @@ def test_baer_decomposition_shape(q, count, size):
 def test_baer_covering_property(q):
     # each outside point lies on exactly one line meeting the subplane richly
     pl = get_plane(q)
-    dec = get_baer(q)
-    r = dec.suborder
-    for pts, lns in dec.subplanes:
+    r = math.isqrt(q)
+    for pts, lns in get_baer(q):
         mask = np.zeros(pl.n, dtype=np.int64)
         mask[pts] = 1
         inc = dense_incidence(pl).astype(np.int64)
@@ -609,7 +647,7 @@ def test_verify_subplane_rejects_random_pointset():
     # at q=16: a Baer subplane with one point swapped out, and with the
     # lines of another subplane
     pl = get_plane(16)
-    (pts, lns), (_, other_lns) = get_baer(16).subplanes[:2]
+    (pts, lns), (_, other_lns) = get_baer(16)[:2]
     outside = np.setdiff1d(np.arange(pl.n), pts)
     assert verify_subplane(pl, pts, lns, 4)
     assert not verify_subplane(pl, np.append(pts[1:], outside[0]), lns, 4)
